@@ -29,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from .codes import CodeVectorSpec, alamouti_n, gram, make_c
-from .correlation import (CodingAssignment, G2Matrix, contrasts,
-                          contrasts_from_levels, g2_matrix_ideal,
-                          g2_matrix_ideal_multi, g2_numeric, level_summary,
-                          matched_decode)
+# g2_numeric and matched_decode are unused here; bench/tracer.py wraps them
+from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
+                          g2_matrix_ideal_multi, g2_matrix_numeric,
+                          g2_numeric, level_summary, matched_decode)
 from .dynamics import DriveParams, compare_dynamics
 from .errors import (BiphotonCodingError, ConfigError, CycleDetected,
                      DegenerateMatrix, NotConverged, StepFailure)
@@ -66,7 +66,12 @@ def _int(raw):
 def _float(raw):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"expected a number, got {raw!r}")
-    return float(raw)
+    try:
+        if math.isfinite(raw):
+            return float(raw)
+    except OverflowError:       # an integer beyond the float range
+        pass
+    raise ValueError(f"expected a finite number, got {raw!r}")
 
 
 def _str(raw):
@@ -84,7 +89,7 @@ def _bool(raw):
 def _complex(raw):
     """Accept a plain number or a [re, im] pair."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
+        return complex(_float(raw))
     if isinstance(raw, list) and len(raw) == 2:
         return complex(_float(raw[0]), _float(raw[1]))
     raise ValueError(f"expected a number or [re, im], got {raw!r}")
@@ -141,12 +146,15 @@ class _Section:
 
 
 def _load_config(path):
+    def reject(name):
+        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        cfg = json.loads(data)
+        cfg = json.loads(data, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -323,32 +331,6 @@ def _write_svg_heatmap(path: Path, values, title: str, extent=None):
     plt.close(fig)
 
 
-def _parallel_map(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))   # map preserves submission order
-
-
-def _numeric_matrix(spec, code, bin_width, grid_s, grid_i,
-                    workers: int, acceptance_scale: float = 3.0) -> G2Matrix:
-    """Numeric correlation matrix with the cells evaluated in parallel."""
-    n = code.n
-
-    def one(cell):
-        i, j = cell
-        assign = CodingAssignment(encode=code.column(i),
-                                  decode=matched_decode(code.column(j)))
-        return g2_numeric(spec, assign, bin_width, grid_s, grid_i,
-                          acceptance_scale)
-
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    values = _parallel_map(one, cells, workers)
-    return G2Matrix(values=np.array(values).reshape(n, n), kind="numeric")
-
-
 def _contrast_payload(report) -> dict:
     return {k: (None if v is None else float(v))
             for k, v in report.as_dict().items()}
@@ -358,7 +340,7 @@ def _contrast_payload(report) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_jsa(sec, meta, outdir: Path, label: str, args) -> int:
+def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
     params = _parse_params(sec.subsection("params"))
     spec = _parse_spectrum(sec, params)
     grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
@@ -391,7 +373,7 @@ def _cmd_jsa(sec, meta, outdir: Path, label: str, args) -> int:
     return 0
 
 
-def _cmd_schmidt(sec, meta, outdir: Path, label: str, args) -> int:
+def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
     params = _parse_params(sec.subsection("params"))
     spec = _parse_spectrum(sec, params)
     grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
@@ -417,7 +399,7 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str, args) -> int:
     return 0
 
 
-def _cmd_codes(sec, meta, outdir: Path, label: str, args) -> int:
+def _cmd_codes(sec, meta, outdir: Path, label: str) -> int:
     cspec, code = _parse_code(sec.subsection("code", required=True))
     sec.close()
 
@@ -440,7 +422,7 @@ def _cmd_codes(sec, meta, outdir: Path, label: str, args) -> int:
     return 0
 
 
-def _cmd_single_channel(sec, meta, outdir: Path, label: str, args) -> int:
+def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
     cspec, code = _parse_code(sec.subsection("code", required=True))
     mode = sec.take("mode", _str, "ideal")
     if mode not in ("ideal", "numeric"):
@@ -469,8 +451,8 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str, args) -> int:
         else:
             grid_s, grid_i = _parse_grid(gsec), _parse_grid(isec)
         spec = MultiplexedSpectrum.comb(code.n, delta, params)
-        matrix = _numeric_matrix(spec, code, bin_width, grid_s, grid_i,
-                                 args.workers, acceptance)
+        matrix = g2_matrix_numeric(spec, code, bin_width, grid_s, grid_i,
+                                   acceptance)
         comments = [f"numeric path, delta = {delta:.12g}, "
                     f"bin_width = {bin_width:.12g}, "
                     f"acceptance_scale = {acceptance:.12g}",
@@ -494,7 +476,7 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str, args) -> int:
     return 0
 
 
-def _cmd_sweep(sec, meta, outdir: Path, label: str, args) -> int:
+def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
     variable = sec.take("variable", _str)
     if variable not in ("h", "delta"):
         raise ConfigError(f"variable: expected 'h' or 'delta', got {variable!r}")
@@ -533,19 +515,19 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str, args) -> int:
         def point(delta):
             grid_s, grid_i = _auto_grids(n, delta, params)
             spec = MultiplexedSpectrum.comb(n, delta, params)
-            matrix = _numeric_matrix(spec, code, delta, grid_s, grid_i, 1,
-                                     acceptance)
+            matrix = g2_matrix_numeric(spec, code, delta, grid_s, grid_i,
+                                       acceptance)
             rep = contrasts(matrix)
             return delta, rep.v, rep.c_od
 
-    rows = _parallel_map(point, values, args.workers)
+    rows = [point(v) for v in values]
     _write_csv(outdir / f"{label}_sweep.csv", meta,
                [f"n = {n}"], [variable, "v", "c_od"],
                [(v, float(a), float(b)) for v, a, b in rows])
     return 0
 
 
-def _cmd_multi_channel(sec, meta, outdir: Path, label: str, args) -> int:
+def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
     r = sec.take("r", _int)
     m = sec.take("m", _int)
     h = sec.take("h", _float, 2.0)
@@ -599,7 +581,7 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str, args) -> int:
     return 0
 
 
-def _cmd_validate_layout(sec, meta, outdir: Path, label: str, args) -> int:
+def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
     tau = sec.take("tau", _float, None)
     stair = sec.subsection("staircase")
     placed = sec.subsection("placement")
@@ -651,7 +633,7 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str, args) -> int:
     return 0
 
 
-def _cmd_dynamics_check(sec, meta, outdir: Path, label: str, args) -> int:
+def _cmd_dynamics_check(sec, meta, outdir: Path, label: str) -> int:
     drive = _parse_drive(sec.subsection("drive"))
     grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
     grid_i = _parse_grid(sec.subsection("idler_grid", required=True))
@@ -694,8 +676,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="biphoton-coding",
         description="spectral-coding simulation runner (config-driven)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for independent cells/points")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, blurb) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
@@ -722,7 +702,7 @@ def main(argv=None) -> int:
                 "units": UNITS}
         outdir.mkdir(parents=True, exist_ok=True)
         handler = _COMMANDS[args.command][0]
-        return handler(sec, meta, outdir, label, args)
+        return handler(sec, meta, outdir, label)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

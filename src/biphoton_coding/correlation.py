@@ -15,16 +15,18 @@ leakage enter only through the numeric path; the two paths agree when
 bins are wide compared with both the Gaussian mode width and the
 Lorentzian linewidth.
 
-The numeric path fixes its overall scale against the all-ones-weights
-reference cell of the same spectrum and bins, so the uncoded value
-matches the closed form 2 sqrt(pi) N / (N_s^2 N_i^2 tau) and both paths
-share units.  All contrast metrics are insensitive to this calibration.
+Masks are linear in their weights, so a whole matrix is one batch: each
+masked marginal takes one zero-padded FFT and FFT(F_ij) = sum_p c_p
+FFT(M^s_i psi_p) FFT(M^i_j phi_p) is a contraction over pairs.  The
+all-ones reference cell (one extra row and column) fixes the scale, so
+the uncoded value matches 2 sqrt(pi) N / (N_s^2 N_i^2 tau) and both paths
+share units; contrast metrics are insensitive to this calibration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,6 +179,14 @@ def pair_correlation_kernel(pair, params: PhysicalParams,
 # ideal (closed-form) path
 # ---------------------------------------------------------------------------
 
+def _pair_weights(weights, n: int, what: str) -> np.ndarray:
+    """Per-pair weights (all ones for None), checked against the pair count."""
+    w = np.ones(n, complex) if weights is None else np.asarray(weights, complex)
+    if len(w) != n:
+        raise ChannelShapeMismatch(f"{what} length must match the pair count")
+    return w
+
+
 def g2_ideal_single(assign: CodingAssignment, n_pairs: int,
                     prefactor: float = 1.0, lambdas=None) -> float:
     """Closed-form g2 for one channel of well-separated pairs.
@@ -184,12 +194,8 @@ def g2_ideal_single(assign: CodingAssignment, n_pairs: int,
     prefactor * |sum_n sqrt(lambda_n) H^d_n H^e_n|^2 with uniform
     lambda_n = 1/n_pairs unless an explicit spectrum is given.
     """
-    enc = np.ones(n_pairs, complex) if assign.encode is None \
-        else np.asarray(assign.encode, dtype=complex)
-    dec = np.ones(n_pairs, complex) if assign.decode is None \
-        else np.asarray(assign.decode, dtype=complex)
-    if len(enc) != n_pairs or len(dec) != n_pairs:
-        raise ChannelShapeMismatch("encode/decode length must equal n_pairs")
+    enc = _pair_weights(assign.encode, n_pairs, "encode")
+    dec = _pair_weights(assign.decode, n_pairs, "decode")
     lam = np.full(n_pairs, 1.0 / n_pairs) if lambdas is None \
         else np.asarray(lambdas, dtype=float)
     return float(prefactor * np.abs(np.sum(np.sqrt(lam) * dec * enc)) ** 2)
@@ -406,12 +412,6 @@ def coding_bin_mask(centers, weights, bin_width: float,
     return mask
 
 
-def _binned_mask(weights: dict, spacing: float, grid: FrequencyGrid) -> np.ndarray:
-    ks = sorted(weights)
-    return coding_bin_mask([k * spacing for k in ks],
-                           [weights[k] for k in ks], spacing, grid)
-
-
 def acceptance_gate(grid_out: FrequencyGrid, spec: MultiplexedSpectrum,
                     scale: float = 3.0) -> np.ndarray:
     """Gaussian sum-frequency intensity gate about each channel ridge.
@@ -434,24 +434,66 @@ def acceptance_gate(grid_out: FrequencyGrid, spec: MultiplexedSpectrum,
     return acc
 
 
-def _coded_numerator(spec: MultiplexedSpectrum, encode, mask_s, mask_i,
-                     grid_s: FrequencyGrid, grid_i: FrequencyGrid,
-                     gate=None) -> float:
-    """Gated integral of |F|^2 over the sum-frequency axis."""
-    p = spec.params
+def _gated_power(amps, masks_s, masks_i, psi, phi, gate,
+                 spacing: float) -> np.ndarray:
+    """Gated integral of |F_ab|^2 for every signal mask a and idler mask b.
+
+    F_ab = sum_p amps[a, p] convolution(masks_s[a] psi_p, masks_i[b] phi_p)
+    with psi_p / phi_p the pair marginals (rows of psi / phi).  Each masked
+    marginal (signal ones times their amplitudes) takes one zero-padded
+    FFT, the pair sum is one contraction per signal mask, and one signal
+    row of F is transformed back at a time, so memory stays
+    O(masks * pairs * fft length).
+    """
+    from scipy import fft as sp_fft   # deferred: only this path needs scipy
+    n_out = psi.shape[1] + phi.shape[1] - 1
+    nfft = sp_fft.next_fast_len(n_out)
+    sig = sp_fft.fft(amps[:, :, None] * masks_s[:, None, :] * psi, nfft)
+    idl = sp_fft.fft(masks_i[:, None, :] * phi, nfft)
+    rows = (sp_fft.ifft(np.einsum("pk,bpk->bk", s, idl))[:, :n_out]
+            for s in sig)
+    return spacing ** 3 * np.array([np.abs(f) ** 2 @ gate for f in rows])
+
+
+def _bin_masks(centers, weight_rows, bin_width: float,
+               grid: FrequencyGrid) -> np.ndarray:
+    """Coding masks of each weight row, then the all-ones reference mask."""
+    rows = [*weight_rows, np.ones(len(centers))]
+    return np.array([coding_bin_mask(centers, w, bin_width, grid)
+                     for w in rows])
+
+
+def _binned_masks(weights: dict, spacing: float,
+                  grid: FrequencyGrid) -> np.ndarray:
+    """Factorized-decoder mask on integer bins, then the all-ones reference."""
+    ks = sorted(weights)
+    return _bin_masks([k * spacing for k in ks], [[weights[k] for k in ks]],
+                      spacing, grid)
+
+
+def _numeric_cells(spec: MultiplexedSpectrum, masks_s, amps, masks_i,
+                   grid_s: FrequencyGrid, grid_i: FrequencyGrid,
+                   acceptance_scale: float) -> np.ndarray:
+    """Calibrated g2 of every (signal mask, idler mask) cell.
+
+    The last signal and idler masks are the all-ones reference, whose
+    cell fixes the scale; amps holds the per-pair encode weights of the
+    other signal masks.  Marginals are built once for all cells.
+    """
+    p, n = spec.params, spec.n_pairs
     spacing = _matched_spacing(grid_s, grid_i)
-    lam_root = math.sqrt(1.0 / spec.n_pairs)
-    f_sum = None
-    for pair, w_enc in zip(spec.pairs, encode):
-        psi, _ = marginal_signal_mode(pair, p, grid_s)
-        phi, _ = marginal_idler_mode(pair, p, grid_i)
-        kappa = convolution(mask_s * psi, mask_i * phi, spacing)
-        term = lam_root * pair.weight * w_enc * kappa
-        f_sum = term if f_sum is None else f_sum + term
-    density = np.abs(f_sum) ** 2
-    if gate is not None:
-        density = gate * density
-    return float(spacing * np.sum(density))
+    gate = acceptance_gate(convolution_grid(grid_s, grid_i), spec,
+                           acceptance_scale)
+    psi, n_s = zip(*(marginal_signal_mode(pr, p, grid_s) for pr in spec.pairs))
+    phi, n_i = zip(*(marginal_idler_mode(pr, p, grid_i) for pr in spec.pairs))
+    lam_root = math.sqrt(1.0 / n) * np.array([pr.weight for pr in spec.pairs])
+    power = _gated_power(lam_root * np.vstack([amps, np.ones(n)]), masks_s,
+                         masks_i, np.array(psi), np.array(phi), gate, spacing)
+    # all-ones reference in closed form: prefactor * M per ridge, summed
+    # over ridges and divided by the global 1/(R M) weight -> pref * n / R
+    ridges = len({pr.delta_q for pr in spec.pairs})
+    ideal_ref = g2_prefactor(n_s[0], n_i[0], p.tau) * n / ridges
+    return ideal_ref * power[:-1, :-1] / power[-1, -1]
 
 
 def g2_numeric(spec: MultiplexedSpectrum, assign: CodingAssignment,
@@ -471,47 +513,21 @@ def g2_numeric(spec: MultiplexedSpectrum, assign: CodingAssignment,
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     n = spec.n_pairs
-    encode = np.ones(n, complex) if assign.encode is None \
-        else np.asarray(assign.encode, dtype=complex)
-    if len(encode) != n:
-        raise ChannelShapeMismatch("encode length must match the pair count")
-    gate = acceptance_gate(convolution_grid(grid_s, grid_i), spec,
-                           acceptance_scale)
-    ones = np.ones(n, complex)
-
+    encode = _pair_weights(assign.encode, n, "encode")
     if assign.channel_map is not None:
         cm = assign.channel_map
-        mask_s = _binned_mask(cm.signal_weights, cm.bin_spacing, grid_s)
-        mask_i = _binned_mask(cm.idler_weights, cm.bin_spacing, grid_i)
-        ref_s = _binned_mask(dict.fromkeys(cm.signal_weights, 1.0),
-                             cm.bin_spacing, grid_s)
-        ref_i = _binned_mask(dict.fromkeys(cm.idler_weights, 1.0),
-                             cm.bin_spacing, grid_i)
-        enc_pair = encode
+        masks_s = _binned_masks(cm.signal_weights, cm.bin_spacing, grid_s)
+        masks_i = _binned_masks(cm.idler_weights, cm.bin_spacing, grid_i)
+        amps = [encode]
     else:
-        decode = ones if assign.decode is None \
-            else np.asarray(assign.decode, dtype=complex)
-        if len(decode) != n:
-            raise ChannelShapeMismatch("decode length must match the pair count")
-        sig_centers = [p.signal_center for p in spec.pairs]
-        idl_centers = [p.delta_p for p in spec.pairs]
-        mask_s = coding_bin_mask(sig_centers, encode, bin_width, grid_s)
-        mask_i = coding_bin_mask(idl_centers, decode, bin_width, grid_i)
-        ref_s = coding_bin_mask(sig_centers, ones, bin_width, grid_s)
-        ref_i = coding_bin_mask(idl_centers, ones, bin_width, grid_i)
-        enc_pair = ones          # weights already live in the signal mask
-
-    num = _coded_numerator(spec, enc_pair, mask_s, mask_i, grid_s, grid_i, gate)
-    ref = _coded_numerator(spec, ones, ref_s, ref_i, grid_s, grid_i, gate)
-
-    pair0 = spec.pairs[0]
-    _, n_s = marginal_signal_mode(pair0, spec.params, grid_s)
-    _, n_i = marginal_idler_mode(pair0, spec.params, grid_i)
-    # all-ones reference in closed form: prefactor * M per ridge, summed
-    # over ridges and divided by the global 1/(R M) weight -> pref * n / R
-    ridges = len({p.delta_q for p in spec.pairs})
-    ideal_ref = g2_prefactor(n_s, n_i, spec.params.tau) * n / ridges
-    return ideal_ref * num / ref
+        decode = _pair_weights(assign.decode, n, "decode")
+        masks_s = _bin_masks([p.signal_center for p in spec.pairs], [encode],
+                             bin_width, grid_s)
+        masks_i = _bin_masks([p.delta_p for p in spec.pairs], [decode],
+                             bin_width, grid_i)
+        amps = [np.ones(n)]      # weights already live in the signal mask
+    return float(_numeric_cells(spec, masks_s, amps, masks_i, grid_s, grid_i,
+                                acceptance_scale)[0, 0])
 
 
 def g2_matrix_numeric(spec: MultiplexedSpectrum, code: CodeMatrix,
@@ -522,11 +538,13 @@ def g2_matrix_numeric(spec: MultiplexedSpectrum, code: CodeMatrix,
     n = code.n
     if spec.n_pairs != n:
         raise ChannelShapeMismatch("code order must match the pair count")
-    values = np.zeros((n, n))
-    for j in range(n):
-        dec = matched_decode(code.column(j))
-        for i in range(n):
-            assign = CodingAssignment(encode=code.column(i), decode=dec)
-            values[i, j] = g2_numeric(spec, assign, bin_width, grid_s,
-                                      grid_i, acceptance_scale)
+    if not bin_width > 0:
+        raise ValueError("bin_width must be positive")
+    cols = [code.column(i) for i in range(n)]
+    masks_s = _bin_masks([p.signal_center for p in spec.pairs], cols,
+                         bin_width, grid_s)
+    masks_i = _bin_masks([p.delta_p for p in spec.pairs],
+                         [matched_decode(c) for c in cols], bin_width, grid_i)
+    values = _numeric_cells(spec, masks_s, np.ones((n, n)), masks_i, grid_s,
+                            grid_i, acceptance_scale)
     return G2Matrix(values=values, kind="numeric")

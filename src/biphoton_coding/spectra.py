@@ -15,7 +15,7 @@ copies of that amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -60,7 +60,9 @@ class PhysicalParams:
     coupling_prefactor: complex = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.gamma3n <= 0 or self.tau <= 0:
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError("physical parameters must be finite")
+        if not (self.gamma > 0 and self.gamma3n > 0 and self.tau > 0):
             raise ValueError("gamma, gamma3n, tau must all be positive")
 
     @property

@@ -82,6 +82,34 @@ def test_malformed_config_rejected(tmp_path):
     assert main(["jsa", missing]) == 1
 
 
+def test_infinite_code_parameter_rejected(tmp_path):
+    cfg = write_cfg(tmp_path, "codes.json", {   # json writes Infinity
+        "output_dir": str(tmp_path), "label": "inf",
+        "code": {"kind": "linear-h", "n": 4, "h": math.inf}})
+    assert "Infinity" in (tmp_path / "codes.json").read_text()
+    assert main(["codes", cfg]) == 1
+    assert not (tmp_path / "inf_report.json").exists()
+
+
+def test_nan_param_rejected_in_numeric_mode(tmp_path):
+    cfg = write_cfg(tmp_path, "sc.json", {
+        "output_dir": str(tmp_path), "label": "nan",
+        "mode": "numeric", "delta": 60.0, "params": {"tau": math.nan},
+        "code": {"kind": "linear-h", "n": 2, "h": 1.0}})
+    assert main(["single-channel", cfg]) == 1
+    assert not (tmp_path / "nan_g2.csv").exists()
+
+
+def test_overflowing_number_rejected(tmp_path):
+    # 1e999 is valid JSON that parses to inf
+    path = tmp_path / "big.json"
+    path.write_text('{"config_version": 1, "output_dir": "%s", "label": "big",'
+                    ' "code": {"kind": "linear-h", "n": 4, "h": 1e999}}'
+                    % tmp_path)
+    assert main(["codes", str(path)]) == 1
+    assert not (tmp_path / "big_report.json").exists()
+
+
 def test_codes_report(tmp_path):
     cfg = write_cfg(tmp_path, "codes.json", {
         "output_dir": str(tmp_path), "label": "c4",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton_coding.codes import CodeVectorSpec, alamouti_n, gram, make_c
 from biphoton_coding.correlation import (
@@ -272,6 +274,21 @@ def test_numeric_argument_checks():
         g2_numeric(spec, CodingAssignment(encode=np.ones(3)), 60.0, gs, gi)
     with pytest.raises(ChannelShapeMismatch):
         g2_numeric(spec, CodingAssignment(decode=np.ones(5)), 60.0, gs, gi)
+    code = alamouti_n(np.ones(2), 2)
+    with pytest.raises(ValueError):
+        g2_matrix_numeric(spec, code, 0.0, gs, gi)
+    with pytest.raises(ChannelShapeMismatch):
+        g2_matrix_numeric(spec, CODE4, 60.0, gs, gi)
+    with pytest.raises(BinOverlap):
+        g2_matrix_numeric(spec, code, 70.0, gs, gi)
+    with pytest.raises(UnderResolvedGrid):   # unequal signal/idler spacing
+        g2_matrix_numeric(spec, code, 60.0, gs,
+                          FrequencyGrid(gi.min, gi.max, gi.points + 1))
+    coarse = FrequencyGrid(gs.min, gs.max, 41)
+    with pytest.raises(UnderResolvedGrid):   # marginals need (1/tau)/8
+        g2_matrix_numeric(spec, code, 60.0, coarse,
+                          FrequencyGrid(gi.min, gi.min + 40 * coarse.spacing,
+                                        41))
 
 
 def test_numeric_matrix_tracks_ideal_two_pairs():
@@ -293,10 +310,10 @@ def test_numeric_matrix_tracks_ideal_two_pairs():
     assert num.kind == "numeric"
 
 
-def test_numeric_multi_channel_cells():
-    """Staircase (2, 2) design, n = 2 amplitude ladder: the factorized
-    bin decoder reproduces matched, half-matched, and fully mismatched
-    closed-form levels."""
+def multi_channel_cells():
+    """Staircase (2, 2) design with the n = 2 amplitude ladder: spectrum,
+    grids, closed-form matrix, and the matched, half-matched and fully
+    mismatched (encode index, decode index, assignment) cells."""
     layout = staircase(2, 2, bin_width=100.0)
     code = alamouti_n(make_c(CodeVectorSpec("linear-h", 2, h=2.0)), 2)
     pairs = tuple(layout.pair_shift(r, m)
@@ -307,11 +324,10 @@ def test_numeric_multi_channel_cells():
 
     _, n_s = marginal_signal_mode(spec.pairs[0], P, gs)
     _, n_i = marginal_idler_mode(spec.pairs[0], P, gi)
-    pref = g2_prefactor(n_s, n_i, P.tau)
-    ideal = g2_matrix_ideal_multi(code, 2, pref)
+    ideal = g2_matrix_ideal_multi(code, 2, g2_prefactor(n_s, n_i, P.tau))
 
-    cells = ((0, 0), (2, 0), (3, 0))  # matched, half-matched, mismatched
-    for enc_idx, dec_idx in cells:
+    cells = []
+    for enc_idx, dec_idx in ((0, 0), (2, 0), (3, 0)):
         enc_digits = codeword_digits(enc_idx, 2, 2)
         dec_digits = codeword_digits(dec_idx, 2, 2)
         enc = np.concatenate([code.column(d) for d in enc_digits])
@@ -319,12 +335,151 @@ def test_numeric_multi_channel_cells():
         sw, iw = factor_decode(layout, dec_rm)
         bd = BinnedDecode(signal_weights=sw, idler_weights=iw,
                           bin_spacing=100.0)
-        got = g2_numeric(spec, CodingAssignment(encode=enc, channel_map=bd),
-                         100.0, gs, gi)
+        cells.append((enc_idx, dec_idx,
+                      CodingAssignment(encode=enc, channel_map=bd)))
+    return spec, gs, gi, ideal, cells
+
+
+def test_numeric_multi_channel_cells():
+    """The factorized bin decoder reproduces matched, half-matched, and
+    fully mismatched closed-form levels."""
+    spec, gs, gi, ideal, cells = multi_channel_cells()
+    for enc_idx, dec_idx, assign in cells:
+        got = g2_numeric(spec, assign, 100.0, gs, gi)
         want = ideal.values[enc_idx, dec_idx]
         assert abs(got - want) < 0.02 * ideal.values.max()
         if want > 0.1 * ideal.values.max():
             assert got == pytest.approx(want, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# batched engine against the per-cell reference
+# ---------------------------------------------------------------------------
+
+def reference_numerator(spec, encode, mask_s, mask_i, gs, gi, gate):
+    """Gated integral of |F|^2 for one cell by direct convolution, with
+    the marginals rebuilt for the cell."""
+    lam_root = math.sqrt(1.0 / spec.n_pairs)
+    f_sum = 0.0
+    for pair, w_enc in zip(spec.pairs, encode):
+        psi, _ = marginal_signal_mode(pair, spec.params, gs)
+        phi, _ = marginal_idler_mode(pair, spec.params, gi)
+        kappa = convolution(mask_s * psi, mask_i * phi, gs.spacing)
+        f_sum = f_sum + lam_root * pair.weight * w_enc * kappa
+    return float(gs.spacing * np.sum(gate * np.abs(f_sum) ** 2))
+
+
+def reference_g2(spec, assign, bin_width, gs, gi, acceptance_scale=3.0):
+    """Per-cell numeric g2: masks, gate and the all-ones reference cell are
+    rebuilt for every call, and every pair is convolved directly.  Kept as
+    the independent oracle for the batched FFT engine."""
+    n = spec.n_pairs
+    ones = np.ones(n, complex)
+    encode = ones if assign.encode is None else assign.encode
+    gate = acceptance_gate(convolution_grid(gs, gi), spec, acceptance_scale)
+    if assign.channel_map is not None:
+        cm = assign.channel_map
+
+        def binned(weights, grid, ref):
+            ks = sorted(weights)
+            return coding_bin_mask([k * cm.bin_spacing for k in ks],
+                                   [1.0 if ref else weights[k] for k in ks],
+                                   cm.bin_spacing, grid)
+
+        num = reference_numerator(spec, encode,
+                                  binned(cm.signal_weights, gs, False),
+                                  binned(cm.idler_weights, gi, False),
+                                  gs, gi, gate)
+        ref = reference_numerator(spec, ones,
+                                  binned(cm.signal_weights, gs, True),
+                                  binned(cm.idler_weights, gi, True),
+                                  gs, gi, gate)
+    else:
+        decode = ones if assign.decode is None else assign.decode
+        sig = [p.signal_center for p in spec.pairs]
+        idl = [p.delta_p for p in spec.pairs]
+        num = reference_numerator(
+            spec, ones, coding_bin_mask(sig, encode, bin_width, gs),
+            coding_bin_mask(idl, decode, bin_width, gi), gs, gi, gate)
+        ref = reference_numerator(
+            spec, ones, coding_bin_mask(sig, ones, bin_width, gs),
+            coding_bin_mask(idl, ones, bin_width, gi), gs, gi, gate)
+    _, n_s = marginal_signal_mode(spec.pairs[0], spec.params, gs)
+    _, n_i = marginal_idler_mode(spec.pairs[0], spec.params, gi)
+    ridges = len({p.delta_q for p in spec.pairs})
+    return g2_prefactor(n_s, n_i, spec.params.tau) * n / ridges * num / ref
+
+
+ENGINE_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("kind", ["ladder", "alamouti"])
+@pytest.mark.parametrize("delta", [60.0, 100.0])
+def test_batched_engine_matches_per_cell_reference(n, kind, delta):
+    c = make_c(CodeVectorSpec("linear-h", n, h=2.0)) if kind == "ladder" \
+        else np.ones(n)
+    code = alamouti_n(c, n)
+    spec = MultiplexedSpectrum.comb(n, delta, P)
+    gs, gi = comb_grids(n, delta)
+    matrix = g2_matrix_numeric(spec, code, delta, gs, gi).values
+    for i in range(n):
+        for j in range(n):
+            assign = CodingAssignment(encode=code.column(i),
+                                      decode=matched_decode(code.column(j)))
+            want = reference_g2(spec, assign, delta, gs, gi)
+            assert matrix[i, j] == pytest.approx(want, rel=ENGINE_RTOL)
+            got = g2_numeric(spec, assign, delta, gs, gi)
+            assert got == pytest.approx(want, rel=ENGINE_RTOL)
+
+
+def test_batched_engine_matches_reference_with_pair_weights_and_ridges():
+    # complex pair weights on two ridges, arbitrary encode/decode vectors
+    pairs = (PairShift(weight=0.7 - 0.2j, delta_p=-60.0),
+             PairShift(weight=-0.4j, delta_p=0.0, delta_q=-120.0),
+             PairShift(weight=1.1, delta_p=60.0))
+    spec = MultiplexedSpectrum(params=P, pairs=pairs)
+    gs = FrequencyGrid(-110.0, 170.0, 1121)
+    gi = FrequencyGrid(-165.0, 165.0, 1321)
+    assign = CodingAssignment(encode=np.array([1.0, -0.5 + 0.5j, 0.3j]),
+                              decode=np.array([0.2, 1.0j, -1.0]))
+    for scale in (3.0, math.inf):
+        want = reference_g2(spec, assign, 60.0, gs, gi, scale)
+        got = g2_numeric(spec, assign, 60.0, gs, gi, scale)
+        assert got == pytest.approx(want, rel=ENGINE_RTOL)
+
+
+def test_batched_engine_matches_reference_on_channel_map_cells():
+    spec, gs, gi, _, cells = multi_channel_cells()
+    for _, _, assign in cells:
+        want = reference_g2(spec, assign, 100.0, gs, gi)
+        got = g2_numeric(spec, assign, 100.0, gs, gi)
+        assert got == pytest.approx(want, rel=ENGINE_RTOL)
+
+
+_finite = st.floats(-10.0, 10.0, allow_nan=False)
+_complex = st.builds(complex, _finite, _finite)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bin_mask_is_linear_in_weights(data):
+    """coding_bin_mask(a u + b v) = a mask(u) + b mask(v): the batched
+    engine transforms each mask once and relies on this to combine them."""
+    n = data.draw(st.integers(1, 5))
+    width = data.draw(st.sampled_from([0.5, 0.75, 1.0, 1.3]))
+    gap = data.draw(st.floats(0.0, 1.0))
+    start = data.draw(st.floats(-3.0, 0.0))
+    centers = start + np.arange(n) * width * (1.0 + gap)
+    u = np.array(data.draw(st.lists(_complex, min_size=n, max_size=n)))
+    v = np.array(data.draw(st.lists(_complex, min_size=n, max_size=n)))
+    a, b = data.draw(_complex), data.draw(_complex)
+    grid = FrequencyGrid(-4.0, 6.0, 81)   # spacing 0.125
+    lhs = coding_bin_mask(centers, a * u + b * v, width, grid)
+    rhs = (a * coding_bin_mask(centers, u, width, grid)
+           + b * coding_bin_mask(centers, v, width, grid))
+    scale = 1.0 + abs(a) * np.abs(u).max() + abs(b) * np.abs(v).max()
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * scale)
 
 
 @pytest.mark.filterwarnings("ignore::biphoton_coding.errors.DegenerateSpectrum")

@@ -114,6 +114,10 @@ def test_parameter_validation():
         PhysicalParams(tau=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(gamma3n=-1.0)
+    for bad in (dict(tau=math.nan), dict(delta1=math.inf),
+                dict(coupling_prefactor=complex(1.0, math.nan))):
+        with pytest.raises(ValueError):
+            PhysicalParams(**bad)
     with pytest.raises(ValueError):
         PairShift(weight=float("inf"))
     with pytest.raises(ValueError):
