@@ -17,11 +17,11 @@ from .correlation import (BinnedDecode, CodingAssignment, ContrastReport,
                           G2Matrix, LevelClass, acceptance_gate,
                           codeword_digits, coding_bin_mask, contrasts,
                           contrasts_from_levels, convolution,
-                          convolution_grid, g2_ideal_multi, g2_ideal_single,
-                          g2_matrix_ideal, g2_matrix_ideal_multi,
-                          g2_matrix_numeric, g2_numeric, g2_prefactor,
-                          level_summary, matched_decode,
-                          pair_correlation_kernel, sum_frequency_amplitude)
+                          convolution_grid, g2_ideal_multi, g2_matrix_ideal,
+                          g2_matrix_ideal_multi, g2_matrix_numeric,
+                          g2_numeric, g2_prefactor, level_summary,
+                          matched_decode, pair_correlation_kernel,
+                          sum_frequency_amplitude)
 from .dynamics import (AmplitudeState, DriveParams, DynamicsResult,
                        compare_dynamics, default_t_final, dsi_analytic,
                        integrate_eom)
@@ -55,7 +55,7 @@ __all__ = [
     "coding_bin_mask", "compare_dynamics", "contrasts",
     "contrasts_from_levels", "convolution", "convolution_grid",
     "decompose", "default_t_final", "dimension", "dsi_analytic", "entropy",
-    "factor_decode", "g2_ideal_multi", "g2_ideal_single", "g2_matrix_ideal",
+    "factor_decode", "g2_ideal_multi", "g2_matrix_ideal",
     "g2_matrix_ideal_multi", "g2_matrix_numeric", "g2_numeric",
     "g2_prefactor", "gaussian_envelope", "gram", "integrate_eom",
     "jsa_multiplexed", "jsa_single", "level_summary", "lorentzian_factor",

@@ -15,6 +15,10 @@ leakage enter only through the numeric path; the two paths agree when
 bins are wide compared with both the Gaussian mode width and the
 Lorentzian linewidth.
 
+A single channel is the R = 1 case of the M^R multi-channel code space.
+One contrast routine serves full matrices and level_summary tables alike:
+it reads only the extrema of each matched-channel class k = 0..R.
+
 Masks are linear in their weights, so a whole matrix is one batch: each
 masked marginal takes one zero-padded FFT and FFT(F_ij) = sum_p c_p
 FFT(M^s_i psi_p) FFT(M^i_j phi_p) is a contraction over pairs.  The
@@ -187,29 +191,14 @@ def _pair_weights(weights, n: int, what: str) -> np.ndarray:
     return w
 
 
-def g2_ideal_single(assign: CodingAssignment, n_pairs: int,
-                    prefactor: float = 1.0, lambdas=None) -> float:
-    """Closed-form g2 for one channel of well-separated pairs.
-
-    prefactor * |sum_n sqrt(lambda_n) H^d_n H^e_n|^2 with uniform
-    lambda_n = 1/n_pairs unless an explicit spectrum is given.
-    """
-    enc = _pair_weights(assign.encode, n_pairs, "encode")
-    dec = _pair_weights(assign.decode, n_pairs, "decode")
-    lam = np.full(n_pairs, 1.0 / n_pairs) if lambdas is None \
-        else np.asarray(lambdas, dtype=float)
-    return float(prefactor * np.abs(np.sum(np.sqrt(lam) * dec * enc)) ** 2)
-
-
 def g2_matrix_ideal(code: CodeMatrix, prefactor: float = 1.0) -> G2Matrix:
     """Ideal N x N correlation matrix over (encode column, decode column).
 
-    Entry (i, j) uses codeword i for encoding and the matched decode of
-    codeword j, giving prefactor/N * |<col_j, col_i>|^2.
+    The R = 1 case of g2_matrix_ideal_multi: entry (i, j) uses codeword i
+    for encoding and the matched decode of codeword j, giving
+    prefactor/N * |<col_j, col_i>|^2.
     """
-    g = gram(code)
-    values = prefactor / code.n * np.abs(g.conj().T) ** 2
-    return G2Matrix(values=values.real, kind="ideal")
+    return g2_matrix_ideal_multi(code, 1, prefactor)
 
 
 def _lambda_norm(r: int, m: int, normalization: str) -> float:
@@ -251,6 +240,11 @@ def codeword_digits(index: int, r: int, m: int) -> tuple:
     return tuple(reversed(digits))
 
 
+def _digit_array(r: int, m: int) -> np.ndarray:
+    """codeword_digits of every index 0..M**R - 1, as an (M**R, R) array."""
+    return np.arange(m ** r)[:, None] // m ** np.arange(r - 1, -1, -1) % m
+
+
 def g2_matrix_ideal_multi(code: CodeMatrix, r_channels: int,
                           prefactor: float = 1.0,
                           normalization: str = "global") -> G2Matrix:
@@ -262,13 +256,10 @@ def g2_matrix_ideal_multi(code: CodeMatrix, r_channels: int,
     m = code.n
     d = m ** r_channels
     p = np.abs(gram(code)) ** 2   # p[j, i] = |<col_j, col_i>|^2
-    digits = np.array([codeword_digits(k, r_channels, m) for k in range(d)])
     lam = _lambda_norm(r_channels, m, normalization)
     values = np.zeros((d, d))
-    for r in range(r_channels):
-        enc_d = digits[:, r][:, None]
-        dec_d = digits[:, r][None, :]
-        values += p[dec_d, enc_d]
+    for digits in _digit_array(r_channels, m).T:
+        values += p[digits[None, :], digits[:, None]]
     return G2Matrix(values=prefactor * lam * values, kind="ideal")
 
 
@@ -316,68 +307,51 @@ def level_summary(code: CodeMatrix, r_channels: int, prefactor: float = 1.0,
 # contrast metrics
 # ---------------------------------------------------------------------------
 
-def _matched_count(i: int, j: int, r: int, m: int) -> int:
-    di = codeword_digits(i, r, m)
-    dj = codeword_digits(j, r, m)
-    return sum(1 for a, b in zip(di, dj) if a == b)
+def _contrast_report(values, matched, r: int) -> ContrastReport:
+    """Contrast metrics from values and their matched-channel counts.
 
-
-def contrasts(matrix: G2Matrix, r_channels: int = 1,
-              pairs_per_channel: int | None = None) -> ContrastReport:
-    """Visibility and contrast metrics of a correlation matrix.
-
-    V uses the global max/min; C_od compares the matched maximum against
-    the largest entry with at least one mismatched channel.  For
-    r_channels > 1 (pairs_per_channel required), C_non compares the fully
-    matched level against the lowest level of the (R-1)-matched class.
+    Only the extrema of each class k = 0..R enter.  V uses the global
+    max/min; C_od compares the matched maximum against the largest value
+    with a mismatched channel; for R > 1, C_non compares the fully matched
+    maximum against the lowest (R-1)-matched value.
     """
-    v = matrix.values
-    g_max = float(v.max())
-    g_min = float(v.min())
+    hi, lo = {}, {}
+    for k in range(r + 1):
+        cls = values[matched == k]
+        if cls.size:
+            hi[k], lo[k] = float(cls.max()), float(cls.min())
+    g_max, g_min = max(hi.values()), min(lo.values())
     if g_max == g_min:
         raise DegenerateMatrix("all correlation entries are equal")
-    off = ~np.eye(v.shape[0], dtype=bool)
-    g_od = float(v[off].max())
-    report = dict(
-        v=(g_max - g_min) / (g_max + g_min),
-        c_od=(g_max - g_od) / (g_max + g_od),
-        g2_max=g_max, g2_min=g_min, g2_od=g_od, c_non=None)
-
-    if r_channels > 1:
-        if pairs_per_channel is None:
-            raise ValueError("pairs_per_channel required when r_channels > 1")
-        best, worst = None, None
-        n = v.shape[0]
-        for i in range(n):
-            for j in range(n):
-                k = _matched_count(i, j, r_channels, pairs_per_channel)
-                if k == r_channels - 1:
-                    worst = v[i, j] if worst is None else min(worst, v[i, j])
-                elif k == r_channels:
-                    best = v[i, j] if best is None else max(best, v[i, j])
-        report["c_non"] = (best - worst) / (best + worst)
-    return ContrastReport(**report)
-
-
-def contrasts_from_levels(levels, r_channels: int) -> ContrastReport:
-    """Contrast metrics computed from a level_summary table."""
-    values = [lc.value for lc in levels]
-    g_max, g_min = max(values), min(values)
-    if g_max == g_min:
-        raise DegenerateMatrix("all correlation entries are equal")
-    g_od = max(lc.value for lc in levels
-               if lc.matched_channels < r_channels)
+    g_od = max(v for k, v in hi.items() if k < r)
     c_non = None
-    if r_channels > 1:
-        best = max(lc.value for lc in levels
-                   if lc.matched_channels == r_channels)
-        worst = min(lc.value for lc in levels
-                    if lc.matched_channels == r_channels - 1)
-        c_non = (best - worst) / (best + worst)
+    if r > 1:
+        c_non = (hi[r] - lo[r - 1]) / (hi[r] + lo[r - 1])
     return ContrastReport(
         v=(g_max - g_min) / (g_max + g_min),
         c_od=(g_max - g_od) / (g_max + g_od),
         g2_max=g_max, g2_min=g_min, g2_od=g_od, c_non=c_non)
+
+
+def contrasts(matrix: G2Matrix, r_channels: int = 1) -> ContrastReport:
+    """Visibility and contrast metrics of a correlation matrix over an
+    M^R code space (M inferred from the dimension D = M**R)."""
+    d = matrix.dimension
+    m = round(d ** (1.0 / max(r_channels, 1)))
+    if r_channels < 1 or m ** r_channels != d:
+        raise ValueError(f"dimension {d} is not M**R for R = {r_channels}")
+    # matched channels of cell (i, j), one byte per cell
+    matched = np.zeros((d, d), dtype=np.uint8)
+    for digits in _digit_array(r_channels, m).T:
+        matched += digits[:, None] == digits[None, :]
+    return _contrast_report(matrix.values, matched, r_channels)
+
+
+def contrasts_from_levels(levels, r_channels: int) -> ContrastReport:
+    """Contrast metrics computed from a level_summary table."""
+    return _contrast_report(np.array([lc.value for lc in levels]),
+                            np.array([lc.matched_channels for lc in levels]),
+                            r_channels)
 
 
 # ---------------------------------------------------------------------------

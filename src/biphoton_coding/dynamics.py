@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -45,6 +45,15 @@ class DriveParams:
     pulse_center: float = 0.0
     g_s: float = 1e-3
     g_i: float = 1e-3
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError("drive parameters must be finite")
+        if not (self.tau > 0 and self.gamma3n > 0):
+            raise ValueError("tau and gamma3n must be positive")
+        # dsi_analytic divides by both detunings
+        if self.delta1 == 0 or self.delta2 == 0:
+            raise ValueError("delta1 and delta2 must be nonzero")
 
     def pulse_a(self, t):
         """Omega_a(t) = (omega_a_tilde / (sqrt(pi) tau)) exp(-(t-t0)^2/tau^2)."""

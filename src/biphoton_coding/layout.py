@@ -13,7 +13,7 @@ freedom while keeping the occupied frequency extent minimal.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,12 +114,15 @@ def _ancestry(parent, node):
     return path
 
 
-def _find_cycle(adj):
-    """DFS cycle search; returns the node sequence of one cycle, or None."""
+def _walk(adj):
+    """One DFS over every component: (node sequence, None) for the first
+    cycle found, else (None, node count of each component)."""
     seen = set()
+    sizes = []
     for start in adj:
         if start in seen:
             continue
+        before = len(seen)
         stack = [(start, None)]
         parent = {start: None}
         while stack:
@@ -137,11 +140,13 @@ def _find_cycle(adj):
                     pb = _ancestry(parent, nxt)
                     index_a = {n: i for i, n in enumerate(pa)}
                     j = next(i for i, n in enumerate(pb) if n in index_a)
-                    return pa[:index_a[pb[j]]] + list(reversed(pb[:j + 1]))
+                    cycle = pa[:index_a[pb[j]]] + list(reversed(pb[:j + 1]))
+                    return cycle, None
                 if nxt not in parent:
                     parent[nxt] = node
                     stack.append((nxt, pair))
-    return None
+        sizes.append(len(seen) - before)
+    return None, sizes
 
 
 def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
@@ -157,30 +162,14 @@ def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
     20/tau (pair ridges of neighboring channels then overlap spectrally).
     """
     adj, edges = _graph(layout)
-    cycle = _find_cycle(adj)
+    cycle, sizes = _walk(adj)
     if cycle is not None:
         raise CycleDetected(
             "placement contains a cycle; decode weights cannot factorize: "
             + " - ".join(f"{axis}{k}" for axis, k in cycle), cycle=cycle)
 
     # forest: dof = one free gauge per connected component
-    seen = set()
-    components = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp_nodes = 0
-        stack = [start]
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            comp_nodes += 1
-            for nxt, _ in adj[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        components.append(comp_nodes)
-    n_nodes = sum(components)
+    n_nodes = sum(sizes)
     n_edges = len(edges)
     dof = n_nodes - n_edges
 
@@ -193,7 +182,7 @@ def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
                 f"{20.0 / tau:.4g}; channels will crosstalk", ValidityWarning)
 
     return {"valid": True, "dof": dof, "nodes": n_nodes, "edges": n_edges,
-            "components": len(components)}
+            "components": len(sizes)}
 
 
 def dimension(layout: ChannelLayout) -> int:
@@ -210,8 +199,8 @@ def factor_decode(layout: ChannelLayout, per_channel_codewords):
 
     per_channel_codewords is an (R, M) array whose (r, m) entry is the
     required product H^d_s(k) * H^d_i(k') for that pair's cell.  The gauge
-    fixes one node per connected component to 1 (a signal bin where
-    possible, matching the single-channel convention H^d_s = 1).  Zero
+    fixes one node per connected component to 1 (its smallest signal bin,
+    matching the single-channel convention H^d_s = 1).  Zero
     targets are representable only on leaf edges, by zeroing the leaf
     endpoint; anywhere else they would force whole subtrees to zero.
 
@@ -251,25 +240,12 @@ def factor_decode(layout: ChannelLayout, per_channel_codewords):
         nonzero_adj.setdefault(u, []).append((v, pair))
         nonzero_adj.setdefault(v, []).append((u, pair))
 
-    for start in sorted(nonzero_adj):
-        if start in values:
+    # each component's smallest signal bin is its gauge root; every
+    # nonzero edge has a signal end, so every component gets one
+    for root in sorted(n for n in nonzero_adj if n[0] == "s"):
+        if root in values:
             continue
-        # gauge root: a signal node of this component when one exists
-        stack = [start]
-        comp = []
-        probe = {start}
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for nxt, _ in nonzero_adj[node]:
-                if nxt not in probe:
-                    probe.add(nxt)
-                    stack.append(nxt)
-        if any(n in values for n in comp):
-            root = next(n for n in comp if n in values)
-        else:
-            root = min((n for n in comp if n[0] == "s"), default=comp[0])
-            values[root] = 1.0
+        values[root] = 1.0
         stack = [root]
         while stack:
             node = stack.pop()

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +241,20 @@ def test_dynamics_check_not_converged_exit_code(tmp_path):
     assert main(["dynamics-check", cfg]) == 2  # numeric failure, not schema
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", 0.0), ("tau", -0.5), ("gamma3n", 0.0), ("gamma3n", -5.0),
+    ("delta1", 0.0), ("delta2", 0.0)])
+def test_dynamics_check_rejects_bad_drive(tmp_path, capsys, field, value):
+    cfg = write_cfg(tmp_path, "dyn.json", {
+        "output_dir": str(tmp_path), "label": "bad",
+        "drive": {field: value},
+        "signal_grid": {"min": -4.0, "max": 4.0, "points": 3},
+        "idler_grid": {"min": -4.0, "max": 4.0, "points": 3}})
+    assert main(["dynamics-check", cfg]) == 1
+    assert "config error: drive: " in capsys.readouterr().err
+    assert not (tmp_path / "bad_dynamics.json").exists()
+
+
 def test_svg_emission(tmp_path):
     pytest.importorskip("matplotlib")
     cfg = write_cfg(tmp_path, "jsa.json", {
@@ -257,3 +275,15 @@ def test_schmidt_command(tmp_path):
     assert rep["lambdas_top"][0] == pytest.approx(0.8193882853339827, rel=1e-6)
     assert rep["entropy"] == pytest.approx(0.7332579386243485, rel=1e-6)
     assert not math.isnan(rep["norm"])
+
+
+def test_benchmark_tracer_finds_every_wrapped_name():
+    # bench/tracer.py wraps package functions by name; a name dropped from
+    # the package would otherwise surface only in a traced benchmark run
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = ("import sys; sys.path.insert(0, 'bench'); import tracer; "
+            "tracer.install(tracer.Tracer())")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

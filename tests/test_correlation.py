@@ -20,7 +20,6 @@ from biphoton_coding.correlation import (
     convolution,
     convolution_grid,
     g2_ideal_multi,
-    g2_ideal_single,
     g2_matrix_ideal,
     g2_matrix_ideal_multi,
     g2_matrix_numeric,
@@ -65,12 +64,12 @@ def test_matched_decode_is_conjugation():
 
 
 def test_ideal_single_matched_uniform():
-    assign = CodingAssignment(encode=np.ones(4), decode=np.ones(4))
-    assert g2_ideal_single(assign, 4, prefactor=2.0) == pytest.approx(8.0)
-    # defaults are all-ones weights
-    assert g2_ideal_single(CodingAssignment(), 4) == pytest.approx(4.0)
+    # one channel is the (1, n) case of the multi-channel form
+    ones = np.ones((1, 4))
+    assert g2_ideal_multi(ones, ones, prefactor=2.0) == pytest.approx(8.0)
+    assert g2_ideal_multi(ones, ones) == pytest.approx(4.0)
     with pytest.raises(ChannelShapeMismatch):
-        g2_ideal_single(CodingAssignment(encode=np.ones(3)), 4)
+        g2_ideal_multi(np.ones((1, 3)), ones)
 
 
 def test_ideal_matrix_oracle_values():
@@ -115,8 +114,9 @@ def test_contrast_scale_invariance():
 def test_contrasts_argument_checks():
     with pytest.raises(DegenerateMatrix):
         contrasts(G2Matrix(values=np.ones((4, 4)), kind="ideal"))
+    # M is inferred from D = M**R; 16 is no integer cube
     with pytest.raises(ValueError):
-        contrasts(g2_matrix_ideal_multi(CODE4, 2), r_channels=2)
+        contrasts(g2_matrix_ideal_multi(CODE4, 2), r_channels=3)
 
 
 def test_codeword_digits_mixed_radix():
@@ -167,17 +167,23 @@ def test_level_summary_matches_full_matrix():
     assert seen == want
 
 
-def test_level_contrasts_match_matrix_contrasts():
-    r, m = 2, 4
-    rep_m = contrasts(g2_matrix_ideal_multi(CODE4, r), r_channels=r,
-                      pairs_per_channel=m)
-    rep_l = contrasts_from_levels(level_summary(CODE4, r), r)
+@pytest.mark.parametrize("h", [2.0, 0.5, 3.0])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_level_contrasts_match_matrix_contrasts(r, h):
+    code = alamouti_n(make_c(CodeVectorSpec("linear-h", 4, h=h)), 4)
+    rep_m = contrasts(g2_matrix_ideal_multi(code, r), r_channels=r)
+    rep_l = contrasts_from_levels(level_summary(code, r), r)
     # the two paths accumulate products in different orders, so agreement
     # is near machine precision rather than exact
-    assert rep_l.c_od == pytest.approx(rep_m.c_od, rel=1e-9)
-    assert rep_l.c_non == pytest.approx(rep_m.c_non, rel=1e-9)
-    assert rep_l.g2_max == pytest.approx(rep_m.g2_max, rel=1e-9)
-    assert rep_l.c_non == pytest.approx(1.0 / 3.0, abs=1e-9)
+    for field in ("v", "c_od", "g2_max", "g2_min", "g2_od"):
+        assert getattr(rep_l, field) == pytest.approx(
+            getattr(rep_m, field), rel=1e-9)
+    if r == 1:
+        assert rep_l.c_non is None and rep_m.c_non is None
+    else:
+        assert rep_l.c_non == pytest.approx(rep_m.c_non, rel=1e-9)
+        # Alamouti zeros leave (R-1) matched levels at (R-1)/R of the top
+        assert rep_l.c_non == pytest.approx(1.0 / (2 * r - 1), abs=1e-9)
 
 
 def test_convolution_identities():

@@ -38,6 +38,15 @@ def test_pulse_shape():
     assert d.pulse_b(1.0) == pytest.approx(peak / 2.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", 0.0), ("tau", -0.5), ("tau", math.nan), ("gamma3n", 0.0),
+    ("gamma3n", -5.0), ("delta1", 0.0), ("delta2", 0.0),
+    ("omega_a_tilde", math.inf), ("g_s", math.nan)])
+def test_drive_params_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError):
+        DriveParams(**{field: value})
+
+
 def test_default_t_final():
     d = DriveParams(pulse_center=2.0, tau=0.25, gamma3n=5.0)
     assert default_t_final(d) == pytest.approx(2.0 + 2.0 + 2.0)

@@ -1,7 +1,11 @@
 """Pair placement layouts, decodability, and factorized decode weights."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton_coding.errors import CycleDetected, InfeasibleDecode, OddM, ValidityWarning
 from biphoton_coding.layout import ChannelLayout, dimension, factor_decode, staircase, validate
@@ -123,3 +127,79 @@ def test_factor_decode_zero_on_shared_cell_infeasible():
 def test_factor_decode_shape_checked():
     with pytest.raises(InfeasibleDecode):
         factor_decode(staircase(2, 4), np.ones((4, 2), complex))
+
+
+def _layout(r, m, cells):
+    slots = [(rr, mm) for rr in range(1, r + 1) for mm in range(1, m + 1)]
+    return ChannelLayout(r=r, m=m, placement=dict(zip(slots, cells)))
+
+
+@st.composite
+def placements(draw, bins=4):
+    """Random layouts on a small bin grid, so cycles are common."""
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.tuples(st.integers(0, bins - 1),
+                                    st.integers(-bins, -1)),
+                          min_size=r * m, max_size=r * m, unique=True))
+    return _layout(r, m, cells)
+
+
+@st.composite
+def forests(draw):
+    """Random acyclic layouts: every new cell brings at least one new bin."""
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    sig, idl, cells = [], [], []
+    for _ in range(r * m):
+        kind = draw(st.sampled_from(["new s", "new i", "both new"]))
+        k = draw(st.sampled_from(sig)) if kind == "new i" and sig else len(sig)
+        kp = draw(st.sampled_from(idl)) if kind == "new s" and idl \
+            else -1 - len(idl)
+        if k == len(sig):
+            sig.append(k)
+        if kp == -1 - len(idl):
+            idl.append(kp)
+        cells.append((k, kp))
+    return _layout(r, m, draw(st.permutations(cells)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+def test_validate_reports_a_real_cycle_or_a_forest(lay):
+    cells = set(lay.placement.values())
+    try:
+        info = validate(lay)
+    except CycleDetected as exc:
+        cycle = exc.cycle
+        assert len(cycle) >= 4 and len(cycle) % 2 == 0
+        assert len(set(cycle)) == len(cycle)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert {a[0], b[0]} == {"s", "i"}
+            s, i = (a, b) if a[0] == "s" else (b, a)
+            assert (s[1], i[1]) in cells
+        return
+    nodes = len({k for k, _ in cells}) + len({kp for _, kp in cells})
+    assert info["nodes"] == nodes and info["edges"] == len(cells)
+    assert info["dof"] == nodes - len(cells) == info["components"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests(), st.data())
+def test_factor_decode_round_trips_random_forests(lay, data):
+    cells = lay.placement.values()
+    degree = Counter([("s", k) for k, _ in cells]
+                     + [("i", kp) for _, kp in cells])
+    target = np.empty((lay.r, lay.m), complex)
+    for (r, m), (k, kp) in lay.placement.items():
+        leaf = degree[("s", k)] == 1 or degree[("i", kp)] == 1
+        if leaf and data.draw(st.booleans()):
+            target[r - 1, m - 1] = 0.0
+        else:
+            mod = data.draw(st.floats(0.5, 2.0))
+            phase = data.draw(st.floats(-np.pi, np.pi))
+            target[r - 1, m - 1] = mod * np.exp(1j * phase)
+    sw, iw = factor_decode(lay, target)
+    for (r, m), (k, kp) in lay.placement.items():
+        want = target[r - 1, m - 1]
+        assert abs(sw[k] * iw[kp] - want) <= 1e-12 * max(1.0, abs(want))
