@@ -1,8 +1,9 @@
 """Command-line runner writing simulation results as data files.
 
 Each subcommand reads one JSON configuration file, validates it against a
-hand-rolled schema (unknown keys are rejected so typos fail loudly rather
-than silently falling back to defaults), runs the corresponding toolkit
+strict schema (unknown keys are rejected so typos fail loudly rather
+than silently falling back to defaults; sections that mirror a dataclass
+take exactly its fields), runs the corresponding toolkit
 routine, and writes deterministic artifacts: CSV numbers carry 12
 significant digits, JSON objects are key-sorted, and every file embeds
 the SHA-256 of the config it came from together with the artifact format
@@ -23,6 +24,7 @@ import hashlib
 import json
 import math
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -45,8 +47,8 @@ ARTIFACT_VERSION = 1
 CONFIG_VERSION = 1
 UNITS = "frequencies and rates in gamma; times in 1/gamma"
 
-# above this code-space dimension the matrix CSV is replaced by the
-# distinct-level summary to bound output size
+# above this code-space dimension multi-channel drops the matrix CSV to
+# bound output size; levels.csv is written at every size
 LEVEL_THRESHOLD = 4096
 
 
@@ -57,10 +59,20 @@ LEVEL_THRESHOLD = 4096
 _REQUIRED = object()
 
 
-def _int(raw):
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValueError(f"expected an integer, got {raw!r}")
-    return raw
+def _exact(kind, what):
+    """Caster accepting only values of exactly this JSON type (so a
+    bool is not an integer)."""
+    def cast(raw):
+        if type(raw) is not kind:
+            raise ValueError(f"expected {what}, got {raw!r}")
+        return raw
+    return cast
+
+
+_int = _exact(int, "an integer")
+_str = _exact(str, "a string")
+_bool = _exact(bool, "true/false")
+_list = _exact(list, "a list")
 
 
 def _float(raw):
@@ -74,16 +86,11 @@ def _float(raw):
     raise ValueError(f"expected a finite number, got {raw!r}")
 
 
-def _str(raw):
-    if not isinstance(raw, str):
-        raise ValueError(f"expected a string, got {raw!r}")
-    return raw
-
-
-def _bool(raw):
-    if not isinstance(raw, bool):
-        raise ValueError(f"expected true/false, got {raw!r}")
-    return raw
+def _positive(raw):
+    x = _float(raw)
+    if not x > 0:
+        raise ValueError(f"expected a positive number, got {raw!r}")
+    return x
 
 
 def _complex(raw):
@@ -95,10 +102,17 @@ def _complex(raw):
     raise ValueError(f"expected a number or [re, im], got {raw!r}")
 
 
-def _float_list(raw):
-    if not isinstance(raw, list):
-        raise ValueError(f"expected a list of numbers, got {raw!r}")
-    return [_float(x) for x in raw]
+def _numbers(item):
+    """Caster for a list of numbers, each read by `item`."""
+    def cast(raw):
+        if not isinstance(raw, list):
+            raise ValueError(f"expected a list of numbers, got {raw!r}")
+        return [item(x) for x in raw]
+    return cast
+
+
+# dataclass field annotation -> caster, for _parse_fields
+_CASTS = {float: _float, complex: _complex, int: _int}
 
 
 class _Section:
@@ -124,13 +138,6 @@ class _Section:
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"{self._where}.{key}: {exc}") from None
-
-    def take_raw(self, key, default=_REQUIRED):
-        if key not in self._data:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self._where}: missing required key {key!r}")
-            return default
-        return self._data.pop(key)
 
     def subsection(self, key, required: bool = False):
         if key not in self._data:
@@ -166,50 +173,35 @@ def _load_config(path):
 # domain-object parsing
 # ---------------------------------------------------------------------------
 
-def _parse_params(sec) -> PhysicalParams:
+def _parse_fields(sec, cls, where):
+    """Build dataclass `cls` from a section holding one key per field:
+    values are cast by the field's annotation, absent keys (or an absent
+    section) keep the field's default, and a value the class rejects is a
+    config error."""
     if sec is None:
-        return PhysicalParams()
-    kw = {}
-    for name in ("gamma", "gamma3n", "tau", "delta1", "delta2",
-                 "omega_a_tilde", "omega_b_tilde"):
-        if sec.has(name):
-            kw[name] = sec.take(name, _float)
-    if sec.has("coupling_prefactor"):
-        kw["coupling_prefactor"] = sec.take("coupling_prefactor", _complex)
+        return cls()
+    types = typing.get_type_hints(cls)
+    kw = {f.name: sec.take(f.name, _CASTS[types[f.name]])
+          for f in dataclasses.fields(cls)
+          if sec.has(f.name) or f.default is dataclasses.MISSING}
     sec.close()
     try:
-        return PhysicalParams(**kw)
+        return cls(**kw)
     except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from None
-
-
-def _parse_drive(sec) -> DriveParams:
-    if sec is None:
-        return DriveParams()
-    kw = {}
-    for name in ("omega_a_tilde", "omega_b_tilde", "tau", "delta1", "delta2",
-                 "gamma3n", "lamb_shift", "pulse_center", "g_s", "g_i"):
-        if sec.has(name):
-            kw[name] = sec.take(name, _float)
-    sec.close()
-    try:
-        return DriveParams(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"drive: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_grid(sec) -> FrequencyGrid:
+    """A grid is min/max/points, or half_width/points with an optional
+    center."""
+    if not sec.has("half_width"):
+        return _parse_fields(sec, FrequencyGrid, "grid")
     points = sec.take("points", _int)
+    half = sec.take("half_width", _float)
+    center = sec.take("center", _float, 0.0)
+    sec.close()
     try:
-        if sec.has("half_width"):
-            half = sec.take("half_width", _float)
-            center = sec.take("center", _float, 0.0)
-            sec.close()
-            return FrequencyGrid.centered(half, points, center)
-        lo = sec.take("min", _float)
-        hi = sec.take("max", _float)
-        sec.close()
-        return FrequencyGrid(lo, hi, points)
+        return FrequencyGrid.centered(half, points, center)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
@@ -217,49 +209,58 @@ def _parse_grid(sec) -> FrequencyGrid:
 def _parse_spectrum(sec, params: PhysicalParams) -> MultiplexedSpectrum:
     """A spectrum is either an explicit pair list or a regular comb;
     with neither given, a single unshifted unit-weight pair."""
-    pairs_raw = sec.take_raw("pairs", None)
+    pairs_raw = sec.take("pairs", _list, None)
     comb = sec.subsection("comb")
     if pairs_raw is not None and comb is not None:
         raise ConfigError("give either 'pairs' or 'comb', not both")
-    try:
-        if comb is not None:
-            n = comb.take("n_pairs", _int)
-            delta = comb.take("delta", _float)
-            delta_q = comb.take("delta_q", _float, 0.0)
-            comb.close()
-            return MultiplexedSpectrum.comb(n, delta, params, delta_q=delta_q)
-        if pairs_raw is None:
-            return MultiplexedSpectrum(params=params, pairs=(PairShift(),))
-        if not isinstance(pairs_raw, list) or not pairs_raw:
+    if pairs_raw is None and comb is None:
+        return MultiplexedSpectrum(params=params, pairs=(PairShift(),))
+    if comb is None:
+        if not pairs_raw:
             raise ConfigError("pairs: expected a non-empty list")
-        pairs = []
-        for k, entry in enumerate(pairs_raw):
-            p = _Section(entry, f"pairs[{k}]")
-            pairs.append(PairShift(weight=p.take("weight", _complex, 1.0 + 0j),
-                                   delta_p=p.take("delta_p", _float, 0.0),
-                                   delta_q=p.take("delta_q", _float, 0.0)))
-            p.close()
-        return MultiplexedSpectrum(params=params, pairs=tuple(pairs))
+        pairs = tuple(_parse_fields(_Section(entry, f"pairs[{k}]"), PairShift,
+                                    f"pairs[{k}]")
+                      for k, entry in enumerate(pairs_raw))
+        return MultiplexedSpectrum(params=params, pairs=pairs)
+    n = comb.take("n_pairs", _int)
+    delta = comb.take("delta", _float)
+    delta_q = comb.take("delta_q", _float, 0.0)
+    comb.close()
+    try:
+        return MultiplexedSpectrum.comb(n, delta, params, delta_q=delta_q)
     except ValueError as exc:
         raise ConfigError(f"spectrum: {exc}") from None
+
+
+def _code(kind, n, **kw):
+    """A code vector spec and its Alamouti matrix; a spec the codes
+    module rejects is a config error."""
+    try:
+        spec = CodeVectorSpec(kind, n, **kw)
+    except ValueError as exc:
+        raise ConfigError(f"code: {exc}") from None
+    return spec, alamouti_n(make_c(spec), n)
+
+
+def _staircase(r, m, bin_width):
+    try:
+        return staircase(r, m, bin_width)
+    except ValueError as exc:
+        raise ConfigError(f"staircase: {exc}") from None
 
 
 def _parse_code(sec):
     kind = sec.take("kind", _str, "linear-h")
     n = sec.take("n", _int)
-    try:
-        if kind == "linear-h":
-            spec = CodeVectorSpec(kind=kind, n=n, h=sec.take("h", _float, 2.0))
-        elif kind == "geometric":
-            spec = CodeVectorSpec(kind=kind, n=n,
-                                  a=sec.take("a", _complex, 1.0 + 0j),
-                                  r=sec.take("r", _complex, 1.0 + 0j))
-        else:
-            raise ConfigError(f"code.kind: unknown kind {kind!r}")
-        sec.close()
-        return spec, alamouti_n(make_c(spec), n)
-    except ValueError as exc:
-        raise ConfigError(f"code: {exc}") from None
+    if kind == "linear-h":
+        kw = {"h": sec.take("h", _float, 2.0)}
+    elif kind == "geometric":
+        kw = {"a": sec.take("a", _complex, 1.0 + 0j),
+              "r": sec.take("r", _complex, 1.0 + 0j)}
+    else:
+        raise ConfigError(f"code.kind: unknown kind {kind!r}")
+    sec.close()
+    return _code(kind, n, **kw)
 
 
 def _auto_grids(n_pairs: int, delta: float, params: PhysicalParams):
@@ -341,7 +342,7 @@ def _contrast_payload(report) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
-    params = _parse_params(sec.subsection("params"))
+    params = _parse_fields(sec.subsection("params"), PhysicalParams, "params")
     spec = _parse_spectrum(sec, params)
     grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
     grid_i = _parse_grid(sec.subsection("idler_grid", required=True))
@@ -374,7 +375,7 @@ def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
 
 
 def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
-    params = _parse_params(sec.subsection("params"))
+    params = _parse_fields(sec.subsection("params"), PhysicalParams, "params")
     spec = _parse_spectrum(sec, params)
     grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
     grid_i = _parse_grid(sec.subsection("idler_grid", required=True))
@@ -383,7 +384,10 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        d = decompose(spec, grid_s, grid_i, n_modes=n_modes)
+        try:
+            d = decompose(spec, grid_s, grid_i, n_modes=n_modes)
+        except ValueError as exc:   # n_modes < 1, or an all-zero spectrum
+            raise ConfigError(f"schmidt: {exc}") from None
 
     _write_csv(outdir / f"{label}_lambdas.csv", meta, [],
                ["index", "lambda"],
@@ -438,10 +442,11 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
         if sec.has("prefactor"):
             raise ConfigError(
                 "prefactor is fixed by calibration in numeric mode")
-        params = _parse_params(sec.subsection("params"))
-        delta = sec.take("delta", _float)
-        bin_width = sec.take("bin_width", _float, delta)
-        acceptance = sec.take("acceptance_scale", _float, 3.0)
+        params = _parse_fields(sec.subsection("params"), PhysicalParams,
+                               "params")
+        delta = sec.take("delta", _positive)
+        bin_width = sec.take("bin_width", _positive, delta)
+        acceptance = sec.take("acceptance_scale", _positive, 3.0)
         gsec, isec = sec.subsection("signal_grid"), sec.subsection("idler_grid")
         sec.close()
         if (gsec is None) != (isec is None):
@@ -481,12 +486,14 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
     if variable not in ("h", "delta"):
         raise ConfigError(f"variable: expected 'h' or 'delta', got {variable!r}")
 
+    # every delta sizes grids and bins, so it must be positive
+    number = _positive if variable == "delta" else _float
     if sec.has("values"):
-        values = sec.take("values", _float_list)
+        values = sec.take("values", _numbers(number))
     else:
         rng = sec.subsection("range", required=True)
-        start = rng.take("start", _float)
-        stop = rng.take("stop", _float)
+        start = rng.take("start", number)
+        stop = rng.take("stop", number)
         steps = rng.take("steps", _int)
         rng.close()
         if steps < 1:
@@ -502,15 +509,16 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
         sec.close()
 
         def point(h):
-            code = alamouti_n(make_c(CodeVectorSpec("linear-h", n, h=h)), n)
+            _, code = _code("linear-h", n, h=h)
             rep = contrasts(g2_matrix_ideal(code, prefactor))
             return h, rep.v, rep.c_od
     else:
-        params = _parse_params(sec.subsection("params"))
+        params = _parse_fields(sec.subsection("params"), PhysicalParams,
+                               "params")
         h = sec.take("h", _float, 1.0)
-        acceptance = sec.take("acceptance_scale", _float, 3.0)
+        acceptance = sec.take("acceptance_scale", _positive, 3.0)
         sec.close()
-        code = alamouti_n(make_c(CodeVectorSpec("linear-h", n, h=h)), n)
+        _, code = _code("linear-h", n, h=h)
 
         def point(delta):
             grid_s, grid_i = _auto_grids(n, delta, params)
@@ -534,18 +542,18 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
     bin_width = sec.take("bin_width", _float, 100.0)
     normalization = sec.take("normalization", _str, "global")
     prefactor = sec.take("prefactor", _float, 1.0)
-    tau = sec.take("tau", _float, None)
+    tau = sec.take("tau", _positive, None)
     svg = sec.take("svg", _bool, False)
     sec.close()
     if normalization not in ("global", "per_channel"):
         raise ConfigError(f"normalization: unknown value {normalization!r}")
 
-    layout = staircase(r, m, bin_width)
+    layout = _staircase(r, m, bin_width)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         info = validate(layout, tau=tau)
     d = dimension(layout)
-    code = alamouti_n(make_c(CodeVectorSpec("linear-h", m, h=h)), m)
+    _, code = _code("linear-h", m, h=h)
 
     levels = level_summary(code, r, prefactor, normalization)
     report = contrasts_from_levels(levels, r)
@@ -582,29 +590,25 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
 
 
 def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
-    tau = sec.take("tau", _float, None)
+    tau = sec.take("tau", _positive, None)
     stair = sec.subsection("staircase")
     placed = sec.subsection("placement")
     sec.close()
     if (stair is None) == (placed is None):
         raise ConfigError("give exactly one of 'staircase' or 'placement'")
 
+    source = placed if stair is None else stair
+    r = source.take("r", _int)
+    m = source.take("m", _int)
+    bw = source.take("bin_width", _float, 100.0)
     if stair is not None:
-        r = stair.take("r", _int)
-        m = stair.take("m", _int)
-        bw = stair.take("bin_width", _float, 100.0)
         stair.close()
-        layout = staircase(r, m, bw)
+        layout = _staircase(r, m, bw)
     else:
-        r = placed.take("r", _int)
-        m = placed.take("m", _int)
-        bw = placed.take("bin_width", _float, 100.0)
-        cells_raw = placed.take_raw("cells")
+        cells = placed.take("cells", _list)
         placed.close()
-        if not isinstance(cells_raw, list):
-            raise ConfigError("placement.cells: expected a list")
         placement = {}
-        for entry in cells_raw:
+        for entry in cells:
             if not (isinstance(entry, list) and len(entry) == 4
                     and all(isinstance(x, int) for x in entry)):
                 raise ConfigError(
@@ -634,7 +638,7 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
 
 
 def _cmd_dynamics_check(sec, meta, outdir: Path, label: str) -> int:
-    drive = _parse_drive(sec.subsection("drive"))
+    drive = _parse_fields(sec.subsection("drive"), DriveParams, "drive")
     grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
     grid_i = _parse_grid(sec.subsection("idler_grid", required=True))
     t_final = sec.take("t_final", _float, None)
@@ -643,8 +647,11 @@ def _cmd_dynamics_check(sec, meta, outdir: Path, label: str) -> int:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = compare_dynamics(drive, grid_s, grid_i,
-                                  t_final=t_final, rtol=rtol)
+        try:
+            report = compare_dynamics(drive, grid_s, grid_i,
+                                      t_final=t_final, rtol=rtol)
+        except ValueError as exc:   # t_final too early for the pulse
+            raise ConfigError(f"t_final: {exc}") from None
 
     _write_json(outdir / f"{label}_dynamics.json", meta, {
         **report,

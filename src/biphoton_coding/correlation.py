@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeMatrix, gram
-from .errors import (BinOverlap, ChannelShapeMismatch, DegenerateMatrix,
-                     UnderResolvedGrid)
+from .errors import (BinOverlap, ChannelShapeMismatch, CodeSpaceOverflow,
+                     DegenerateMatrix, UnderResolvedGrid)
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PhysicalParams,
                       lorentzian_factor, marginal_idler_mode,
                       marginal_signal_mode)
@@ -270,13 +270,19 @@ class LevelClass:
     multiplicity: int
 
 
+# level_summary's table bound: at M = 16 the table grows ~20x per channel
+# (486,864 levels at R = 4), so R = 8 would otherwise run for hours
+_MAX_LEVELS = 1_000_000
+
+
 def level_summary(code: CodeMatrix, r_channels: int, prefactor: float = 1.0,
                   normalization: str = "global") -> list:
     """Distinct correlation levels of the M^R code space, grouped by the
     number of matched channels, without enumerating all M^R x M^R cells.
 
     The per-channel value distribution is convolved R times; multiplicity
-    bookkeeping is exact integer arithmetic.
+    bookkeeping is exact integer arithmetic.  Raises CodeSpaceOverflow as
+    soon as the table passes a million levels.
     """
     m = code.n
     p = np.abs(gram(code)) ** 2
@@ -293,6 +299,11 @@ def level_summary(code: CodeMatrix, r_channels: int, prefactor: float = 1.0,
             for (k2, v2), c2 in base.items():
                 key = (k1 + k2, float(f"{v1 + v2:.12g}"))
                 nxt[key] = nxt.get(key, 0) + c1 * c2
+            if len(nxt) > _MAX_LEVELS:
+                raise CodeSpaceOverflow(
+                    f"more than {_MAX_LEVELS} distinct levels at "
+                    f"M = {m}, R = {r_channels}; the level table cannot be "
+                    "enumerated")
         acc = nxt
 
     lam = _lambda_norm(r_channels, m, normalization)

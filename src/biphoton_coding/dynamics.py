@@ -140,6 +140,10 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     if t_eval is None:
         t_eval = [t_final]
     t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.min() < t_start or t_eval.max() > t_final:
+        raise ValueError(
+            f"evaluation times must lie between the start {t_start:.4g} "
+            f"(6 tau before the pulse center) and t_final {t_final:.4g}")
 
     decay = drive.gamma3n / 2.0 - 1j * drive.lamb_shift
 

@@ -63,6 +63,8 @@ def decompose(spec, grid_s: FrequencyGrid, grid_i: FrequencyGrid,
     paired idler mode (the product is gauge invariant; only the relative
     phase between the two is physical).
     """
+    if n_modes is not None and n_modes < 1:
+        raise ValueError("n_modes must be at least 1")
     if isinstance(spec, MultiplexedSpectrum):
         _check_grids(spec, grid_s, grid_i)
         f = jsa_multiplexed(spec, grid_s.omegas[:, None], grid_i.omegas[None, :])

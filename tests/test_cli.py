@@ -1,5 +1,7 @@
 """Config-driven runner: schema strictness, artifacts, determinism."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -10,7 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from biphoton_coding import correlation
 from biphoton_coding.cli import main
+from biphoton_coding.dynamics import DriveParams
+from biphoton_coding.spectra import PairShift, PhysicalParams
 
 
 def write_cfg(tmp_path, name, payload):
@@ -285,5 +290,113 @@ def test_benchmark_tracer_finds_every_wrapped_name():
     code = ("import sys; sys.path.insert(0, 'bench'); import tracer; "
             "tracer.install(tracer.Tracer())")
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+NUMERIC = {"mode": "numeric", "delta": 60.0,
+           "code": {"kind": "linear-h", "n": 2, "h": 1.0}}
+TINY_GRIDS = {"signal_grid": {"min": -4.0, "max": 4.0, "points": 3},
+              "idler_grid": {"min": -4.0, "max": 4.0, "points": 3}}
+SCHMIDT_GRIDS = {"signal_grid": {"min": -10.0, "max": 10.0, "points": 21},
+                 "idler_grid": {"min": -10.0, "max": 10.0, "points": 21}}
+
+
+def _case(id_, command, body, prefix):
+    return pytest.param(command, body, prefix, id=id_)
+
+
+@pytest.mark.parametrize("command, body, prefix", [
+    _case("numeric-delta-0", "single-channel", {**NUMERIC, "delta": 0.0},
+          "config error: config.delta"),
+    _case("numeric-delta-negative", "single-channel",
+          {**NUMERIC, "delta": -100.0}, "config error: config.delta"),
+    _case("numeric-bin-width-negative", "single-channel",
+          {**NUMERIC, "bin_width": -5.0}, "config error: config.bin_width"),
+    _case("numeric-acceptance-0", "single-channel",
+          {**NUMERIC, "acceptance_scale": 0.0},
+          "config error: config.acceptance_scale"),
+    _case("sweep-delta-value-0", "sweep",
+          {"variable": "delta", "values": [60.0, 0.0], "n": 2},
+          "config error: config.values"),
+    _case("sweep-h-value-0", "sweep", {"variable": "h", "values": [1.0, 0.0]},
+          "config error: code: h must be positive"),
+    _case("sweep-delta-h-negative", "sweep",
+          {"variable": "delta", "values": [60.0], "n": 2, "h": -2.0},
+          "config error: code: h must be positive"),
+    _case("multi-channel-h-0", "multi-channel", {"r": 2, "m": 4, "h": 0.0},
+          "config error: code: h must be positive"),
+    _case("multi-channel-r-0", "multi-channel", {"r": 0, "m": 4},
+          "config error: staircase"),
+    _case("multi-channel-tau-0", "multi-channel", {"r": 2, "m": 4, "tau": 0.0},
+          "config error: config.tau"),
+    _case("validate-layout-tau-0", "validate-layout",
+          {"staircase": {"r": 2, "m": 4}, "tau": 0.0},
+          "config error: config.tau"),
+    _case("dynamics-t-final-negative", "dynamics-check",
+          {"t_final": -10.0, **TINY_GRIDS}, "config error: t_final"),
+    _case("schmidt-n-modes-0", "schmidt", {"n_modes": 0, **SCHMIDT_GRIDS},
+          "config error: schmidt"),
+    _case("schmidt-n-modes-negative", "schmidt",
+          {"n_modes": -3, **SCHMIDT_GRIDS}, "config error: schmidt"),
+    # 29,537 levels, past the lowered bound below
+    _case("level-table-bound", "multi-channel", {"r": 3, "m": 16},
+          "error: more than 10000 distinct levels"),
+])
+def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
+                           prefix):
+    # a lowered level bound keeps the enumeration case fast; at the real
+    # bound (10**6) r = 8, m = 16 stops after about 10 s
+    monkeypatch.setattr(correlation, "_MAX_LEVELS", 10_000)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "bad.json",
+                    {"output_dir": str(out), "label": "bad", **body})
+    assert main([command, cfg]) == 1
+    assert capsys.readouterr().err.startswith(prefix)
+    assert list(out.iterdir()) == []
+
+
+def _defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("command, omitted, spelled", [
+    ("jsa", {**JSA_BODY, "signal_grid": {"half_width": 10.0, "points": 101}},
+     {**JSA_BODY, "params": _defaults(PhysicalParams),
+      "pairs": [_defaults(PairShift)], "svg": False,
+      "signal_grid": {"half_width": 10.0, "points": 101, "center": 0.0}}),
+    ("dynamics-check", TINY_GRIDS,
+     {**TINY_GRIDS, "drive": _defaults(DriveParams), "rtol": 1e-8}),
+    ("single-channel", NUMERIC,
+     {**NUMERIC, "params": _defaults(PhysicalParams), "bin_width": 60.0,
+      "acceptance_scale": 3.0, "svg": False}),
+    ("codes", {"code": {"n": 4}},
+     {"code": {"kind": "linear-h", "n": 4, "h": 2.0}}),
+    ("multi-channel", {"r": 2, "m": 4},
+     {"r": 2, "m": 4, "h": 2.0, "bin_width": 100.0, "normalization": "global",
+      "prefactor": 1.0, "svg": False}),
+], ids=["jsa", "dynamics-check", "single-channel", "codes", "multi-channel"])
+def test_spelled_out_defaults_match_omitted_keys(tmp_path, command, omitted,
+                                                 spelled):
+    arts = []
+    for name, body in (("omitted", omitted), ("spelled", spelled)):
+        cfg = write_cfg(tmp_path, f"{name}.json", {"label": "x", **body})
+        assert main([command, cfg, "--out", str(tmp_path / name)]) == 0
+        digest = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
+        arts.append({p.name: p.read_text().replace(digest, "<sha>")
+                     for p in (tmp_path / name).iterdir()})
+    assert arts[0] and arts[0] == arts[1]
+
+
+def test_light_modules_do_not_import_the_ode_solver():
+    # only dynamics needs scipy.integrate, most of a ~1 s import; the
+    # package root must not load it for every other module
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    modules = ", ".join(f"biphoton_coding.{name}" for name in
+                        ("codes", "spectra", "layout", "correlation", "schmidt"))
+    code = (f"import sys; import {modules}; "
+            "assert 'scipy.integrate' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
