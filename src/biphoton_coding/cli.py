@@ -36,12 +36,13 @@ from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
                           g2_matrix_ideal_multi, g2_matrix_numeric,
                           g2_numeric, level_summary, matched_decode)
 from .dynamics import DriveParams, compare_dynamics
-from .errors import (BiphotonCodingError, ConfigError, CycleDetected,
-                     DegenerateMatrix, NotConverged, StepFailure)
+from .errors import (BiphotonCodingError, CodeSpaceOverflow, ConfigError,
+                     CycleDetected, DegenerateMatrix, NotConverged,
+                     StepFailure)
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
-                      PhysicalParams, jsa_multiplexed)
+                      PhysicalParams, comb_grids, jsa_multiplexed)
 
 ARTIFACT_VERSION = 1
 CONFIG_VERSION = 1
@@ -245,7 +246,7 @@ def _code(kind, n, **kw):
 def _staircase(r, m, bin_width):
     try:
         return staircase(r, m, bin_width)
-    except ValueError as exc:
+    except (ValueError, CodeSpaceOverflow) as exc:
         raise ConfigError(f"staircase: {exc}") from None
 
 
@@ -261,25 +262,6 @@ def _parse_code(sec):
         raise ConfigError(f"code.kind: unknown kind {kind!r}")
     sec.close()
     return _code(kind, n, **kw)
-
-
-def _auto_grids(n_pairs: int, delta: float, params: PhysicalParams):
-    """Equal-spacing signal/idler grids sized for an n-pair comb.
-
-    Spacing resolves the Gaussian ridge with margin and is snapped to
-    divide delta/2 so that coding-bin edges land exactly on samples; the
-    signal span covers every coding bin plus ~7 sigma of Gaussian tail,
-    the idler span covers the +-20*gamma3n window each Lorentzian norm
-    needs.
-    """
-    s0 = min(0.98 / (8.0 * params.tau), params.gamma3n / 4.0)
-    s = (delta / 2.0) / math.ceil((delta / 2.0) / s0)
-    half_s = 0.5 * n_pairs * delta + 10.0 / params.tau
-    half_i = 0.5 * (n_pairs - 1) * delta + 20.5 * params.gamma3n
-    ks = int(math.ceil(half_s / s))
-    ki = int(math.ceil(half_i / s))
-    return (FrequencyGrid(-ks * s, ks * s, 2 * ks + 1),
-            FrequencyGrid(-ki * s, ki * s, 2 * ki + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +319,14 @@ def _contrast_payload(report) -> dict:
             for k, v in report.as_dict().items()}
 
 
+def _warned(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the messages of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -382,12 +372,10 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
     n_modes = sec.take("n_modes", _int, None)
     sec.close()
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            d = decompose(spec, grid_s, grid_i, n_modes=n_modes)
-        except ValueError as exc:   # n_modes < 1, or an all-zero spectrum
-            raise ConfigError(f"schmidt: {exc}") from None
+    try:
+        d, caught = _warned(decompose, spec, grid_s, grid_i, n_modes=n_modes)
+    except ValueError as exc:   # n_modes < 1, or an all-zero spectrum
+        raise ConfigError(f"schmidt: {exc}") from None
 
     _write_csv(outdir / f"{label}_lambdas.csv", meta, [],
                ["index", "lambda"],
@@ -398,7 +386,7 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
         "n_modes": d.n_modes,
         "lambda_sum": float(np.sum(d.lambdas)),
         "lambdas_top": [float(x) for x in d.lambdas[:8]],
-        "warnings": [str(w.message) for w in caught],
+        "warnings": caught,
     })
     return 0
 
@@ -452,7 +440,7 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
         if (gsec is None) != (isec is None):
             raise ConfigError("give both grids or neither")
         if gsec is None:
-            grid_s, grid_i = _auto_grids(code.n, delta, params)
+            grid_s, grid_i = comb_grids(code.n, delta, params)
         else:
             grid_s, grid_i = _parse_grid(gsec), _parse_grid(isec)
         spec = MultiplexedSpectrum.comb(code.n, delta, params)
@@ -521,7 +509,7 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
         _, code = _code("linear-h", n, h=h)
 
         def point(delta):
-            grid_s, grid_i = _auto_grids(n, delta, params)
+            grid_s, grid_i = comb_grids(n, delta, params)
             spec = MultiplexedSpectrum.comb(n, delta, params)
             matrix = g2_matrix_numeric(spec, code, delta, grid_s, grid_i,
                                        acceptance)
@@ -549,9 +537,7 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
         raise ConfigError(f"normalization: unknown value {normalization!r}")
 
     layout = _staircase(r, m, bin_width)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        info = validate(layout, tau=tau)
+    info, caught = _warned(validate, layout, tau=tau)
     d = dimension(layout)
     _, code = _code("linear-h", m, h=h)
 
@@ -584,7 +570,7 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
         "n_levels": len(levels),
         "matrix_emitted": d <= LEVEL_THRESHOLD,
         "contrast": _contrast_payload(report),
-        "warnings": [str(w.message) for w in caught],
+        "warnings": caught,
     })
     return 0
 
@@ -621,9 +607,7 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
 
     path = outdir / f"{label}_layout.json"
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            info = validate(layout, tau=tau)
+        info, caught = _warned(validate, layout, tau=tau)
     except CycleDetected as exc:
         _write_json(path, meta, {"valid": False, "error": str(exc),
                                  "cycle": [f"{a}{k}" for a, k in exc.cycle]})
@@ -632,7 +616,7 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
     _write_json(path, meta, {
         **info,
         "dimension": dimension(layout),
-        "warnings": [str(w.message) for w in caught],
+        "warnings": caught,
     })
     return 0
 
@@ -642,23 +626,20 @@ def _cmd_dynamics_check(sec, meta, outdir: Path, label: str) -> int:
     grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
     grid_i = _parse_grid(sec.subsection("idler_grid", required=True))
     t_final = sec.take("t_final", _float, None)
-    rtol = sec.take("rtol", _float, 1e-8)
     sec.close()
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            report = compare_dynamics(drive, grid_s, grid_i,
-                                      t_final=t_final, rtol=rtol)
-        except ValueError as exc:   # t_final too early for the pulse
-            raise ConfigError(f"t_final: {exc}") from None
+    try:
+        report, caught = _warned(compare_dynamics, drive, grid_s, grid_i,
+                                 t_final=t_final)
+    except ValueError as exc:   # t_final too early for the pulse
+        raise ConfigError(f"t_final: {exc}") from None
 
     _write_json(outdir / f"{label}_dynamics.json", meta, {
         **report,
         "drive": dataclasses.asdict(drive),
         "signal_grid": [grid_s.min, grid_s.max, grid_s.points],
         "idler_grid": [grid_i.min, grid_i.max, grid_i.points],
-        "warnings": [str(w.message) for w in caught],
+        "warnings": caught,
     })
     return 0
 

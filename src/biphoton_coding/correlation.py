@@ -38,8 +38,8 @@ from .codes import CodeMatrix, gram
 from .errors import (BinOverlap, ChannelShapeMismatch, CodeSpaceOverflow,
                      DegenerateMatrix, UnderResolvedGrid)
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PhysicalParams,
-                      lorentzian_factor, marginal_idler_mode,
-                      marginal_signal_mode)
+                      gaussian_envelope, lorentzian_factor,
+                      marginal_idler_mode, marginal_signal_mode)
 
 
 def matched_decode(codeword) -> np.ndarray:
@@ -169,8 +169,8 @@ def pair_correlation_kernel(pair, params: PhysicalParams,
     _, n_s = marginal_signal_mode(pair, params, grid_s)
     _, n_i = marginal_idler_mode(pair, params, grid_i)
 
-    gauss = np.exp(-((grid_s.omegas[:, None] + grid_i.omegas[None, :]
-                      + pair.delta_q) * params.tau) ** 2 / 8.0)
+    gauss = gaussian_envelope(params, grid_s.omegas[:, None]
+                              + grid_i.omegas[None, :], pair.delta_q)
     lor = lorentzian_factor(params, grid_i.omegas, pair.delta_p)
     f = pair.weight * gauss * lor[None, :]
 

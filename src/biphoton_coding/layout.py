@@ -82,6 +82,7 @@ def staircase(r: int, m: int, bin_width: float = 100.0) -> ChannelLayout:
     """
     if m % 2 != 0:
         raise OddM(f"pairs per channel must be even, got {m}")
+    _require_dimension(r, m)
     placement = {}
     delta_r = []
     for c in range(1, r + 1):
@@ -185,13 +186,17 @@ def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
             "components": len(sizes)}
 
 
+def _require_dimension(r: int, m: int):
+    # m >= 2 makes m**r at least 2**r, so a large r is refused without
+    # computing the power
+    if m > 1 and (r >= _INT_LIMIT.bit_length() or m ** r > _INT_LIMIT):
+        raise CodeSpaceOverflow(f"{m}**{r} exceeds the representable range")
+
+
 def dimension(layout: ChannelLayout) -> int:
     """Code-space dimension M**R (one of M codewords per channel)."""
-    d = layout.m ** layout.r
-    if d > _INT_LIMIT:
-        raise CodeSpaceOverflow(
-            f"{layout.m}**{layout.r} exceeds the representable range")
-    return d
+    _require_dimension(layout.r, layout.m)
+    return layout.m ** layout.r
 
 
 def factor_decode(layout: ChannelLayout, per_channel_codewords):

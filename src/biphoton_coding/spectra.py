@@ -7,14 +7,14 @@ laboratory units at the I/O boundary; nothing inside this package depends
 on it.
 
 The single-pair amplitude is a Gaussian ridge along the energy-conservation
-axis omega_s + omega_i, set by the drive pulses, multiplied by a Lorentzian
-in the idler detuning with half-width gamma3n / 2 set by the collectively
-broadened decay.  Multiplexed spectra are weighted sums of frequency-shifted
-copies of that amplitude.
+axis omega_s + omega_i, its width set by the pulse duration tau, times a
+Lorentzian of half-width gamma3n / 2 in the idler detuning; the drive
+strength only scales it.  Multiplexed spectra sum shifted, weighted copies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -23,6 +23,9 @@ from .errors import UnderResolvedGrid
 
 # gamma / (2 pi) in MHz; used only when converting outputs to lab units.
 GAMMA_2PI_MHZ = 6.0
+
+_RESOLUTION = 8.0    # grid samples per 1/tau
+_IDLER_SPAN = 20.0   # idler grid half-span around each pair, in gamma3n
 
 
 def angular_to_mhz(x):
@@ -38,32 +41,23 @@ def mhz_to_angular(x):
 class PhysicalParams:
     """Source constants defining the pair amplitude.
 
-    gamma          natural linewidth (the frequency unit; keep at 1.0)
     gamma3n        collectively broadened decay rate of the idler transition
     tau            drive pulse duration (1/e half-width of the field envelope)
-    delta1         single-photon detuning of the first drive
-    delta2         two-photon detuning of the second drive
-    omega_a_tilde  pulse area of drive a (dimensionless)
-    omega_b_tilde  pulse area of drive b (dimensionless)
-    coupling_prefactor  combined emission couplings and collective phase
-                   sum, folded into one complex overall scale (default 1;
-                   it cancels in every contrast metric)
+    coupling_prefactor  emission couplings, collective phase sum, drive
+                   detunings and pulse areas, folded into one complex
+                   overall scale (default 1; it cancels in every contrast
+                   metric).  `dynamics.DriveParams` models the drive itself.
     """
 
-    gamma: float = 1.0
     gamma3n: float = 5.0
     tau: float = 0.5
-    delta1: float = 50.0
-    delta2: float = 50.0
-    omega_a_tilde: float = 1.0
-    omega_b_tilde: float = 1.0
     coupling_prefactor: complex = 1.0
 
     def __post_init__(self):
         if not np.all(np.isfinite(astuple(self))):
             raise ValueError("physical parameters must be finite")
-        if not (self.gamma > 0 and self.gamma3n > 0 and self.tau > 0):
-            raise ValueError("gamma, gamma3n, tau must all be positive")
+        if not (self.gamma3n > 0 and self.tau > 0):
+            raise ValueError("gamma3n and tau must both be positive")
 
     @property
     def half_linewidth(self) -> float:
@@ -165,10 +159,28 @@ class FrequencyGrid:
         return FrequencyGrid(center - half_width, center + half_width, points)
 
 
+def comb_grids(n_pairs: int, delta: float, params: PhysicalParams):
+    """Equal-spacing signal/idler grids sized for an n-pair comb.
+
+    Spacing resolves the Gaussian ridge with margin and is snapped to
+    divide delta/2 so that coding-bin edges land exactly on samples; the
+    signal span covers every coding bin plus ~7 sigma of Gaussian tail,
+    the idler span the +-20*gamma3n window each Lorentzian norm needs.
+    """
+    s0 = min(0.98 / (_RESOLUTION * params.tau), params.gamma3n / 4.0)
+    s = (delta / 2.0) / math.ceil((delta / 2.0) / s0)
+    half_s = 0.5 * n_pairs * delta + 10.0 / params.tau
+    half_i = 0.5 * (n_pairs - 1) * delta + (_IDLER_SPAN + 0.5) * params.gamma3n
+    ks = int(math.ceil(half_s / s))
+    ki = int(math.ceil(half_i / s))
+    return (FrequencyGrid(-ks * s, ks * s, 2 * ks + 1),
+            FrequencyGrid(-ki * s, ki * s, 2 * ki + 1))
+
+
 def gaussian_envelope(params: PhysicalParams, sum_detuning, delta_q=0.0):
     """Joint Gaussian ridge exp(-(domega_s + domega_i + delta_q)^2 tau^2 / 8).
 
-    Depends on the two detunings only through their sum.
+    Depends on the detunings only through their sum; delta_q may be complex.
     """
     s = np.asarray(sum_detuning, dtype=complex) + delta_q
     return np.exp(-(s * params.tau) ** 2 / 8.0)
@@ -211,10 +223,11 @@ def jsa_multiplexed(spec: MultiplexedSpectrum, domega_s, domega_i):
 def _require_resolution(grid: FrequencyGrid, params: PhysicalParams):
     # Eight samples per 1/tau keeps Gaussian quadrature error far below
     # the documented mode-norm tolerances.
-    limit = (1.0 / params.tau) / 8.0
+    limit = (1.0 / params.tau) / _RESOLUTION
     if grid.spacing > limit:
         raise UnderResolvedGrid(
-            f"grid spacing {grid.spacing:.4g} exceeds (1/tau)/8 = {limit:.4g}")
+            f"grid spacing {grid.spacing:.4g} exceeds (1/tau)/{_RESOLUTION:g} "
+            f"= {limit:.4g}")
 
 
 def marginal_signal_mode(pair: PairShift, params: PhysicalParams,
@@ -229,7 +242,7 @@ def marginal_signal_mode(pair: PairShift, params: PhysicalParams,
     """
     _require_resolution(grid, params)
     shift = pair.delta_p + pair.delta_q + 1j * params.half_linewidth
-    raw = -np.exp(-((grid.omegas + shift) * params.tau) ** 2 / 8.0)
+    raw = -gaussian_envelope(params, grid.omegas, shift)
     n_s = np.sqrt(np.sum(grid.weights * np.abs(raw) ** 2))
     return raw / n_s, float(n_s)
 
@@ -242,10 +255,10 @@ def marginal_idler_mode(pair: PairShift, params: PhysicalParams,
     slowly decaying tails otherwise bias the norm at the percent level.
     """
     _require_resolution(grid, params)
-    span = 20.0 * params.gamma3n
+    span = _IDLER_SPAN * params.gamma3n
     if not grid.covers(pair.delta_p - span, pair.delta_p + span):
         raise UnderResolvedGrid(
-            "idler grid must span +-20*gamma3n around delta_p "
+            f"idler grid must span +-{_IDLER_SPAN:g}*gamma3n around delta_p "
             f"(need [{pair.delta_p - span:.4g}, {pair.delta_p + span:.4g}], "
             f"have [{grid.min:.4g}, {grid.max:.4g}])")
     raw = lorentzian_factor(params, grid.omegas, pair.delta_p)

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from biphoton_coding.cli import _auto_grids
 from biphoton_coding.codes import CodeVectorSpec, alamouti_n, make_c
 from biphoton_coding.correlation import (
     contrasts,
@@ -36,6 +35,7 @@ from biphoton_coding.spectra import (
     MultiplexedSpectrum,
     PairShift,
     PhysicalParams,
+    comb_grids,
     marginal_idler_mode,
     marginal_signal_mode,
 )
@@ -121,7 +121,7 @@ def test_criterion_04_numeric_matches_ideal_when_resolved():
     t0 = time.time()
     params = PhysicalParams(tau=0.5)
     code = ladder_code(4, 2.0)
-    grid_s, grid_i = _auto_grids(4, 100.0, params)
+    grid_s, grid_i = comb_grids(4, 100.0, params)
     spec = MultiplexedSpectrum.comb(4, 100.0, params)
     numeric = g2_matrix_numeric(spec, code, 100.0, grid_s, grid_i)
     _, n_s = marginal_signal_mode(spec.pairs[0], params, grid_s)
@@ -150,7 +150,7 @@ def test_criterion_05_contrast_grows_with_separation():
         params = PhysicalParams(tau=tau)
         cods = []
         for delta in deltas:
-            grid_s, grid_i = _auto_grids(4, delta, params)
+            grid_s, grid_i = comb_grids(4, delta, params)
             spec = MultiplexedSpectrum.comb(4, delta, params)
             matrix = g2_matrix_numeric(spec, code, delta, grid_s, grid_i)
             cods.append(contrasts(matrix).c_od)

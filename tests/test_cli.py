@@ -342,6 +342,20 @@ def _case(id_, command, body, prefix):
     # 29,537 levels, past the lowered bound below
     _case("level-table-bound", "multi-channel", {"r": 3, "m": 16},
           "error: more than 10000 distinct levels"),
+    # drive detunings and pulse areas belong to `drive`, not `params`
+    _case("params-delta1", "jsa", {**JSA_BODY, "params": {"delta1": 3.0}},
+          "config error: config.params: unknown keys: delta1"),
+    _case("params-gamma", "single-channel",
+          {**NUMERIC, "params": {"gamma": 7.0}},
+          "config error: config.params: unknown keys: gamma"),
+    _case("dynamics-rtol", "dynamics-check", {"rtol": 1e-8, **TINY_GRIDS},
+          "config error: config: unknown keys: rtol"),
+    # 2**200000 is refused before 400,000 pairs are placed
+    _case("multi-channel-dimension", "multi-channel", {"r": 200000, "m": 2},
+          "config error: staircase: 2**200000 exceeds"),
+    _case("validate-layout-dimension", "validate-layout",
+          {"staircase": {"r": 200000, "m": 2}},
+          "config error: staircase: 2**200000 exceeds"),
 ])
 def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
                            prefix):
@@ -366,7 +380,7 @@ def _defaults(cls):
       "pairs": [_defaults(PairShift)], "svg": False,
       "signal_grid": {"half_width": 10.0, "points": 101, "center": 0.0}}),
     ("dynamics-check", TINY_GRIDS,
-     {**TINY_GRIDS, "drive": _defaults(DriveParams), "rtol": 1e-8}),
+     {**TINY_GRIDS, "drive": _defaults(DriveParams)}),
     ("single-channel", NUMERIC,
      {**NUMERIC, "params": _defaults(PhysicalParams), "bin_width": 60.0,
       "acceptance_scale": 3.0, "svg": False}),

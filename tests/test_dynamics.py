@@ -110,8 +110,7 @@ def test_c_amplitude_matches_driven_decay_quadrature():
 
 def test_biphoton_kernel_proportional_to_jsa():
     d = DriveParams()
-    params = PhysicalParams(gamma3n=d.gamma3n, tau=d.tau,
-                            delta1=d.delta1, delta2=d.delta2)
+    params = PhysicalParams(gamma3n=d.gamma3n, tau=d.tau)
     ws = np.linspace(-6.0, 6.0, 41)[:, None]
     wi = np.linspace(-9.0, 9.0, 37)[None, :]
     ratio = dsi_analytic(d, ws, wi) / jsa_single(params, ws, wi)

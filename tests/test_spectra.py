@@ -1,9 +1,11 @@
 """Joint spectral amplitude, marginals, grids, and unit helpers."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from biphoton_coding.errors import UnderResolvedGrid
 from biphoton_coding.spectra import (
@@ -114,7 +116,7 @@ def test_parameter_validation():
         PhysicalParams(tau=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(gamma3n=-1.0)
-    for bad in (dict(tau=math.nan), dict(delta1=math.inf),
+    for bad in (dict(tau=math.nan), dict(gamma3n=math.inf),
                 dict(coupling_prefactor=complex(1.0, math.nan))):
         with pytest.raises(ValueError):
             PhysicalParams(**bad)
@@ -122,6 +124,20 @@ def test_parameter_validation():
         PairShift(weight=float("inf"))
     with pytest.raises(ValueError):
         MultiplexedSpectrum(params=P, pairs=())
+
+
+@pytest.mark.parametrize("field",
+                         [f.name for f in dataclasses.fields(PhysicalParams)])
+def test_every_physical_parameter_changes_the_amplitude(field):
+    # a field the amplitude never reads would be a config key that
+    # silently does nothing
+    spec = MultiplexedSpectrum.comb(2, 6.0, P)
+    ws = np.linspace(-10.0, 10.0, 9)[:, None]
+    wi = np.linspace(-10.0, 10.0, 9)[None, :]
+    perturbed = dataclasses.replace(P, **{field: 1.5 * getattr(P, field)})
+    moved = dataclasses.replace(spec, params=perturbed)
+    assert not np.array_equal(jsa_multiplexed(spec, ws, wi),
+                              jsa_multiplexed(moved, ws, wi))
 
 
 def test_grid_basics():
@@ -194,6 +210,24 @@ def test_idler_marginal_requires_wing_coverage():
                             FrequencyGrid(-30.0, 30.0, 601))
 
 
+def line_integral(params, omega_s):
+    """Closed-form idler line integral of the unit-coupling amplitude.
+
+    A Gaussian convolved with a Lorentzian is a Faddeeva function:
+    int f(ws, wi) dwi = pi conj(w(a ws + i a gamma3n/2)), a = tau/(2 sqrt 2).
+    """
+    a = params.tau / (2.0 * math.sqrt(2.0))
+    return math.pi * np.conj(wofz(a * (np.asarray(omega_s)
+                                       + 1j * params.half_linewidth)))
+
+
+def test_line_integral_closed_form_matches_quadrature():
+    wi = FrequencyGrid(-2000.0, 2000.0, 400001)
+    ws = np.array([-20.0, -7.5, 0.0, 3.0, 25.0])
+    brute = jsa_single(P, ws[:, None], wi.omegas[None, :]) @ wi.weights
+    np.testing.assert_allclose(line_integral(P, ws), brute, rtol=1e-13)
+
+
 def test_signal_marginal_tracks_line_integral_shape():
     """The normalized signal marginal follows the idler line integral of
     the amplitude only approximately: integrating the Lorentzian against
@@ -202,12 +236,7 @@ def test_signal_marginal_tracks_line_integral_shape():
     about 0.13 in sup norm; pin that level so regressions in either
     direction show up."""
     grid = FrequencyGrid(-30.0, 30.0, 601)
-    wi = np.linspace(-2000.0, 2000.0, 400001)
-    integral = np.empty(grid.points, dtype=complex)
-    for j in range(0, grid.points, 40):
-        blk = grid.omegas[j:j + 40]
-        integral[j:j + 40] = np.trapezoid(
-            jsa_single(P, blk[:, None], wi[None, :]), wi, axis=1)
+    integral = line_integral(P, grid.omegas)
     mode, _ = marginal_signal_mode(PairShift(), P, grid)
     a = integral / quad_norm(grid, integral)
     b = mode / quad_norm(grid, mode)
