@@ -19,6 +19,7 @@ failure (non-convergence, integrator abort, degenerate contrast).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -72,7 +73,6 @@ def _exact(kind, what):
 
 _int = _exact(int, "an integer")
 _str = _exact(str, "a string")
-_bool = _exact(bool, "true/false")
 _list = _exact(list, "a list")
 
 
@@ -94,6 +94,16 @@ def _positive(raw):
     return x
 
 
+def _choice(*options):
+    """Caster for a string that must be one of `options`."""
+    def cast(raw):
+        if _str(raw) not in options:
+            names = ", ".join(map(repr, options))
+            raise ValueError(f"expected one of {names}, got {raw!r}")
+        return raw
+    return cast
+
+
 def _complex(raw):
     """Accept a plain number or a [re, im] pair."""
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
@@ -106,14 +116,21 @@ def _complex(raw):
 def _numbers(item):
     """Caster for a list of numbers, each read by `item`."""
     def cast(raw):
-        if not isinstance(raw, list):
-            raise ValueError(f"expected a list of numbers, got {raw!r}")
-        return [item(x) for x in raw]
+        return [item(x) for x in _list(raw)]
     return cast
 
 
 # dataclass field annotation -> caster, for _parse_fields
 _CASTS = {float: _float, complex: _complex, int: _int}
+
+
+@contextlib.contextmanager
+def _config_errors(where, kinds=ValueError):
+    """Turn a library rejection of a config value into a config error."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 class _Section:
@@ -135,10 +152,8 @@ class _Section:
                 raise ConfigError(f"{self._where}: missing required key {key!r}")
             return default
         raw = self._data.pop(key)
-        try:
+        with _config_errors(f"{self._where}.{key}"):
             return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self._where}.{key}: {exc}") from None
 
     def subsection(self, key, required: bool = False):
         if key not in self._data:
@@ -186,10 +201,8 @@ def _parse_fields(sec, cls, where):
           for f in dataclasses.fields(cls)
           if sec.has(f.name) or f.default is dataclasses.MISSING}
     sec.close()
-    try:
+    with _config_errors(where):
         return cls(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_grid(sec) -> FrequencyGrid:
@@ -201,10 +214,14 @@ def _parse_grid(sec) -> FrequencyGrid:
     half = sec.take("half_width", _float)
     center = sec.take("center", _float, 0.0)
     sec.close()
-    try:
+    with _config_errors("grid"):
         return FrequencyGrid.centered(half, points, center)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+
+
+def _parse_grids(sec):
+    """The required signal and idler grids of a section."""
+    return (_parse_grid(sec.subsection("signal_grid", required=True)),
+            _parse_grid(sec.subsection("idler_grid", required=True)))
 
 
 def _parse_spectrum(sec, params: PhysicalParams) -> MultiplexedSpectrum:
@@ -227,39 +244,42 @@ def _parse_spectrum(sec, params: PhysicalParams) -> MultiplexedSpectrum:
     delta = comb.take("delta", _float)
     delta_q = comb.take("delta_q", _float, 0.0)
     comb.close()
-    try:
+    with _config_errors("spectrum"):
         return MultiplexedSpectrum.comb(n, delta, params, delta_q=delta_q)
-    except ValueError as exc:
-        raise ConfigError(f"spectrum: {exc}") from None
+
+
+def _calibrated_params(sec) -> PhysicalParams:
+    """The `params` of a numeric path.  Its g2 is calibrated against the
+    all-ones cell, so the overall scale cancels and `coupling_prefactor`
+    is not a key there."""
+    psec = sec.subsection("params")
+    if psec is not None and psec.has("coupling_prefactor"):
+        raise ConfigError("params.coupling_prefactor is fixed by "
+                          "calibration in numeric mode")
+    return _parse_fields(psec, PhysicalParams, "params")
 
 
 def _code(kind, n, **kw):
     """A code vector spec and its Alamouti matrix; a spec the codes
     module rejects is a config error."""
-    try:
+    with _config_errors("code"):
         spec = CodeVectorSpec(kind, n, **kw)
-    except ValueError as exc:
-        raise ConfigError(f"code: {exc}") from None
     return spec, alamouti_n(make_c(spec), n)
 
 
 def _staircase(r, m, bin_width):
-    try:
+    with _config_errors("staircase", (ValueError, CodeSpaceOverflow)):
         return staircase(r, m, bin_width)
-    except (ValueError, CodeSpaceOverflow) as exc:
-        raise ConfigError(f"staircase: {exc}") from None
 
 
 def _parse_code(sec):
-    kind = sec.take("kind", _str, "linear-h")
+    kind = sec.take("kind", _choice("linear-h", "geometric"), "linear-h")
     n = sec.take("n", _int)
     if kind == "linear-h":
         kw = {"h": sec.take("h", _float, 2.0)}
-    elif kind == "geometric":
+    else:
         kw = {"a": sec.take("a", _complex, 1.0 + 0j),
               "r": sec.take("r", _complex, 1.0 + 0j)}
-    else:
-        raise ConfigError(f"code.kind: unknown kind {kind!r}")
     sec.close()
     return _code(kind, n, **kw)
 
@@ -269,8 +289,6 @@ def _parse_code(sec):
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
     if isinstance(x, (complex, np.complexfloating)):
@@ -296,24 +314,6 @@ def _grid_comment(name: str, g: FrequencyGrid) -> str:
     return f"{name} = {g.min:.12g},{g.max:.12g},{g.points}"
 
 
-def _write_svg_heatmap(path: Path, values, title: str, extent=None):
-    # plots are a convenience rendering of the CSVs, never load-bearing
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        raise ConfigError(
-            "svg output requires matplotlib; install the 'plot' extra") from None
-    fig, ax = plt.subplots(figsize=(5.4, 4.4))
-    im = ax.imshow(np.asarray(values), origin="lower", aspect="auto",
-                   extent=extent, cmap="viridis")
-    fig.colorbar(im, ax=ax)
-    ax.set_title(title)
-    fig.savefig(path, format="svg")
-    plt.close(fig)
-
-
 def _contrast_payload(report) -> dict:
     return {k: (None if v is None else float(v))
             for k, v in report.as_dict().items()}
@@ -334,9 +334,7 @@ def _warned(fn, *args, **kwargs):
 def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
     params = _parse_fields(sec.subsection("params"), PhysicalParams, "params")
     spec = _parse_spectrum(sec, params)
-    grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
-    grid_i = _parse_grid(sec.subsection("idler_grid", required=True))
-    svg = sec.take("svg", _bool, False)
+    grid_s, grid_i = _parse_grids(sec)
     sec.close()
 
     f = jsa_multiplexed(spec, grid_s.omegas[:, None], grid_i.omegas[None, :])
@@ -357,25 +355,19 @@ def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
         "peak_idler_detuning": float(grid_i.omegas[peak[1]]),
         "total_intensity": total,
     })
-    if svg:
-        _write_svg_heatmap(outdir / f"{label}_surface.svg", surface.T,
-                           f"{label}: |f(w_s, w_i)|^2",
-                           extent=(grid_s.min, grid_s.max, grid_i.min, grid_i.max))
     return 0
 
 
 def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
     params = _parse_fields(sec.subsection("params"), PhysicalParams, "params")
     spec = _parse_spectrum(sec, params)
-    grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
-    grid_i = _parse_grid(sec.subsection("idler_grid", required=True))
+    grid_s, grid_i = _parse_grids(sec)
     n_modes = sec.take("n_modes", _int, None)
     sec.close()
 
-    try:
+    # n_modes < 1, or an all-zero spectrum
+    with _config_errors("schmidt"):
         d, caught = _warned(decompose, spec, grid_s, grid_i, n_modes=n_modes)
-    except ValueError as exc:   # n_modes < 1, or an all-zero spectrum
-        raise ConfigError(f"schmidt: {exc}") from None
 
     _write_csv(outdir / f"{label}_lambdas.csv", meta, [],
                ["index", "lambda"],
@@ -416,13 +408,10 @@ def _cmd_codes(sec, meta, outdir: Path, label: str) -> int:
 
 def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
     cspec, code = _parse_code(sec.subsection("code", required=True))
-    mode = sec.take("mode", _str, "ideal")
-    if mode not in ("ideal", "numeric"):
-        raise ConfigError(f"mode: expected 'ideal' or 'numeric', got {mode!r}")
-    svg = sec.take("svg", _bool, False)
+    mode = sec.take("mode", _choice("ideal", "numeric"), "ideal")
 
     if mode == "ideal":
-        prefactor = sec.take("prefactor", _float, 1.0)
+        prefactor = sec.take("prefactor", _positive, 1.0)
         sec.close()
         matrix = g2_matrix_ideal(code, prefactor)
         comments = [f"ideal path, prefactor = {prefactor:.12g}"]
@@ -430,8 +419,7 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
         if sec.has("prefactor"):
             raise ConfigError(
                 "prefactor is fixed by calibration in numeric mode")
-        params = _parse_fields(sec.subsection("params"), PhysicalParams,
-                               "params")
+        params = _calibrated_params(sec)
         delta = sec.take("delta", _positive)
         bin_width = sec.take("bin_width", _positive, delta)
         acceptance = sec.take("acceptance_scale", _positive, 3.0)
@@ -463,16 +451,11 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
         "mode": mode, "n": code.n,
         "contrast": _contrast_payload(report),
     })
-    if svg:
-        _write_svg_heatmap(outdir / f"{label}_g2.svg", matrix.values,
-                           f"{label}: g2 ({mode})")
     return 0
 
 
 def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
-    variable = sec.take("variable", _str)
-    if variable not in ("h", "delta"):
-        raise ConfigError(f"variable: expected 'h' or 'delta', got {variable!r}")
+    variable = sec.take("variable", _choice("h", "delta"))
 
     # every delta sizes grids and bins, so it must be positive
     number = _positive if variable == "delta" else _float
@@ -493,33 +476,28 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
     n = sec.take("n", _int, 4)
 
     if variable == "h":
-        prefactor = sec.take("prefactor", _float, 1.0)
         sec.close()
 
-        def point(h):
-            _, code = _code("linear-h", n, h=h)
-            rep = contrasts(g2_matrix_ideal(code, prefactor))
-            return h, rep.v, rep.c_od
+        def matrix_at(h):
+            return g2_matrix_ideal(_code("linear-h", n, h=h)[1])
     else:
-        params = _parse_fields(sec.subsection("params"), PhysicalParams,
-                               "params")
+        params = _calibrated_params(sec)
         h = sec.take("h", _float, 1.0)
         acceptance = sec.take("acceptance_scale", _positive, 3.0)
         sec.close()
         _, code = _code("linear-h", n, h=h)
 
-        def point(delta):
+        def matrix_at(delta):
             grid_s, grid_i = comb_grids(n, delta, params)
             spec = MultiplexedSpectrum.comb(n, delta, params)
-            matrix = g2_matrix_numeric(spec, code, delta, grid_s, grid_i,
-                                       acceptance)
-            rep = contrasts(matrix)
-            return delta, rep.v, rep.c_od
+            return g2_matrix_numeric(spec, code, delta, grid_s, grid_i,
+                                     acceptance)
 
-    rows = [point(v) for v in values]
+    reports = [contrasts(matrix_at(v)) for v in values]
     _write_csv(outdir / f"{label}_sweep.csv", meta,
                [f"n = {n}"], [variable, "v", "c_od"],
-               [(v, float(a), float(b)) for v, a, b in rows])
+               [(v, float(r.v), float(r.c_od))
+                for v, r in zip(values, reports)])
     return 0
 
 
@@ -527,14 +505,12 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
     r = sec.take("r", _int)
     m = sec.take("m", _int)
     h = sec.take("h", _float, 2.0)
-    bin_width = sec.take("bin_width", _float, 100.0)
-    normalization = sec.take("normalization", _str, "global")
-    prefactor = sec.take("prefactor", _float, 1.0)
+    bin_width = sec.take("bin_width", _positive, 100.0)
+    normalization = sec.take("normalization",
+                             _choice("global", "per_channel"), "global")
+    prefactor = sec.take("prefactor", _positive, 1.0)
     tau = sec.take("tau", _positive, None)
-    svg = sec.take("svg", _bool, False)
     sec.close()
-    if normalization not in ("global", "per_channel"):
-        raise ConfigError(f"normalization: unknown value {normalization!r}")
 
     layout = _staircase(r, m, bin_width)
     info, caught = _warned(validate, layout, tau=tau)
@@ -556,12 +532,6 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
                    ["rows = encode index, columns = decode index, "
                     "mixed-radix digits give per-channel codewords"],
                    None, matrix.values)
-        if svg:
-            _write_svg_heatmap(outdir / f"{label}_g2.svg", matrix.values,
-                               f"{label}: g2 ({d} x {d})")
-    elif svg:
-        raise ConfigError(
-            f"dimension {d} exceeds {LEVEL_THRESHOLD}; no matrix to plot")
 
     _write_json(outdir / f"{label}_contrast.json", meta, {
         "r": r, "m": m, "dimension": d,
@@ -586,7 +556,7 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
     source = placed if stair is None else stair
     r = source.take("r", _int)
     m = source.take("m", _int)
-    bw = source.take("bin_width", _float, 100.0)
+    bw = source.take("bin_width", _positive, 100.0)
     if stair is not None:
         stair.close()
         layout = _staircase(r, m, bw)
@@ -596,14 +566,14 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
         placement = {}
         for entry in cells:
             if not (isinstance(entry, list) and len(entry) == 4
-                    and all(isinstance(x, int) for x in entry)):
+                    and all(type(x) is int for x in entry)):
                 raise ConfigError(
                     "placement.cells entries must be [r, m, k, k'] integers")
             placement[(entry[0], entry[1])] = (entry[2], entry[3])
-        try:
+        if len(placement) != len(cells):
+            raise ConfigError("placement.cells: a (r, m) slot is given twice")
+        with _config_errors("placement"):
             layout = ChannelLayout(r=r, m=m, placement=placement, bin_width=bw)
-        except ValueError as exc:
-            raise ConfigError(f"placement: {exc}") from None
 
     path = outdir / f"{label}_layout.json"
     try:
@@ -623,16 +593,13 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
 
 def _cmd_dynamics_check(sec, meta, outdir: Path, label: str) -> int:
     drive = _parse_fields(sec.subsection("drive"), DriveParams, "drive")
-    grid_s = _parse_grid(sec.subsection("signal_grid", required=True))
-    grid_i = _parse_grid(sec.subsection("idler_grid", required=True))
+    grid_s, grid_i = _parse_grids(sec)
     t_final = sec.take("t_final", _float, None)
     sec.close()
 
-    try:
+    with _config_errors("t_final"):     # t_final too early for the pulse
         report, caught = _warned(compare_dynamics, drive, grid_s, grid_i,
                                  t_final=t_final)
-    except ValueError as exc:   # t_final too early for the pulse
-        raise ConfigError(f"t_final: {exc}") from None
 
     _write_json(outdir / f"{label}_dynamics.json", meta, {
         **report,

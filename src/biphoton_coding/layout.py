@@ -43,8 +43,11 @@ class ChannelLayout:
     def __post_init__(self):
         if self.r < 1 or self.m < 1:
             raise ValueError("need at least one channel and one pair")
-        if len(self.placement) != self.r * self.m:
-            raise ValueError("placement must cover every (channel, slot)")
+        # dict keys never repeat: the right count, all in range, is the slots
+        if len(self.placement) != self.r * self.m or not all(
+                1 <= c <= self.r and 1 <= s <= self.m
+                for c, s in self.placement):
+            raise ValueError("placement keys must be the slots 1..r x 1..m")
         cells = list(self.placement.values())
         if len(set(cells)) != len(cells):
             raise ValueError("placement cells must be distinct")

@@ -260,14 +260,6 @@ def test_dynamics_check_rejects_bad_drive(tmp_path, capsys, field, value):
     assert not (tmp_path / "bad_dynamics.json").exists()
 
 
-def test_svg_emission(tmp_path):
-    pytest.importorskip("matplotlib")
-    cfg = write_cfg(tmp_path, "jsa.json", {
-        "output_dir": str(tmp_path), "label": "art", "svg": True, **JSA_BODY})
-    assert main(["jsa", cfg]) == 0
-    assert (tmp_path / "art_surface.svg").exists()
-
-
 def test_schmidt_command(tmp_path):
     cfg = write_cfg(tmp_path, "sch.json", {
         "output_dir": str(tmp_path), "label": "one",
@@ -356,6 +348,60 @@ def _case(id_, command, body, prefix):
     _case("validate-layout-dimension", "validate-layout",
           {"staircase": {"r": 200000, "m": 2}},
           "config error: staircase: 2**200000 exceeds"),
+    # g2 scales, so the contrast ratios need a positive prefactor
+    _case("ideal-prefactor-0", "single-channel",
+          {"code": {"n": 2}, "prefactor": 0.0},
+          "config error: config.prefactor"),
+    _case("ideal-prefactor-negative", "single-channel",
+          {"code": {"n": 2}, "prefactor": -1.0},
+          "config error: config.prefactor"),
+    _case("multi-channel-prefactor-0", "multi-channel",
+          {"r": 2, "m": 4, "prefactor": 0.0},
+          "config error: config.prefactor"),
+    _case("multi-channel-prefactor-negative", "multi-channel",
+          {"r": 2, "m": 4, "prefactor": -1.0},
+          "config error: config.prefactor"),
+    _case("multi-channel-bin-width-0", "multi-channel",
+          {"r": 2, "m": 4, "bin_width": 0.0, "tau": 1.0},
+          "config error: config.bin_width"),
+    _case("validate-layout-bin-width-0", "validate-layout",
+          {"staircase": {"r": 2, "m": 4, "bin_width": 0.0}},
+          "config error: config.staircase.bin_width"),
+    # true == 1 in Python, so an isinstance check would accept this cell
+    _case("placement-bool-cell", "validate-layout",
+          {"placement": {"r": 1, "m": 2,
+                         "cells": [[True, 1, 0, 0], [1, 2, 1, 1]]}},
+          "config error: placement.cells entries"),
+    _case("placement-stray-slot", "validate-layout",
+          {"placement": {"r": 1, "m": 2,
+                         "cells": [[1, 1, 0, 0], [7, 9, 1, 1]]}},
+          "config error: placement: placement keys"),
+    # refused from the count alone, without listing r*m slots
+    _case("placement-huge", "validate-layout",
+          {"placement": {"r": 1_000_000, "m": 1_000_000,
+                         "cells": [[1, 1, 0, 0]]}},
+          "config error: placement: placement keys"),
+    _case("placement-repeated-slot", "validate-layout",
+          {"placement": {"r": 1, "m": 2,
+                         "cells": [[1, 1, 0, 0], [1, 1, 5, 5], [1, 2, 1, 1]]}},
+          "config error: placement.cells: a (r, m) slot is given twice"),
+    # the calibration cancels any overall scale of the numeric paths
+    _case("numeric-coupling-prefactor", "single-channel",
+          {**NUMERIC, "params": {"coupling_prefactor": [3.0, 2.0]}},
+          "config error: params.coupling_prefactor"),
+    _case("sweep-delta-coupling-prefactor", "sweep",
+          {"variable": "delta", "values": [60.0], "n": 2,
+           "params": {"coupling_prefactor": 2.0}},
+          "config error: params.coupling_prefactor"),
+    # the h sweep writes contrast ratios only, where a prefactor cancels
+    _case("sweep-h-prefactor", "sweep",
+          {"variable": "h", "values": [1.0], "prefactor": 3.7},
+          "config error: config: unknown keys: prefactor"),
+    _case("jsa-svg", "jsa", {**JSA_BODY, "svg": False},
+          "config error: config: unknown keys: svg"),
+    _case("code-kind", "codes", {"code": {"kind": "hadamard", "n": 4}},
+          "config error: config.code.kind: expected one of 'linear-h', "
+          "'geometric', got 'hadamard'"),
 ])
 def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
                            prefix):
@@ -377,18 +423,20 @@ def _defaults(cls):
 @pytest.mark.parametrize("command, omitted, spelled", [
     ("jsa", {**JSA_BODY, "signal_grid": {"half_width": 10.0, "points": 101}},
      {**JSA_BODY, "params": _defaults(PhysicalParams),
-      "pairs": [_defaults(PairShift)], "svg": False,
+      "pairs": [_defaults(PairShift)],
       "signal_grid": {"half_width": 10.0, "points": 101, "center": 0.0}}),
     ("dynamics-check", TINY_GRIDS,
      {**TINY_GRIDS, "drive": _defaults(DriveParams)}),
+    # numeric g2 is calibrated, so its params take no coupling_prefactor
     ("single-channel", NUMERIC,
-     {**NUMERIC, "params": _defaults(PhysicalParams), "bin_width": 60.0,
-      "acceptance_scale": 3.0, "svg": False}),
+     {**NUMERIC, "params": {k: v for k, v in _defaults(PhysicalParams).items()
+                            if k != "coupling_prefactor"},
+      "bin_width": 60.0, "acceptance_scale": 3.0}),
     ("codes", {"code": {"n": 4}},
      {"code": {"kind": "linear-h", "n": 4, "h": 2.0}}),
     ("multi-channel", {"r": 2, "m": 4},
      {"r": 2, "m": 4, "h": 2.0, "bin_width": 100.0, "normalization": "global",
-      "prefactor": 1.0, "svg": False}),
+      "prefactor": 1.0}),
 ], ids=["jsa", "dynamics-check", "single-channel", "codes", "multi-channel"])
 def test_spelled_out_defaults_match_omitted_keys(tmp_path, command, omitted,
                                                  spelled):

@@ -83,6 +83,11 @@ def test_placement_must_cover_all_channels():
                                            (2, 1): (1, 0)})
     with pytest.raises(ValueError):
         ChannelLayout(r=1, m=2, placement={(1, 1): (1, -1), (1, 2): (1, -1)})
+    # the right count, but a key outside 1..r x 1..m (slots are 1-based)
+    for keys in ([(1, 1), (7, 9)], [(0, 1), (1, 2)]):
+        with pytest.raises(ValueError, match="placement keys"):
+            ChannelLayout(r=1, m=2,
+                          placement=dict(zip(keys, [(0, 0), (1, 1)])))
 
 
 def test_factor_decode_roundtrip():
