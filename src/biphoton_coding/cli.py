@@ -33,13 +33,16 @@ import numpy as np
 
 from .codes import CodeVectorSpec, alamouti_n, gram, make_c
 # g2_numeric and matched_decode are unused here; bench/tracer.py wraps them
+# in this module.  It also wraps compare_dynamics here and the ODE solver at
+# dynamics.solve_ivp, so dynamics is imported eagerly and defers only
+# scipy.integrate, inside its solve_ivp.
 from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
                           g2_matrix_ideal_multi, g2_matrix_numeric,
                           g2_numeric, level_summary, matched_decode)
 from .dynamics import DriveParams, compare_dynamics
 from .errors import (BiphotonCodingError, CodeSpaceOverflow, ConfigError,
                      CycleDetected, DegenerateMatrix, NotConverged,
-                     StepFailure)
+                     NotPowerOfTwo, OddM, StepFailure)
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
@@ -205,23 +208,23 @@ def _parse_fields(sec, cls, where):
         return cls(**kw)
 
 
-def _parse_grid(sec) -> FrequencyGrid:
+def _parse_grid(sec, where) -> FrequencyGrid:
     """A grid is min/max/points, or half_width/points with an optional
-    center."""
+    center; `where` names it in config errors."""
     if not sec.has("half_width"):
-        return _parse_fields(sec, FrequencyGrid, "grid")
+        return _parse_fields(sec, FrequencyGrid, where)
     points = sec.take("points", _int)
     half = sec.take("half_width", _float)
     center = sec.take("center", _float, 0.0)
     sec.close()
-    with _config_errors("grid"):
+    with _config_errors(where):
         return FrequencyGrid.centered(half, points, center)
 
 
 def _parse_grids(sec):
     """The required signal and idler grids of a section."""
-    return (_parse_grid(sec.subsection("signal_grid", required=True)),
-            _parse_grid(sec.subsection("idler_grid", required=True)))
+    return tuple(_parse_grid(sec.subsection(name, required=True), name)
+                 for name in ("signal_grid", "idler_grid"))
 
 
 def _parse_spectrum(sec, params: PhysicalParams) -> MultiplexedSpectrum:
@@ -260,15 +263,15 @@ def _calibrated_params(sec) -> PhysicalParams:
 
 
 def _code(kind, n, **kw):
-    """A code vector spec and its Alamouti matrix; a spec the codes
-    module rejects is a config error."""
-    with _config_errors("code"):
+    """A code vector spec and its Alamouti matrix; a spec or order the
+    codes module rejects is a config error."""
+    with _config_errors("code", (ValueError, NotPowerOfTwo)):
         spec = CodeVectorSpec(kind, n, **kw)
-    return spec, alamouti_n(make_c(spec), n)
+        return spec, alamouti_n(make_c(spec), n)
 
 
 def _staircase(r, m, bin_width):
-    with _config_errors("staircase", (ValueError, CodeSpaceOverflow)):
+    with _config_errors("staircase", (ValueError, CodeSpaceOverflow, OddM)):
         return staircase(r, m, bin_width)
 
 
@@ -430,7 +433,8 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
         if gsec is None:
             grid_s, grid_i = comb_grids(code.n, delta, params)
         else:
-            grid_s, grid_i = _parse_grid(gsec), _parse_grid(isec)
+            grid_s = _parse_grid(gsec, "signal_grid")
+            grid_i = _parse_grid(isec, "idler_grid")
         spec = MultiplexedSpectrum.comb(code.n, delta, params)
         matrix = g2_matrix_numeric(spec, code, bin_width, grid_s, grid_i,
                                    acceptance)

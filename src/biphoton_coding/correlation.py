@@ -419,6 +419,20 @@ def acceptance_gate(grid_out: FrequencyGrid, spec: MultiplexedSpectrum,
     return acc
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest length >= n (n >= 1) with no prime factor above 11: the
+    sizes pocketfft transforms fastest, as scipy.fft.next_fast_len picks
+    them for complex input."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _gated_power(amps, masks_s, masks_i, psi, phi, gate,
                  spacing: float) -> np.ndarray:
     """Gated integral of |F_ab|^2 for every signal mask a and idler mask b.
@@ -430,12 +444,11 @@ def _gated_power(amps, masks_s, masks_i, psi, phi, gate,
     row of F is transformed back at a time, so memory stays
     O(masks * pairs * fft length).
     """
-    from scipy import fft as sp_fft   # deferred: only this path needs scipy
     n_out = psi.shape[1] + phi.shape[1] - 1
-    nfft = sp_fft.next_fast_len(n_out)
-    sig = sp_fft.fft(amps[:, :, None] * masks_s[:, None, :] * psi, nfft)
-    idl = sp_fft.fft(masks_i[:, None, :] * phi, nfft)
-    rows = (sp_fft.ifft(np.einsum("pk,bpk->bk", s, idl))[:, :n_out]
+    nfft = _next_fast_len(n_out)
+    sig = np.fft.fft(amps[:, :, None] * masks_s[:, None, :] * psi, nfft)
+    idl = np.fft.fft(masks_i[:, None, :] * phi, nfft)
+    rows = (np.fft.ifft(np.einsum("pk,bpk->bk", s, idl))[:, :n_out]
             for s in sig)
     return spacing ** 3 * np.array([np.abs(f) ** 2 @ gate for f in rows])
 

@@ -25,10 +25,16 @@ import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NotConverged, StepFailure, ValidityWarning
 from .spectra import FrequencyGrid
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: the rest of
+    the package runs on numpy alone and starts without scipy."""
+    from scipy.integrate import solve_ivp as solve
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)

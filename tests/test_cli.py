@@ -399,6 +399,17 @@ def _case(id_, command, body, prefix):
           "config error: config: unknown keys: prefactor"),
     _case("jsa-svg", "jsa", {**JSA_BODY, "svg": False},
           "config error: config: unknown keys: svg"),
+    # grid faults name the grid they are in
+    _case("signal-grid-inverted", "jsa",
+          {**JSA_BODY, "signal_grid": {"min": 1.0, "max": 0.0, "points": 3}},
+          "config error: signal_grid: grid min must be below max"),
+    _case("idler-grid-inverted", "jsa",
+          {**JSA_BODY, "idler_grid": {"min": 1.0, "max": 0.0, "points": 3}},
+          "config error: idler_grid: grid min must be below max"),
+    _case("multi-channel-odd-m", "multi-channel", {"r": 2, "m": 3},
+          "config error: staircase: pairs per channel must be even, got 3"),
+    _case("codes-n-not-power-of-two", "codes", {"code": {"n": 3}},
+          "config error: code: order 3 is not a power of two"),
     _case("code-kind", "codes", {"code": {"kind": "hadamard", "n": 4}},
           "config error: config.code.kind: expected one of 'linear-h', "
           "'geometric', got 'hadamard'"),
@@ -450,15 +461,48 @@ def test_spelled_out_defaults_match_omitted_keys(tmp_path, command, omitted,
     assert arts[0] and arts[0] == arts[1]
 
 
-def test_light_modules_do_not_import_the_ode_solver():
-    # only dynamics needs scipy.integrate, most of a ~1 s import; the
-    # package root must not load it for every other module
+def _fresh_python(code):
+    """Run `code` in a new interpreter that imports this checkout."""
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    modules = ", ".join(f"biphoton_coding.{name}" for name in
-                        ("codes", "spectra", "layout", "correlation", "schmidt"))
-    code = (f"import sys; import {modules}; "
-            "assert 'scipy.integrate' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_light_modules_do_not_import_the_ode_solver():
+    # scipy.integrate is most of a ~1 s import and only dynamics-check
+    # integrates, so no module may load scipy on import; cli imports every
+    # module of the package
+    _fresh_python("import sys, biphoton_coding.cli; "
+                  "assert 'scipy' not in sys.modules")
+
+
+# run in a fresh interpreter: main(argv) must return 0, then `check` holds
+_RUN_IN_FRESH = """
+import sys
+from biphoton_coding import cli, dynamics
+assert 'scipy' not in sys.modules
+calls = []
+solve = dynamics.solve_ivp
+def counted(*args, **kwargs):
+    calls.append(1)
+    return solve(*args, **kwargs)
+dynamics.solve_ivp = counted
+assert cli.main({argv!r}) == 0
+assert {check}, sorted(m for m in sys.modules if m.startswith('scipy'))
+"""
+
+
+@pytest.mark.parametrize("command, body, check", [
+    # the numeric g2 path runs on numpy's FFT
+    ("single-channel", NUMERIC, "'scipy' not in sys.modules"),
+    # the solver is loaded on the first call, through the module attribute
+    # that bench/tracer.py patches
+    ("dynamics-check", TINY_GRIDS,
+     "calls == [1] and 'scipy.integrate' in sys.modules"),
+], ids=["numeric-g2", "dynamics-check"])
+def test_only_the_ode_path_loads_scipy(tmp_path, command, body, check):
+    cfg = write_cfg(tmp_path, "run.json", {"label": "fresh", **body})
+    argv = [command, cfg, "--out", str(tmp_path / "out")]
+    _fresh_python(_RUN_IN_FRESH.format(argv=argv, check=check))

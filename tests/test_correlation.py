@@ -204,6 +204,16 @@ def test_convolution_identities():
         convolution_grid(gs, FrequencyGrid(-2.0, 2.0, 18))
 
 
+def test_fft_length_matches_scipy():
+    # the numeric engine pads to the length scipy would pick, without
+    # importing scipy itself
+    from scipy.fft import next_fast_len
+
+    from biphoton_coding.correlation import _next_fast_len
+    ns = range(1, 5001)
+    assert [_next_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+
+
 # exact bin-aligned grids; the anti-diagonal sum then has 4096 points
 KGS = FrequencyGrid(-407.0, 406.75, 3256)
 KGI = FrequencyGrid(-105.0, 105.0, 841)
