@@ -208,47 +208,21 @@ def _parse_fields(sec, cls, where):
         return cls(**kw)
 
 
-def _parse_grid(sec, where) -> FrequencyGrid:
-    """A grid is min/max/points, or half_width/points with an optional
-    center; `where` names it in config errors."""
-    if not sec.has("half_width"):
-        return _parse_fields(sec, FrequencyGrid, where)
-    points = sec.take("points", _int)
-    half = sec.take("half_width", _float)
-    center = sec.take("center", _float, 0.0)
-    sec.close()
-    with _config_errors(where):
-        return FrequencyGrid.centered(half, points, center)
-
-
 def _parse_grids(sec):
     """The required signal and idler grids of a section."""
-    return tuple(_parse_grid(sec.subsection(name, required=True), name)
+    return tuple(_parse_fields(sec.subsection(name, required=True),
+                               FrequencyGrid, name)
                  for name in ("signal_grid", "idler_grid"))
 
 
 def _parse_spectrum(sec, params: PhysicalParams) -> MultiplexedSpectrum:
-    """A spectrum is either an explicit pair list or a regular comb;
-    with neither given, a single unshifted unit-weight pair."""
-    pairs_raw = sec.take("pairs", _list, None)
-    comb = sec.subsection("comb")
-    if pairs_raw is not None and comb is not None:
-        raise ConfigError("give either 'pairs' or 'comb', not both")
-    if pairs_raw is None and comb is None:
-        return MultiplexedSpectrum(params=params, pairs=(PairShift(),))
-    if comb is None:
-        if not pairs_raw:
-            raise ConfigError("pairs: expected a non-empty list")
-        pairs = tuple(_parse_fields(_Section(entry, f"pairs[{k}]"), PairShift,
-                                    f"pairs[{k}]")
-                      for k, entry in enumerate(pairs_raw))
+    """A spectrum is a list of pairs; with none given, a single unshifted
+    unit-weight pair."""
+    pairs = tuple(_parse_fields(_Section(entry, f"pairs[{k}]"), PairShift,
+                                f"pairs[{k}]")
+                  for k, entry in enumerate(sec.take("pairs", _list, [{}])))
+    with _config_errors("pairs"):
         return MultiplexedSpectrum(params=params, pairs=pairs)
-    n = comb.take("n_pairs", _int)
-    delta = comb.take("delta", _float)
-    delta_q = comb.take("delta_q", _float, 0.0)
-    comb.close()
-    with _config_errors("spectrum"):
-        return MultiplexedSpectrum.comb(n, delta, params, delta_q=delta_q)
 
 
 def _calibrated_params(sec) -> PhysicalParams:
@@ -433,8 +407,8 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
         if gsec is None:
             grid_s, grid_i = comb_grids(code.n, delta, params)
         else:
-            grid_s = _parse_grid(gsec, "signal_grid")
-            grid_i = _parse_grid(isec, "idler_grid")
+            grid_s = _parse_fields(gsec, FrequencyGrid, "signal_grid")
+            grid_i = _parse_fields(isec, FrequencyGrid, "idler_grid")
         spec = MultiplexedSpectrum.comb(code.n, delta, params)
         matrix = g2_matrix_numeric(spec, code, bin_width, grid_s, grid_i,
                                    acceptance)
@@ -463,19 +437,9 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
 
     # every delta sizes grids and bins, so it must be positive
     number = _positive if variable == "delta" else _float
-    if sec.has("values"):
-        values = sec.take("values", _numbers(number))
-    else:
-        rng = sec.subsection("range", required=True)
-        start = rng.take("start", number)
-        stop = rng.take("stop", number)
-        steps = rng.take("steps", _int)
-        rng.close()
-        if steps < 1:
-            raise ConfigError("range.steps must be at least 1")
-        values = [float(x) for x in np.linspace(start, stop, steps)]
+    values = sec.take("values", _numbers(number))
     if not values:
-        raise ConfigError("sweep range is empty")
+        raise ConfigError("config.values: expected a non-empty list")
 
     n = sec.take("n", _int, 4)
 
@@ -521,7 +485,8 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
     d = dimension(layout)
     _, code = _code("linear-h", m, h=h)
 
-    levels = level_summary(code, r, prefactor, normalization)
+    with _config_errors("levels", CodeSpaceOverflow):
+        levels = level_summary(code, r, prefactor, normalization)
     report = contrasts_from_levels(levels, r)
 
     _write_csv(outdir / f"{label}_levels.csv", meta,
@@ -550,9 +515,10 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
 
 
 def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
-    tau = sec.take("tau", _positive, None)
     stair = sec.subsection("staircase")
     placed = sec.subsection("placement")
+    # only a staircase spaces its channels, so only it has a crosstalk check
+    tau = None if stair is None else sec.take("tau", _positive, None)
     sec.close()
     if (stair is None) == (placed is None):
         raise ConfigError("give exactly one of 'staircase' or 'placement'")
@@ -560,8 +526,8 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
     source = placed if stair is None else stair
     r = source.take("r", _int)
     m = source.take("m", _int)
-    bw = source.take("bin_width", _positive, 100.0)
     if stair is not None:
+        bw = stair.take("bin_width", _positive, 100.0)
         stair.close()
         layout = _staircase(r, m, bw)
     else:
@@ -577,7 +543,7 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
         if len(placement) != len(cells):
             raise ConfigError("placement.cells: a (r, m) slot is given twice")
         with _config_errors("placement"):
-            layout = ChannelLayout(r=r, m=m, placement=placement, bin_width=bw)
+            layout = ChannelLayout(r=r, m=m, placement=placement)
 
     path = outdir / f"{label}_layout.json"
     try:

@@ -104,20 +104,15 @@ class MultiplexedSpectrum:
         return len(self.pairs)
 
     @staticmethod
-    def comb(n_pairs, delta, params, weights=None, delta_q=0.0):
-        """Pairs evenly spread along the energy-conservation axis.
+    def comb(n_pairs, delta, params):
+        """Unit-weight pairs evenly spread along the energy-conservation axis.
 
         Idler shifts are (n - (n_pairs+1)/2) * delta, so four pairs sit at
-        (-1.5, -0.5, 0.5, 1.5) * delta; all share the joint shift delta_q
-        (default 0, i.e. centered on the uncoded ridge).
+        (-1.5, -0.5, 0.5, 1.5) * delta, all on the uncoded ridge
+        (delta_q = 0).
         """
-        if weights is None:
-            weights = np.ones(n_pairs, dtype=complex)
-        if len(weights) != n_pairs:
-            raise ValueError("weights length must equal n_pairs")
         centers = (np.arange(1, n_pairs + 1) - 0.5 * (n_pairs + 1)) * delta
-        pairs = tuple(PairShift(weight=complex(w), delta_p=float(dp), delta_q=float(delta_q))
-                      for w, dp in zip(weights, centers))
+        pairs = tuple(PairShift(delta_p=float(dp)) for dp in centers)
         return MultiplexedSpectrum(params=params, pairs=pairs)
 
 
@@ -153,10 +148,6 @@ class FrequencyGrid:
 
     def covers(self, lo: float, hi: float) -> bool:
         return self.min <= lo and self.max >= hi
-
-    @staticmethod
-    def centered(half_width: float, points: int, center: float = 0.0):
-        return FrequencyGrid(center - half_width, center + half_width, points)
 
 
 def comb_grids(n_pairs: int, delta: float, params: PhysicalParams):

@@ -207,6 +207,25 @@ def test_validate_layout_staircase(tmp_path):
     assert rep["dimension"] == 16
 
 
+CROSSTALK = ("inter-channel shift spacing 10 below 20/tau = 40; "
+             "channels will crosstalk")
+
+
+@pytest.mark.parametrize("command, body, report", [
+    ("validate-layout", {"staircase": {"r": 4, "m": 2, "bin_width": 10.0}},
+     "x_layout.json"),
+    ("multi-channel", {"r": 4, "m": 2, "bin_width": 10.0}, "x_contrast.json"),
+], ids=["validate-layout", "multi-channel"])
+def test_tau_reports_channel_crosstalk(tmp_path, command, body, report):
+    for name, extra, warned in (("tau", {"tau": 0.5}, [CROSSTALK]),
+                                ("none", {}, [])):
+        cfg = write_cfg(tmp_path, f"{name}.json",
+                        {"label": "x", **body, **extra})
+        assert main([command, cfg, "--out", str(tmp_path / name)]) == 0
+        rep = json.loads((tmp_path / name / report).read_text())
+        assert rep["warnings"] == warned
+
+
 def test_validate_layout_reports_cycle(tmp_path):
     cfg = write_cfg(tmp_path, "cyc.json", {
         "output_dir": str(tmp_path), "label": "cyc",
@@ -293,6 +312,8 @@ TINY_GRIDS = {"signal_grid": {"min": -4.0, "max": 4.0, "points": 3},
 SCHMIDT_GRIDS = {"signal_grid": {"min": -10.0, "max": 10.0, "points": 21},
                  "idler_grid": {"min": -10.0, "max": 10.0, "points": 21}}
 
+PLACEMENT = {"r": 1, "m": 2, "cells": [[1, 1, 0, 0], [1, 2, 1, 1]]}
+
 
 def _case(id_, command, body, prefix):
     return pytest.param(command, body, prefix, id=id_)
@@ -333,7 +354,7 @@ def _case(id_, command, body, prefix):
           {"n_modes": -3, **SCHMIDT_GRIDS}, "config error: schmidt"),
     # 29,537 levels, past the lowered bound below
     _case("level-table-bound", "multi-channel", {"r": 3, "m": 16},
-          "error: more than 10000 distinct levels"),
+          "config error: levels: more than 10000 distinct levels"),
     # drive detunings and pulse areas belong to `drive`, not `params`
     _case("params-delta1", "jsa", {**JSA_BODY, "params": {"delta1": 3.0}},
           "config error: config.params: unknown keys: delta1"),
@@ -413,6 +434,25 @@ def _case(id_, command, body, prefix):
     _case("code-kind", "codes", {"code": {"kind": "hadamard", "n": 4}},
           "config error: config.code.kind: expected one of 'linear-h', "
           "'geometric', got 'hadamard'"),
+    # each value has one spelling: values, min/max grids, a pairs list, and
+    # tau only beside the staircase whose channel spacing it checks
+    _case("sweep-range", "sweep",
+          {"variable": "h", "range": {"start": 0.5, "stop": 2.0, "steps": 3}},
+          "config error: config: missing required key 'values'"),
+    _case("grid-half-width", "jsa",
+          {**JSA_BODY, "signal_grid": {"half_width": 10.0, "points": 101}},
+          "config error: config.signal_grid: missing required key 'min'"),
+    _case("jsa-comb", "jsa",
+          {**JSA_BODY, "comb": {"n_pairs": 2, "delta": 6.0}},
+          "config error: config: unknown keys: comb"),
+    _case("jsa-pairs-empty", "jsa", {**JSA_BODY, "pairs": []},
+          "config error: pairs: need at least one pair"),
+    _case("placement-bin-width", "validate-layout",
+          {"placement": {**PLACEMENT, "bin_width": 1.0}},
+          "config error: config.placement: unknown keys: bin_width"),
+    _case("placement-tau", "validate-layout",
+          {"placement": PLACEMENT, "tau": 0.001},
+          "config error: config: unknown keys: tau"),
 ])
 def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
                            prefix):
@@ -432,10 +472,9 @@ def _defaults(cls):
 
 
 @pytest.mark.parametrize("command, omitted, spelled", [
-    ("jsa", {**JSA_BODY, "signal_grid": {"half_width": 10.0, "points": 101}},
+    ("jsa", JSA_BODY,
      {**JSA_BODY, "params": _defaults(PhysicalParams),
-      "pairs": [_defaults(PairShift)],
-      "signal_grid": {"half_width": 10.0, "points": 101, "center": 0.0}}),
+      "pairs": [_defaults(PairShift)]}),
     ("dynamics-check", TINY_GRIDS,
      {**TINY_GRIDS, "drive": _defaults(DriveParams)}),
     # numeric g2 is calibrated, so its params take no coupling_prefactor

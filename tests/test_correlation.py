@@ -91,6 +91,26 @@ def test_ideal_matrix_hadamard_is_diagonal():
     assert float(np.max(np.abs(off))) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 16]), h=st.floats(0.2, 5.0))
+def test_ideal_matrix_h_inversion_reverses_indices(n, h):
+    """make_c at 1/h is reverse(make_c at h) / h, so the ideal matrix at 1/h
+    is the index-reversed matrix at h divided by h**4."""
+    def matrix(h):
+        return g2_matrix_ideal(
+            alamouti_n(make_c(CodeVectorSpec("linear-h", n, h=h)), n))
+
+    inverted = matrix(1.0 / h)
+    reversed_ = matrix(h).values[::-1, ::-1] / h ** 4
+    # the structural zeros come out as ~1e-30 rounding noise, so they are
+    # compared against the matrix scale rather than entry by entry
+    np.testing.assert_allclose(inverted.values, reversed_, rtol=1e-12,
+                               atol=1e-12 * np.abs(reversed_).max())
+    a, b = contrasts(inverted), contrasts(matrix(h))
+    assert a.v == pytest.approx(b.v, rel=1e-12)
+    assert a.c_od == pytest.approx(b.c_od, rel=1e-12)
+
+
 def test_contrast_report_relations():
     rep = contrasts(g2_matrix_ideal(CODE4))
     assert rep.c_od == pytest.approx(

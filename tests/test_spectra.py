@@ -104,13 +104,6 @@ def test_comb_layout():
     assert all(p.weight == 1.0 for p in spec.pairs)
 
 
-def test_comb_custom_weights_and_ridge():
-    spec = MultiplexedSpectrum.comb(2, 60.0, P, weights=(1.0, -1.0),
-                                    delta_q=-40.0)
-    assert [p.weight for p in spec.pairs] == [1.0, -1.0]
-    assert all(p.delta_q == -40.0 for p in spec.pairs)
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         PhysicalParams(tau=0.0)
@@ -148,8 +141,6 @@ def test_grid_basics():
     assert float(np.sum(g.weights)) == pytest.approx(20.0, rel=1e-12)
     assert g.weights[0] == pytest.approx(g.spacing / 2.0)
     assert g.covers(-9.0, 9.0) and not g.covers(-11.0, 9.0)
-    c = FrequencyGrid.centered(5.0, 11, center=2.0)
-    assert c.min == -3.0 and c.max == 7.0
 
 
 def test_grid_validation():
