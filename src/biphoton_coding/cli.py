@@ -42,7 +42,7 @@ from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
 from .dynamics import DriveParams, compare_dynamics
 from .errors import (BiphotonCodingError, CodeSpaceOverflow, ConfigError,
                      CycleDetected, DegenerateMatrix, NotConverged,
-                     NotPowerOfTwo, OddM, StepFailure)
+                     NotPowerOfTwo, OddM, StepFailure, UnderResolvedGrid)
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
@@ -342,8 +342,8 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
     n_modes = sec.take("n_modes", _int, None)
     sec.close()
 
-    # n_modes < 1, or an all-zero spectrum
-    with _config_errors("schmidt"):
+    # n_modes < 1, an all-zero spectrum, or a grid too coarse for it
+    with _config_errors("schmidt", (ValueError, UnderResolvedGrid)):
         d, caught = _warned(decompose, spec, grid_s, grid_i, n_modes=n_modes)
 
     _write_csv(outdir / f"{label}_lambdas.csv", meta, [],
@@ -410,8 +410,9 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
             grid_s = _parse_fields(gsec, FrequencyGrid, "signal_grid")
             grid_i = _parse_fields(isec, FrequencyGrid, "idler_grid")
         spec = MultiplexedSpectrum.comb(code.n, delta, params)
-        matrix = g2_matrix_numeric(spec, code, bin_width, grid_s, grid_i,
-                                   acceptance)
+        with _config_errors("grids", UnderResolvedGrid):
+            matrix = g2_matrix_numeric(spec, code, bin_width, grid_s,
+                                       grid_i, acceptance)
         comments = [f"numeric path, delta = {delta:.12g}, "
                     f"bin_width = {bin_width:.12g}, "
                     f"acceptance_scale = {acceptance:.12g}",

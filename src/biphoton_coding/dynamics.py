@@ -1,19 +1,20 @@
 """Cascade equations of motion and the closed-form pair amplitude.
 
 Integrates the collective single-excitation amplitudes of the driven
-cascade: vacuum eps, intermediate A, upper B, one-signal-photon C_j on a
-grid of signal mode detunings, and the pair amplitudes D_jk on a signal x
-idler detuning grid.  The mu-indexed atomic sums are collapsed to one
-collective mode with the phase-matching sum set to 1, so everything is a
-small complex ODE system.
+cascade: vacuum eps, intermediate A, upper B and one-signal-photon C_j on
+a grid of signal mode detunings.  The mu-indexed atomic sums are collapsed
+to one collective mode with the phase-matching sum set to 1, so the ODE
+is a small complex system of 3 + n_signal unknowns.  The pair amplitudes
+D_jk on the signal x idler detuning grid are not ODE unknowns but a
+quadrature of C over the integrator's dense output.
 
 Mode couplings g_s, g_i are kept small (default 1e-3).  They only scale
 C and D globally, but the discrete signal-mode continuum would otherwise
 feed an artificial decay back onto B at rate ~2 pi g_s^2 / (mode spacing).
-The D amplitudes are one-way probes of the emitted idler field: C already
-decays at the collective rate gamma3n/2, which *is* the idler emission,
-so letting a truncated D grid drain C as well would count that decay
-twice.
+The D amplitudes are one-way probes of the emitted idler field,
+D_jk(t) = g_i int C_j(t') e^{i w_ik t'} dt': C already decays at the
+collective rate gamma3n/2, which *is* the idler emission, so letting a
+truncated D grid drain C as well would count that decay twice.
 
 All rates in units of gamma, like the rest of the package.
 """
@@ -110,11 +111,12 @@ class DynamicsResult:
         return self.states[-1]
 
 
-def _unpack(t, y, ns, ni) -> AmplitudeState:
-    return AmplitudeState(
-        time=float(t), eps=complex(y[0]), a_amp=complex(y[1]),
-        b_amp=complex(y[2]), c_amp=y[3:3 + ns].copy(),
-        d_amp=y[3 + ns:].reshape(ns, ni).copy())
+# D quadrature: Simpson nodes per half period of the fastest oscillation
+# of C_j e^{i w_ik t}, and nodes read from the dense output at a time,
+# which bounds memory at _BLOCK x (n_signal + n_idler) complex values
+# however long the window
+_NODES_PER_HALF_PERIOD = 4
+_BLOCK = 4096
 
 
 def default_t_final(drive: DriveParams) -> float:
@@ -131,15 +133,18 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     A'   = i [(Omega_a/2) eps + Delta1 A + (Omega_b*/2) B]
     B'   = i [(Omega_b/2) A + Delta2 B] - g_s sum_j e^{-i w_sj t} C_j
     C_j' = g_s e^{i w_sj t} B - (gamma3n/2 - i lamb_shift) C_j
-    D_jk'= g_i e^{i w_ik t} C_j
+    D_jk = g_i int_{t_start}^{t} e^{i w_ik t'} C_j(t') dt'
 
-    Starts 6 tau before the pulse center with eps = 1.  Returns states at
-    t_eval (default: only t_final).
+    Starts 6 tau before the pulse center with eps = 1.  DOP853 carries
+    eps, A, B and C; each D(t) is a composite Simpson sum of C read from
+    the dense output, on nodes spaced to resolve the fastest oscillation
+    of the integrand.  Returns states at t_eval (default: only t_final),
+    which must be increasing.
     """
     drive.check_weak_drive()
     ws = grid_s.omegas
     wi = grid_i.omegas
-    ns, ni = len(ws), len(wi)
+    ns = len(ws)
     if t_final is None:
         t_final = default_t_final(drive)
     t_start = drive.pulse_center - 6.0 * drive.tau
@@ -154,27 +159,48 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     decay = drive.gamma3n / 2.0 - 1j * drive.lamb_shift
 
     def rhs(t, y):
-        eps, a, b = y[0], y[1], y[2]
-        c = y[3:3 + ns]
+        eps, a, b, c = y[0], y[1], y[2], y[3:]
         om_a = drive.pulse_a(t)
         om_b = drive.pulse_b(t)
         phase_s = np.exp(1j * ws * t)
         deps = 0.5j * np.conj(om_a) * a
         da = 1j * (0.5 * om_a * eps + drive.delta1 * a + 0.5 * np.conj(om_b) * b)
         db = 1j * (0.5 * om_b * a + drive.delta2 * b) \
-            - drive.g_s * np.sum(np.conj(phase_s) * c)
+            - drive.g_s * np.vdot(phase_s, c)
         dc = drive.g_s * phase_s * b - decay * c
-        dd = drive.g_i * c[:, None] * np.exp(1j * wi * t)[None, :]
-        return np.concatenate(([deps, da, db], dc, dd.ravel()))
+        return np.concatenate(([deps, da, db], dc))
 
-    y0 = np.zeros(3 + ns + ns * ni, dtype=complex)
+    y0 = np.zeros(3 + ns, dtype=complex)
     y0[0] = 1.0
     sol = solve_ivp(rhs, (t_start, float(t_final)), y0, method="DOP853",
-                    t_eval=t_eval, rtol=1e-8, atol=1e-12)
+                    t_eval=t_eval, rtol=1e-8, atol=1e-12, dense_output=True)
     if not sol.success:
         raise StepFailure(f"integrator aborted: {sol.message}")
-    states = [_unpack(t, sol.y[:, k], ns, ni)
-              for k, t in enumerate(sol.t)]
+    # D by composite Simpson (weights 1, 4, 2, ..., 4, 1), one rule per
+    # interval between successive times.  The integrand oscillates at up to
+    # the sum detuning plus the free frequencies of A, B and C, widened by
+    # the decay and the pulse spectrum (down e^{-25} at 10/tau)
+    band = (np.max(np.abs(ws)) + np.max(np.abs(wi))
+            + max(abs(drive.delta1), abs(drive.delta2))
+            + abs(drive.lamb_shift) + drive.gamma3n + 10.0 / drive.tau)
+    spacing = math.pi / (_NODES_PER_HALF_PERIOD * band)
+    d = np.zeros((ns, len(wi)), dtype=complex)
+    states, t_prev = [], t_start
+    for k, t in enumerate(sol.t):
+        m = 2 * max(1, math.ceil((t - t_prev) / (2.0 * spacing)))
+        nodes = np.linspace(t_prev, t, m + 1)
+        w = np.ones(m + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        w *= drive.g_i * (t - t_prev) / (3.0 * m)
+        for lo in range(0, m + 1, _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            d += sol.sol(nodes[blk])[3:] @ (
+                w[blk, None] * np.exp(1j * np.outer(nodes[blk], wi)))
+        y = sol.y[:, k]
+        states.append(AmplitudeState(
+            time=float(t), eps=complex(y[0]), a_amp=complex(y[1]),
+            b_amp=complex(y[2]), c_amp=y[3:].copy(), d_amp=d.copy()))
+        t_prev = t
     return DynamicsResult(times=sol.t, states=states)
 
 

@@ -352,6 +352,16 @@ def _case(id_, command, body, prefix):
           "config error: schmidt"),
     _case("schmidt-n-modes-negative", "schmidt",
           {"n_modes": -3, **SCHMIDT_GRIDS}, "config error: schmidt"),
+    # a grid too coarse for the spectrum is a config fault too
+    _case("schmidt-coarse-grid", "schmidt",
+          {**SCHMIDT_GRIDS,
+           "signal_grid": {"min": -100.0, "max": 100.0, "points": 161}},
+          "config error: schmidt: signal grid spacing 1.25 exceeds"),
+    _case("numeric-coarse-grid", "single-channel",
+          {**NUMERIC,
+           "signal_grid": {"min": -100.0, "max": 100.0, "points": 21},
+           "idler_grid": {"min": -100.0, "max": 100.0, "points": 21}},
+          "config error: grids: grid spacing 10 exceeds"),
     # 29,537 levels, past the lowered bound below
     _case("level-table-bound", "multi-channel", {"r": 3, "m": 16},
           "config error: levels: more than 10000 distinct levels"),

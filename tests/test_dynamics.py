@@ -223,6 +223,93 @@ def test_weak_drive_warning():
         integrate_eom(d, TINY_S, TINY_I, t_final=1.0)
 
 
+def reference_eom(drive, grid_s, grid_i, t_final, t_eval, rtol=1e-8,
+                  atol=1e-12):
+    """D on the full 3 + ns + ns*ni system, every D_jk an ODE unknown with
+    D_jk' = g_i e^{i w_ik t} C_j.  Kept as the independent oracle for the
+    closed-sector integration with D by quadrature; returns D at each
+    t_eval time, shape (len(t_eval), ns, ni).  The default tolerances are
+    those of `integrate_eom`."""
+    from scipy.integrate import solve_ivp
+
+    ws, wi = grid_s.omegas, grid_i.omegas
+    ns, ni = len(ws), len(wi)
+    decay = drive.gamma3n / 2.0 - 1j * drive.lamb_shift
+
+    def rhs(t, y):
+        eps, a, b = y[0], y[1], y[2]
+        c = y[3:3 + ns]
+        om_a = drive.pulse_a(t)
+        om_b = drive.pulse_b(t)
+        phase_s = np.exp(1j * ws * t)
+        deps = 0.5j * np.conj(om_a) * a
+        da = 1j * (0.5 * om_a * eps + drive.delta1 * a + 0.5 * np.conj(om_b) * b)
+        db = 1j * (0.5 * om_b * a + drive.delta2 * b) \
+            - drive.g_s * np.sum(np.conj(phase_s) * c)
+        dc = drive.g_s * phase_s * b - decay * c
+        dd = drive.g_i * c[:, None] * np.exp(1j * wi * t)[None, :]
+        return np.concatenate(([deps, da, db], dc, dd.ravel()))
+
+    y0 = np.zeros(3 + ns + ns * ni, dtype=complex)
+    y0[0] = 1.0
+    t_start = drive.pulse_center - 6.0 * drive.tau
+    sol = solve_ivp(rhs, (t_start, t_final), y0, method="DOP853",
+                    t_eval=t_eval, rtol=rtol, atol=atol)
+    assert sol.success
+    return sol.y[3 + ns:].T.reshape(len(t_eval), ns, ni)
+
+
+@pytest.mark.parametrize("delta", [50.0, 200.0])
+@pytest.mark.parametrize("t_final", [None, 30.0])
+@pytest.mark.parametrize("shifts", [
+    {}, {"lamb_shift": 1.3, "pulse_center": 0.7}])
+def test_quadrature_matches_full_system(delta, t_final, shifts):
+    d = DriveParams(delta1=delta, delta2=delta, **shifts)
+    gs = FrequencyGrid(-8.0, 8.0, 12)
+    gi = FrequencyGrid(-10.0, 10.0, 14)
+    if t_final is None:
+        t_final = default_t_final(d)
+    # the two times compare_dynamics reads for its drift check
+    t_eval = [t_final - 1.0, t_final]
+    want = reference_eom(d, gs, gi, t_final, t_eval)
+    res = integrate_eom(d, gs, gi, t_final=t_final, t_eval=t_eval)
+    got = np.array([st.d_amp for st in res.states])
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) < 1e-7 * scale
+
+
+def test_quadrature_resolves_a_wide_long_window():
+    # t_final 100 and an idler span of +-100: nodes spaced by the time span
+    # alone (2,001 over [t_start, t]) alias the pair ridge into a ghost
+    # ~1/3 of the peak amplitude near w_i ~ pi/spacing
+    d = DriveParams()
+    gs = FrequencyGrid(-8.0, 8.0, 12)
+    gi = FrequencyGrid(-100.0, 100.0, 41)
+    t_eval = [99.0, 100.0]
+    # |D| peaks at ~3e-11; at atol 1e-12 the oracle's own D is off by
+    # ~2e-4 of that after 100 time units, so it runs far tighter here
+    want = reference_eom(d, gs, gi, 100.0, t_eval, rtol=1e-12, atol=1e-20)
+    res = integrate_eom(d, gs, gi, t_final=100.0, t_eval=t_eval)
+    got = np.array([st.d_amp for st in res.states])
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) < 1e-7 * scale
+
+
+def test_t_eval_contract():
+    d = DriveParams()
+    t_start = d.pulse_center - 6.0 * d.tau
+    t_eval = np.array([t_start, 0.0, 2.5, default_t_final(d)])
+    res = integrate_eom(d, TINY_S, TINY_I, t_eval=t_eval)
+    assert np.array_equal(res.times, t_eval)
+    assert [st.time for st in res.states] == list(t_eval)
+    # no time has passed, so no pair has been emitted
+    assert np.all(res.states[0].d_amp == 0.0)
+    assert float(np.max(np.abs(res.final.d_amp))) > 0.0
+    for bad in ([0.0, -1.0], [0.0, 0.0]):
+        with pytest.raises(ValueError):
+            integrate_eom(d, TINY_S, TINY_I, t_eval=bad)
+
+
 def test_not_converged_when_stopped_inside_pulse():
     with pytest.raises(NotConverged):
         compare_dynamics(DriveParams(), TINY_S, TINY_I, t_final=0.5)
