@@ -34,15 +34,16 @@ import numpy as np
 from .codes import CodeVectorSpec, alamouti_n, gram, make_c
 # g2_numeric and matched_decode are unused here; bench/tracer.py wraps them
 # in this module.  It also wraps compare_dynamics here and the ODE solver at
-# dynamics.solve_ivp, so dynamics is imported eagerly and defers only
-# scipy.integrate, inside its solve_ivp.
+# dynamics.solve_ivp, the package's own Dormand-Prince stepper: no
+# subcommand imports scipy.
 from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
                           g2_matrix_ideal_multi, g2_matrix_numeric,
                           g2_numeric, level_summary, matched_decode)
 from .dynamics import DriveParams, compare_dynamics
 from .errors import (BiphotonCodingError, CodeSpaceOverflow, ConfigError,
-                     CycleDetected, DegenerateMatrix, NotConverged,
-                     NotPowerOfTwo, OddM, StepFailure, UnderResolvedGrid)
+                     CycleDetected, DegenerateMatrix, GridTooLarge,
+                     NotConverged, NotPowerOfTwo, OddM, StepFailure,
+                     UnderResolvedGrid)
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
@@ -314,7 +315,9 @@ def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
     grid_s, grid_i = _parse_grids(sec)
     sec.close()
 
-    f = jsa_multiplexed(spec, grid_s.omegas[:, None], grid_i.omegas[None, :])
+    with _config_errors("grids", GridTooLarge):
+        f = jsa_multiplexed(spec, grid_s.omegas[:, None],
+                            grid_i.omegas[None, :])
     surface = np.abs(f) ** 2
     peak = np.unravel_index(int(np.argmax(surface)), surface.shape)
     total = float(grid_s.weights @ surface @ grid_i.weights)
@@ -342,8 +345,9 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
     n_modes = sec.take("n_modes", _int, None)
     sec.close()
 
-    # n_modes < 1, an all-zero spectrum, or a grid too coarse for it
-    with _config_errors("schmidt", (ValueError, UnderResolvedGrid)):
+    # n_modes < 1, an all-zero spectrum, or a grid too coarse or too large
+    with _config_errors("schmidt",
+                        (ValueError, UnderResolvedGrid, GridTooLarge)):
         d, caught = _warned(decompose, spec, grid_s, grid_i, n_modes=n_modes)
 
     _write_csv(outdir / f"{label}_lambdas.csv", meta, [],
@@ -568,7 +572,8 @@ def _cmd_dynamics_check(sec, meta, outdir: Path, label: str) -> int:
     t_final = sec.take("t_final", _float, None)
     sec.close()
 
-    with _config_errors("t_final"):     # t_final too early for the pulse
+    # grids too large for memory, or t_final too early for the pulse
+    with _config_errors("grids", GridTooLarge), _config_errors("t_final"):
         report, caught = _warned(compare_dynamics, drive, grid_s, grid_i,
                                  t_final=t_final)
 

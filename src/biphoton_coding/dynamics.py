@@ -4,9 +4,10 @@ Integrates the collective single-excitation amplitudes of the driven
 cascade: vacuum eps, intermediate A, upper B and one-signal-photon C_j on
 a grid of signal mode detunings.  The mu-indexed atomic sums are collapsed
 to one collective mode with the phase-matching sum set to 1, so the ODE
-is a small complex system of 3 + n_signal unknowns.  The pair amplitudes
-D_jk on the signal x idler detuning grid are not ODE unknowns but a
-quadrature of C over the integrator's dense output.
+is a small complex system of 3 + n_signal unknowns, integrated by the
+embedded Dormand-Prince 5(4) pair below on numpy alone.  The pair
+amplitudes D_jk on the signal x idler detuning grid are not ODE unknowns
+but a quadrature of C over the integrator's dense output.
 
 Mode couplings g_s, g_i are kept small (default 1e-3).  They only scale
 C and D globally, but the discrete signal-mode continuum would otherwise
@@ -28,14 +29,140 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import NotConverged, StepFailure, ValidityWarning
-from .spectra import FrequencyGrid
+from .spectra import MAX_GRID_BYTES, FrequencyGrid, require_grid_memory
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: the rest of
-    the package runs on numpy alone and starts without scipy."""
-    from scipy.integrate import solve_ivp as solve
-    return solve(*args, **kwargs)
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6(1), 1980;
+# Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6): stage nodes _C and
+# coefficients _A, whose last row is the fifth-order solution, so the last
+# stage is the next step's first derivative; _E, the fifth- minus the
+# fourth-order weights, estimates the local error; and _P, the quartic
+# continuous extension y(t + x h) = y + h sum_j x^j (K^T _P)_j.
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+               -22 / 525, 1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+class DenseOutput:
+    """The continuous extension of every accepted step; called with an
+    array of times in [ts[0], ts[-1]], returns the states, shape
+    (n_state, len(t))."""
+
+    def __init__(self, ts, ys, qs):
+        self.ts = ts        # step boundaries
+        self._ys = ys       # state at each step start, (n_steps, n_state)
+        self._qs = qs       # h K^T _P of each step, (n_steps, 4, n_state)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.ts, t, side="right") - 1,
+                    0, len(self._ys) - 1)
+        x = (t - self.ts[k]) / (self.ts[k + 1] - self.ts[k])
+        powers = x[:, None] ** np.arange(1, 5)
+        return (self._ys[k]
+                + np.einsum("kj,kjn->kn", powers, self._qs[k])).T
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """States at t_eval (y, shape (n_state, len(t))), the dense output sol
+    and the number of right-hand-side calls.  The names follow
+    scipy.integrate.solve_ivp's result, which this replaces: success is
+    always True, because a failed step raises StepFailure."""
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: DenseOutput
+    nfev: int
+    success: bool = True
+    message: str = "reached the end of the interval"
+
+
+def _rms(x) -> float:
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+
+
+# The positional (fun, t_span, y0) call and the result's t, y, sol, nfev,
+# success and message are scipy.integrate.solve_ivp's: bench/tracer.py
+# wraps dynamics.solve_ivp by name and reads len(args[2]) and .nfev.
+def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-8, atol=1e-16) -> OdeResult:
+    """Integrate y' = fun(t, y) over t_span by Dormand-Prince 5(4) with
+    error-per-step control, and return the states at t_eval (strictly
+    increasing, inside t_span).  Raises StepFailure when the step size
+    falls to rounding level, as it does approaching a singularity."""
+    t, t_end = map(float, t_span)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if not t < t_end:
+        raise ValueError("the integration interval must be increasing")
+    if np.any(np.diff(t_eval) <= 0):
+        raise ValueError("evaluation times must be strictly increasing")
+    if t_eval.min() < t or t_eval.max() > t_end:
+        raise ValueError("evaluation times must lie inside the interval")
+    y = np.array(y0)
+    f = fun(t, y)
+    # initial step (Hairer, Norsett & Wanner II.4): a small Euler probe
+    # sizes h so that the local error lands near the tolerance
+    scale = atol + rtol * np.abs(y)
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    bound = max(d1, d2)
+    h = min(100.0 * h0, (0.01 / bound) ** 0.2 if bound > 1e-15
+            else max(1e-6, 1e-3 * h0))
+    nfev = 2
+    k = np.empty((7, y.size), dtype=np.result_type(y, f))
+    ts, ys, qs = [t], [], []
+    while t < t_end:
+        rejected = False
+        while True:
+            if h < 10.0 * math.ulp(t):
+                raise StepFailure(f"step size underflow at t = {t:.6g}")
+            t_new = min(t + h, t_end)
+            h = t_new - t
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = fun(t + _C[s] * h, y + h * (_A[s, :s] @ k[:s]))
+            y_new = y + h * (_A[6] @ k[:6])
+            k[6] = fun(t_new, y_new)
+            nfev += 6
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _rms(h * (_E @ k) / scale)
+            if err < 1.0:
+                break
+            # a NaN or infinite error estimate shrinks the step by 5
+            h *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        ts.append(t_new)
+        ys.append(y)
+        qs.append(h * (_P.T @ k))
+        # a copy: k[6] is overwritten by the next attempt, and a rejected
+        # attempt must restart from this step's end derivative
+        t, y, f = t_new, y_new, k[6].copy()
+        growth = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+        h *= min(1.0, growth) if rejected else growth
+    sol = DenseOutput(np.array(ts), np.array(ys), np.array(qs))
+    return OdeResult(t=t_eval, y=sol(t_eval), sol=sol, nfev=nfev)
 
 
 @dataclass(frozen=True)
@@ -62,14 +189,17 @@ class DriveParams:
         if self.delta1 == 0 or self.delta2 == 0:
             raise ValueError("delta1 and delta2 must be nonzero")
 
-    def pulse_a(self, t):
-        """Omega_a(t) = (omega_a_tilde / (sqrt(pi) tau)) exp(-(t-t0)^2/tau^2)."""
-        x = (np.asarray(t, dtype=float) - self.pulse_center) / self.tau
-        return self.omega_a_tilde / (math.sqrt(math.pi) * self.tau) * np.exp(-x ** 2)
+    def envelope(self, t: float) -> float:
+        """exp(-(t-t0)^2/tau^2) / (sqrt(pi) tau), the shape both pulses share."""
+        x = (t - self.pulse_center) / self.tau
+        return math.exp(-x * x) / (math.sqrt(math.pi) * self.tau)
 
-    def pulse_b(self, t):
-        x = (np.asarray(t, dtype=float) - self.pulse_center) / self.tau
-        return self.omega_b_tilde / (math.sqrt(math.pi) * self.tau) * np.exp(-x ** 2)
+    def pulse_a(self, t: float) -> float:
+        """Omega_a(t) = omega_a_tilde * envelope(t)."""
+        return self.omega_a_tilde * self.envelope(t)
+
+    def pulse_b(self, t: float) -> float:
+        return self.omega_b_tilde * self.envelope(t)
 
     def check_weak_drive(self):
         peak = 1.0 / (math.sqrt(math.pi) * self.tau)
@@ -112,11 +242,8 @@ class DynamicsResult:
 
 
 # D quadrature: Simpson nodes per half period of the fastest oscillation
-# of C_j e^{i w_ik t}, and nodes read from the dense output at a time,
-# which bounds memory at _BLOCK x (n_signal + n_idler) complex values
-# however long the window
+# of C_j e^{i w_ik t}
 _NODES_PER_HALF_PERIOD = 4
-_BLOCK = 4096
 
 
 def default_t_final(drive: DriveParams) -> float:
@@ -135,13 +262,16 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     C_j' = g_s e^{i w_sj t} B - (gamma3n/2 - i lamb_shift) C_j
     D_jk = g_i int_{t_start}^{t} e^{i w_ik t'} C_j(t') dt'
 
-    Starts 6 tau before the pulse center with eps = 1.  DOP853 carries
-    eps, A, B and C; each D(t) is a composite Simpson sum of C read from
-    the dense output, on nodes spaced to resolve the fastest oscillation
-    of the integrand.  Returns states at t_eval (default: only t_final),
-    which must be increasing.
+    Starts 6 tau before the pulse center with eps = 1.  `solve_ivp`
+    (Dormand-Prince 5(4), rtol 1e-8, atol 1e-16) carries eps, A, B and C;
+    each D(t) is a composite Simpson sum of C read from the quartic dense
+    output, on nodes spaced to resolve the fastest oscillation of the
+    integrand.  Returns states at t_eval (default: only t_final), which
+    must be strictly increasing.  Raises GridTooLarge, before integrating,
+    when D would pass spectra.MAX_GRID_BYTES.
     """
     drive.check_weak_drive()
+    require_grid_memory(grid_s.points * grid_i.points, "the pair amplitudes D")
     ws = grid_s.omegas
     wi = grid_i.omegas
     ns = len(ws)
@@ -159,23 +289,24 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     decay = drive.gamma3n / 2.0 - 1j * drive.lamb_shift
 
     def rhs(t, y):
-        eps, a, b, c = y[0], y[1], y[2], y[3:]
-        om_a = drive.pulse_a(t)
-        om_b = drive.pulse_b(t)
+        # eps, A, B and the real pulses as Python scalars: numpy scalar
+        # arithmetic would cost more than the n_signal-long C update
+        eps, a, b = y[:3].tolist()
+        env = drive.envelope(t)
+        om_a, om_b = drive.omega_a_tilde * env, drive.omega_b_tilde * env
+        c = y[3:]
         phase_s = np.exp(1j * ws * t)
-        deps = 0.5j * np.conj(om_a) * a
-        da = 1j * (0.5 * om_a * eps + drive.delta1 * a + 0.5 * np.conj(om_b) * b)
-        db = 1j * (0.5 * om_b * a + drive.delta2 * b) \
+        out = np.empty_like(y)
+        out[0] = 0.5j * om_a * a
+        out[1] = 1j * (0.5 * om_a * eps + drive.delta1 * a + 0.5 * om_b * b)
+        out[2] = 1j * (0.5 * om_b * a + drive.delta2 * b) \
             - drive.g_s * np.vdot(phase_s, c)
-        dc = drive.g_s * phase_s * b - decay * c
-        return np.concatenate(([deps, da, db], dc))
+        out[3:] = drive.g_s * b * phase_s - decay * c
+        return out
 
     y0 = np.zeros(3 + ns, dtype=complex)
     y0[0] = 1.0
-    sol = solve_ivp(rhs, (t_start, float(t_final)), y0, method="DOP853",
-                    t_eval=t_eval, rtol=1e-8, atol=1e-12, dense_output=True)
-    if not sol.success:
-        raise StepFailure(f"integrator aborted: {sol.message}")
+    sol = solve_ivp(rhs, (t_start, float(t_final)), y0, t_eval)
     # D by composite Simpson (weights 1, 4, 2, ..., 4, 1), one rule per
     # interval between successive times.  The integrand oscillates at up to
     # the sum detuning plus the free frequencies of A, B and C, widened by
@@ -184,6 +315,10 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
             + max(abs(drive.delta1), abs(drive.delta2))
             + abs(drive.lamb_shift) + drive.gamma3n + 10.0 / drive.tau)
     spacing = math.pi / (_NODES_PER_HALF_PERIOD * band)
+    # nodes read from the dense output at a time, so that each array of a
+    # block, its phase factors (nodes x n_idler) and its dense-output read
+    # (nodes x 6 x state), stays inside the budget however long the window
+    block = max(1, MAX_GRID_BYTES // (16 * (len(wi) + 6 * len(y0))))
     d = np.zeros((ns, len(wi)), dtype=complex)
     states, t_prev = [], t_start
     for k, t in enumerate(sol.t):
@@ -192,8 +327,8 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
         w = np.ones(m + 1)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         w *= drive.g_i * (t - t_prev) / (3.0 * m)
-        for lo in range(0, m + 1, _BLOCK):
-            blk = slice(lo, lo + _BLOCK)
+        for lo in range(0, m + 1, block):
+            blk = slice(lo, lo + block)
             d += sol.sol(nodes[blk])[3:] @ (
                 w[blk, None] * np.exp(1j * np.outer(nodes[blk], wi)))
         y = sol.y[:, k]

@@ -11,6 +11,10 @@ class UnderResolvedGrid(BiphotonCodingError):
     """A frequency grid is too coarse or too short for the requested operation."""
 
 
+class GridTooLarge(BiphotonCodingError):
+    """A signal x idler array would exceed the memory budget."""
+
+
 class BinOverlap(BiphotonCodingError):
     """Frequency coding bins overlap; decode weights would be ambiguous."""
 

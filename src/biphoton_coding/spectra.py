@@ -19,13 +19,26 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import UnderResolvedGrid
+from .errors import GridTooLarge, UnderResolvedGrid
 
 # gamma / (2 pi) in MHz; used only when converting outputs to lab units.
 GAMMA_2PI_MHZ = 6.0
 
 _RESOLUTION = 8.0    # grid samples per 1/tau
 _IDLER_SPAN = 20.0   # idler grid half-span around each pair, in gamma3n
+
+# largest complex array over a signal x idler grid that a run allocates
+# (16 times a 1024 x 1024 amplitude); larger grids are refused up front
+MAX_GRID_BYTES = 2 ** 28
+
+
+def require_grid_memory(n_values: int, what: str):
+    """Raise GridTooLarge if n_values complex numbers exceed MAX_GRID_BYTES."""
+    nbytes = 16 * n_values
+    if nbytes > MAX_GRID_BYTES:
+        raise GridTooLarge(
+            f"{what} would take {nbytes / 2 ** 20:.4g} MiB, past the "
+            f"{MAX_GRID_BYTES / 2 ** 20:g} MiB budget")
 
 
 def angular_to_mhz(x):
@@ -199,14 +212,20 @@ def jsa_multiplexed(spec: MultiplexedSpectrum, domega_s, domega_i):
     """Weighted sum of shifted single-pair amplitudes.
 
     sum_n H_n exp(-(ds+di+delta_qn)^2 tau^2/8) / (gamma3n/2 - i(di - delta_pn)).
-    Reduces to jsa_single for one unshifted unit-weight pair.
+    Reduces to jsa_single for one unshifted unit-weight pair.  Raises
+    GridTooLarge, before sampling, past MAX_GRID_BYTES.
     """
     p = spec.params
     ds = np.asarray(domega_s, dtype=float)
     di = np.asarray(domega_i, dtype=float)
-    out = np.zeros(np.broadcast(ds, di).shape, dtype=complex)
+    shape = np.broadcast(ds, di).shape
+    require_grid_memory(math.prod(shape), "the joint spectral amplitude")
+    out = np.zeros(shape, dtype=complex)
+    ridges = {}     # pairs on one ridge (same delta_q) share its samples
     for pair in spec.pairs:
-        out += pair.weight * gaussian_envelope(p, ds + di, pair.delta_q) \
+        if pair.delta_q not in ridges:
+            ridges[pair.delta_q] = gaussian_envelope(p, ds + di, pair.delta_q)
+        out += pair.weight * ridges[pair.delta_q] \
             * lorentzian_factor(p, di, pair.delta_p)
     return p.coupling_prefactor * out
 

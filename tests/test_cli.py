@@ -357,6 +357,21 @@ def _case(id_, command, body, prefix):
           {**SCHMIDT_GRIDS,
            "signal_grid": {"min": -100.0, "max": 100.0, "points": 161}},
           "config error: schmidt: signal grid spacing 1.25 exceeds"),
+    # a signal x idler array past the memory budget is refused before
+    # anything is allocated
+    _case("schmidt-huge-grid", "schmidt",
+          {"signal_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6},
+           "idler_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6}},
+          "config error: schmidt: the joint spectral amplitude would take"),
+    _case("jsa-huge-grid", "jsa",
+          {**JSA_BODY,
+           "signal_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6},
+           "idler_grid": {"min": -100.0, "max": 100.0, "points": 10 ** 6}},
+          "config error: grids: the joint spectral amplitude would take"),
+    _case("dynamics-huge-grid", "dynamics-check",
+          {"signal_grid": {"min": -4.0, "max": 4.0, "points": 10 ** 6},
+           "idler_grid": {"min": -4.0, "max": 4.0, "points": 10 ** 6}},
+          "config error: grids: the pair amplitudes D would take"),
     _case("numeric-coarse-grid", "single-channel",
           {**NUMERIC,
            "signal_grid": {"min": -100.0, "max": 100.0, "points": 21},
@@ -520,18 +535,20 @@ def _fresh_python(code):
 
 
 def test_light_modules_do_not_import_the_ode_solver():
-    # scipy.integrate is most of a ~1 s import and only dynamics-check
-    # integrates, so no module may load scipy on import; cli imports every
-    # module of the package
+    # scipy.integrate is most of a ~1 s import, and the package integrates
+    # its ODE on numpy alone, so no module may load scipy on import; cli
+    # imports every module of the package
     _fresh_python("import sys, biphoton_coding.cli; "
                   "assert 'scipy' not in sys.modules")
 
 
-# run in a fresh interpreter: main(argv) must return 0, then `check` holds
+# run in a fresh interpreter where any scipy import raises ImportError:
+# main(argv) must return 0 after `calls` ODE integrations, and nothing may
+# have replaced the blocked entry
 _RUN_IN_FRESH = """
 import sys
+sys.modules['scipy'] = None
 from biphoton_coding import cli, dynamics
-assert 'scipy' not in sys.modules
 calls = []
 solve = dynamics.solve_ivp
 def counted(*args, **kwargs):
@@ -539,19 +556,26 @@ def counted(*args, **kwargs):
     return solve(*args, **kwargs)
 dynamics.solve_ivp = counted
 assert cli.main({argv!r}) == 0
-assert {check}, sorted(m for m in sys.modules if m.startswith('scipy'))
+assert sys.modules.pop('scipy') is None
+assert calls == {calls} and 'scipy' not in sys.modules, calls
 """
 
 
-@pytest.mark.parametrize("command, body, check", [
+@pytest.mark.parametrize("command, body, calls", [
+    ("jsa", JSA_BODY, []),
+    ("schmidt", SCHMIDT_GRIDS, []),
+    ("codes", {"code": {"n": 4}}, []),
     # the numeric g2 path runs on numpy's FFT
-    ("single-channel", NUMERIC, "'scipy' not in sys.modules"),
-    # the solver is loaded on the first call, through the module attribute
-    # that bench/tracer.py patches
-    ("dynamics-check", TINY_GRIDS,
-     "calls == [1] and 'scipy.integrate' in sys.modules"),
-], ids=["numeric-g2", "dynamics-check"])
-def test_only_the_ode_path_loads_scipy(tmp_path, command, body, check):
+    ("single-channel", NUMERIC, []),
+    ("sweep", {"variable": "delta", "values": [60.0], "n": 2}, []),
+    ("multi-channel", {"r": 2, "m": 4}, []),
+    ("validate-layout", {"staircase": {"r": 2, "m": 4}}, []),
+    # one integration, through the module attribute that bench/tracer.py
+    # patches
+    ("dynamics-check", TINY_GRIDS, [1]),
+], ids=["jsa", "schmidt", "codes", "numeric-g2", "sweep", "multi-channel",
+        "validate-layout", "dynamics-check"])
+def test_only_the_ode_path_loads_scipy(tmp_path, command, body, calls):
     cfg = write_cfg(tmp_path, "run.json", {"label": "fresh", **body})
     argv = [command, cfg, "--out", str(tmp_path / "out")]
-    _fresh_python(_RUN_IN_FRESH.format(argv=argv, check=check))
+    _fresh_python(_RUN_IN_FRESH.format(argv=argv, calls=calls))

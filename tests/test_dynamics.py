@@ -12,8 +12,9 @@ from biphoton_coding.dynamics import (
     dsi_analytic,
     dsi_first_order,
     integrate_eom,
+    solve_ivp,
 )
-from biphoton_coding.errors import NotConverged, ValidityWarning
+from biphoton_coding.errors import NotConverged, StepFailure, ValidityWarning
 from biphoton_coding.spectra import FrequencyGrid, PhysicalParams, jsa_single
 
 TINY_S = FrequencyGrid(-4.0, 4.0, 3)
@@ -313,3 +314,63 @@ def test_t_eval_contract():
 def test_not_converged_when_stopped_inside_pulse():
     with pytest.raises(NotConverged):
         compare_dynamics(DriveParams(), TINY_S, TINY_I, t_final=0.5)
+
+
+def _driven_pair():
+    # y0' = (i w - g) y0 + e^{i nu t} has the closed form below; y1' = -50 y1
+    # decays so fast that, once it is gone, the step size sits at the
+    # method's stability limit and steps keep being rejected
+    lam, nu, fast = 2j - 0.3, 5j, 50.0
+
+    def fun(t, y):
+        return np.array([lam * y[0] + np.exp(nu * t), -fast * y[1]])
+
+    def exact(t):
+        t = np.asarray(t, dtype=float)
+        return np.array([np.exp(lam * t)
+                         + (np.exp(nu * t) - np.exp(lam * t)) / (nu - lam),
+                         np.exp(-fast * t) + 0j])
+
+    return fun, exact
+
+
+def test_stepper_matches_closed_form():
+    fun, exact = _driven_pair()
+    t_eval = np.linspace(0.0, 10.0, 7)
+    res = solve_ivp(fun, (0.0, 10.0), exact(0.0), t_eval)
+    # after the two start-up calls every attempted step makes 6 new calls
+    steps = len(res.sol.ts) - 1
+    assert (res.nfev - 2) // 6 > steps
+    scale = float(np.max(np.abs(exact(np.linspace(0.0, 10.0, 1001)))))
+    assert np.array_equal(res.t, t_eval)
+    assert float(np.max(np.abs(res.y - exact(t_eval)))) < 1e-7 * scale
+    # the dense output inside every step, not only at its ends
+    ts = res.sol.ts
+    inside = (ts[:-1, None] + np.diff(ts)[:, None] * [0.2, 0.5, 0.9]).ravel()
+    assert float(np.max(np.abs(res.sol(inside) - exact(inside)))) \
+        < 1e-7 * scale
+
+
+def test_stepper_takes_the_rk45_steps():
+    # the same tableau and step control as scipy's RK45, so the same
+    # steps to rounding.  A stage buffer reused as the next step's first
+    # derivative without a copy agrees with the closed form to ~2e-8 still,
+    # but restarts each rejected step from the wrong slope and drifts here
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    fun, exact = _driven_pair()
+    t_eval = np.linspace(0.0, 10.0, 7)
+    res = solve_ivp(fun, (0.0, 10.0), exact(0.0), t_eval)
+    ref = scipy_solve_ivp(fun, (0.0, 10.0), exact(0.0), method="RK45",
+                          t_eval=t_eval, rtol=1e-8, atol=1e-16,
+                          dense_output=True)
+    assert res.nfev == ref.nfev
+    assert len(res.sol.ts) == len(ref.sol.ts)
+    assert float(np.max(np.abs(res.sol.ts - ref.sol.ts))) < 1e-8
+    assert float(np.max(np.abs(res.y - ref.y))) < 1e-12
+
+
+def test_stepper_fails_at_a_singularity():
+    # y = 1 / (1 - t) blows up at t = 1: the step shrinks to rounding level
+    with pytest.raises(StepFailure):
+        solve_ivp(lambda t, y: y ** 2, (0.0, 2.0), np.ones(1), [0.0, 2.0])

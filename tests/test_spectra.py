@@ -76,10 +76,13 @@ def test_multiplexed_is_linear_in_pairs():
     b = PairShift(weight=1.1 - 0.3j, delta_p=9.0, delta_q=-6.0)
     ws = np.linspace(-25.0, 25.0, 41)[:, None]
     wi = np.linspace(-30.0, 30.0, 37)[None, :]
-    fa = jsa_multiplexed(MultiplexedSpectrum(params=P, pairs=(a,)), ws, wi)
-    fb = jsa_multiplexed(MultiplexedSpectrum(params=P, pairs=(b,)), ws, wi)
-    fab = jsa_multiplexed(MultiplexedSpectrum(params=P, pairs=(a, b)), ws, wi)
-    np.testing.assert_array_equal(fab, fa + fb)
+    # c shares a's ridge, whose samples are computed once for both
+    c = PairShift(weight=-0.4j, delta_p=20.0, delta_q=4.0)
+    fa, fb, fc = (jsa_multiplexed(MultiplexedSpectrum(params=P, pairs=(x,)),
+                                  ws, wi) for x in (a, b, c))
+    fabc = jsa_multiplexed(MultiplexedSpectrum(params=P, pairs=(a, b, c)),
+                           ws, wi)
+    np.testing.assert_array_equal(fabc, fa + fb + fc)
 
 
 def test_pair_peak_location():
