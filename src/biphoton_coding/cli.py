@@ -40,10 +40,10 @@ from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
                           g2_matrix_ideal_multi, g2_matrix_numeric,
                           g2_numeric, level_summary, matched_decode)
 from .dynamics import DriveParams, compare_dynamics
-from .errors import (BiphotonCodingError, CodeSpaceOverflow, ConfigError,
-                     CycleDetected, DegenerateMatrix, GridTooLarge,
-                     NotConverged, NotPowerOfTwo, OddM, StepFailure,
-                     UnderResolvedGrid)
+from .errors import (BinOverlap, BiphotonCodingError, CodeSpaceOverflow,
+                     ConfigError, CycleDetected, DegenerateMatrix,
+                     GridTooLarge, NotConverged, NotPowerOfTwo, OddM,
+                     StepFailure, UnderResolvedGrid)
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
@@ -292,11 +292,6 @@ def _grid_comment(name: str, g: FrequencyGrid) -> str:
     return f"{name} = {g.min:.12g},{g.max:.12g},{g.points}"
 
 
-def _contrast_payload(report) -> dict:
-    return {k: (None if v is None else float(v))
-            for k, v in report.as_dict().items()}
-
-
 def _warned(fn, *args, **kwargs):
     """fn(*args, **kwargs) and the messages of every warning it raised."""
     with warnings.catch_warnings(record=True) as caught:
@@ -382,7 +377,7 @@ def _cmd_codes(sec, meta, outdir: Path, label: str) -> int:
         "n": code.n,
         "h": cspec.h if cspec.kind == "linear-h" else None,
         "orthogonal_column_pairs": orthogonal_pairs,
-        "ideal_contrast": _contrast_payload(report),
+        "ideal_contrast": report.as_dict(),
     })
     return 0
 
@@ -414,7 +409,8 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
             grid_s = _parse_fields(gsec, FrequencyGrid, "signal_grid")
             grid_i = _parse_fields(isec, FrequencyGrid, "idler_grid")
         spec = MultiplexedSpectrum.comb(code.n, delta, params)
-        with _config_errors("grids", UnderResolvedGrid):
+        with _config_errors("grids", UnderResolvedGrid), \
+                _config_errors("bin_width", BinOverlap):
             matrix = g2_matrix_numeric(spec, code, bin_width, grid_s,
                                        grid_i, acceptance)
         comments = [f"numeric path, delta = {delta:.12g}, "
@@ -429,10 +425,10 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
 
     _write_csv(outdir / f"{label}_g2.csv", meta,
                comments + ["rows = encode index, columns = decode index"],
-               None, matrix.values)
+               None, matrix)
     _write_json(outdir / f"{label}_contrast.json", meta, {
         "mode": mode, "n": code.n,
-        "contrast": _contrast_payload(report),
+        "contrast": report.as_dict(),
     })
     return 0
 
@@ -505,7 +501,7 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
         _write_csv(outdir / f"{label}_g2.csv", meta,
                    ["rows = encode index, columns = decode index, "
                     "mixed-radix digits give per-channel codewords"],
-                   None, matrix.values)
+                   None, matrix)
 
     _write_json(outdir / f"{label}_contrast.json", meta, {
         "r": r, "m": m, "dimension": d,
@@ -513,7 +509,7 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
         "layout": info,
         "n_levels": len(levels),
         "matrix_emitted": d <= LEVEL_THRESHOLD,
-        "contrast": _contrast_payload(report),
+        "contrast": report.as_dict(),
         "warnings": caught,
     })
     return 0

@@ -15,6 +15,7 @@ leakage enter only through the numeric path; the two paths agree when
 bins are wide compared with both the Gaussian mode width and the
 Lorentzian linewidth.
 
+Both paths return plain ndarrays indexed (encode index, decode index).
 A single channel is the R = 1 case of the M^R multi-channel code space.
 One contrast routine serves full matrices and level_summary tables alike:
 it reads only the extrema of each matched-channel class k = 0..R.
@@ -62,32 +63,6 @@ class BinnedDecode:
     signal_weights: dict
     idler_weights: dict
     bin_spacing: float
-
-
-@dataclass(frozen=True)
-class CodingAssignment:
-    """Per-pair encode/decode weights, plus optional factorized decoding.
-
-    encode/decode of None mean all-ones (uncoded / all-pass).  When
-    channel_map is set (a BinnedDecode), the per-pair decode vector is
-    ignored and the masks come from the factorized bin weights instead.
-    """
-
-    encode: np.ndarray | None = None
-    decode: np.ndarray | None = None
-    channel_map: BinnedDecode | None = None
-
-
-@dataclass(frozen=True)
-class G2Matrix:
-    """Nonnegative correlation values indexed (encode index, decode index)."""
-
-    values: np.ndarray
-    kind: str = "ideal"
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -191,7 +166,7 @@ def _pair_weights(weights, n: int, what: str) -> np.ndarray:
     return w
 
 
-def g2_matrix_ideal(code: CodeMatrix, prefactor: float = 1.0) -> G2Matrix:
+def g2_matrix_ideal(code: CodeMatrix, prefactor: float = 1.0) -> np.ndarray:
     """Ideal N x N correlation matrix over (encode column, decode column).
 
     The R = 1 case of g2_matrix_ideal_multi: entry (i, j) uses codeword i
@@ -211,25 +186,6 @@ def _lambda_norm(r: int, m: int, normalization: str) -> float:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def g2_ideal_multi(encodes, decodes, prefactor: float = 1.0,
-                   normalization: str = "global") -> float:
-    """Closed-form g2 for R channels of M pairs each.
-
-    encodes and decodes are (R, M) arrays of per-channel weights; the
-    value is prefactor * lam * sum_r |sum_m H^e_rm H^d_rm|^2 with lam the
-    chosen pair-weight normalization.
-    """
-    enc = np.asarray(encodes, dtype=complex)
-    dec = np.asarray(decodes, dtype=complex)
-    if enc.ndim != 2 or enc.shape != dec.shape:
-        raise ChannelShapeMismatch(
-            f"encode/decode shapes differ: {enc.shape} vs {dec.shape}")
-    r, m = enc.shape
-    lam = _lambda_norm(r, m, normalization)
-    per_channel = np.abs(np.sum(enc * dec, axis=1)) ** 2
-    return float(prefactor * lam * np.sum(per_channel))
-
-
 def codeword_digits(index: int, r: int, m: int) -> tuple:
     """Mixed-radix decomposition of a code-space index into per-channel
     codeword choices (channel 1 most significant), all 0-based."""
@@ -247,11 +203,13 @@ def _digit_array(r: int, m: int) -> np.ndarray:
 
 def g2_matrix_ideal_multi(code: CodeMatrix, r_channels: int,
                           prefactor: float = 1.0,
-                          normalization: str = "global") -> G2Matrix:
+                          normalization: str = "global") -> np.ndarray:
     """Ideal correlation matrix over the full M^R code space.
 
     Every channel draws from the same order-M codebook; index digits give
-    the per-channel choices (see codeword_digits).
+    the per-channel choices (see codeword_digits).  Entry (i, j) is
+    prefactor * lam * sum_r |<col_{j_r}, col_{i_r}>|^2, with lam the
+    pair-weight normalization of _lambda_norm.
     """
     m = code.n
     d = m ** r_channels
@@ -260,7 +218,7 @@ def g2_matrix_ideal_multi(code: CodeMatrix, r_channels: int,
     values = np.zeros((d, d))
     for digits in _digit_array(r_channels, m).T:
         values += p[digits[None, :], digits[:, None]]
-    return G2Matrix(values=prefactor * lam * values, kind="ideal")
+    return prefactor * lam * values
 
 
 @dataclass(frozen=True)
@@ -344,10 +302,13 @@ def _contrast_report(values, matched, r: int) -> ContrastReport:
         g2_max=g_max, g2_min=g_min, g2_od=g_od, c_non=c_non)
 
 
-def contrasts(matrix: G2Matrix, r_channels: int = 1) -> ContrastReport:
-    """Visibility and contrast metrics of a correlation matrix over an
-    M^R code space (M inferred from the dimension D = M**R)."""
-    d = matrix.dimension
+def contrasts(values, r_channels: int = 1) -> ContrastReport:
+    """Visibility and contrast metrics of a square correlation matrix over
+    an M^R code space (M inferred from the dimension D = M**R)."""
+    values = np.asarray(values)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {values.shape}")
+    d = len(values)
     m = round(d ** (1.0 / max(r_channels, 1)))
     if r_channels < 1 or m ** r_channels != d:
         raise ValueError(f"dimension {d} is not M**R for R = {r_channels}")
@@ -355,7 +316,7 @@ def contrasts(matrix: G2Matrix, r_channels: int = 1) -> ContrastReport:
     matched = np.zeros((d, d), dtype=np.uint8)
     for digits in _digit_array(r_channels, m).T:
         matched += digits[:, None] == digits[None, :]
-    return _contrast_report(matrix.values, matched, r_channels)
+    return _contrast_report(values, matched, r_channels)
 
 
 def contrasts_from_levels(levels, r_channels: int) -> ContrastReport:
@@ -494,31 +455,34 @@ def _numeric_cells(spec: MultiplexedSpectrum, masks_s, amps, masks_i,
     return ideal_ref * power[:-1, :-1] / power[-1, -1]
 
 
-def g2_numeric(spec: MultiplexedSpectrum, assign: CodingAssignment,
-               bin_width: float, grid_s: FrequencyGrid,
-               grid_i: FrequencyGrid, acceptance_scale: float = 3.0) -> float:
+def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
+               grid_s: FrequencyGrid, grid_i: FrequencyGrid, *,
+               encode=None, decode=None,
+               channel_map: BinnedDecode | None = None,
+               acceptance_scale: float = 3.0) -> float:
     """g2(0) through the frequency-bin numeric path.
 
-    Single channel: the encode weights become signal-axis bins centered
-    on each pair's signal frequency and the decode weights become idler
-    bins at delta_p, so both coding stages act imperfectly once the bins
-    stop being wide against the mode profiles.  With a channel_map the
-    decoder is the factorized bin assignment and the encode weights stay
-    exact per-pair amplitudes (applied at the source, before
-    multiplexing).  The scale is calibrated against the all-ones cell so
-    the result is directly comparable to the ideal path.
+    encode/decode are per-pair weights; None means all ones (uncoded /
+    all-pass).  Single channel: the encode weights become signal-axis bins
+    centered on each pair's signal frequency and the decode weights become
+    idler bins at delta_p, so both coding stages act imperfectly once the
+    bins stop being wide against the mode profiles.  With a channel_map
+    the decoder is the factorized bin assignment (decode is ignored) and
+    the encode weights stay exact per-pair amplitudes (applied at the
+    source, before multiplexing).  The scale is calibrated against the
+    all-ones cell so the result is directly comparable to the ideal path.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     n = spec.n_pairs
-    encode = _pair_weights(assign.encode, n, "encode")
-    if assign.channel_map is not None:
-        cm = assign.channel_map
-        masks_s = _binned_masks(cm.signal_weights, cm.bin_spacing, grid_s)
-        masks_i = _binned_masks(cm.idler_weights, cm.bin_spacing, grid_i)
+    encode = _pair_weights(encode, n, "encode")
+    if channel_map is not None:
+        spacing = channel_map.bin_spacing
+        masks_s = _binned_masks(channel_map.signal_weights, spacing, grid_s)
+        masks_i = _binned_masks(channel_map.idler_weights, spacing, grid_i)
         amps = [encode]
     else:
-        decode = _pair_weights(assign.decode, n, "decode")
+        decode = _pair_weights(decode, n, "decode")
         masks_s = _bin_masks([p.signal_center for p in spec.pairs], [encode],
                              bin_width, grid_s)
         masks_i = _bin_masks([p.delta_p for p in spec.pairs], [decode],
@@ -531,7 +495,7 @@ def g2_numeric(spec: MultiplexedSpectrum, assign: CodingAssignment,
 def g2_matrix_numeric(spec: MultiplexedSpectrum, code: CodeMatrix,
                       bin_width: float, grid_s: FrequencyGrid,
                       grid_i: FrequencyGrid,
-                      acceptance_scale: float = 3.0) -> G2Matrix:
+                      acceptance_scale: float = 3.0) -> np.ndarray:
     """Numeric correlation matrix over (encode column, decode column)."""
     n = code.n
     if spec.n_pairs != n:
@@ -543,6 +507,5 @@ def g2_matrix_numeric(spec: MultiplexedSpectrum, code: CodeMatrix,
                          bin_width, grid_s)
     masks_i = _bin_masks([p.delta_p for p in spec.pairs],
                          [matched_decode(c) for c in cols], bin_width, grid_i)
-    values = _numeric_cells(spec, masks_s, np.ones((n, n)), masks_i, grid_s,
-                            grid_i, acceptance_scale)
-    return G2Matrix(values=values, kind="numeric")
+    return _numeric_cells(spec, masks_s, np.ones((n, n)), masks_i, grid_s,
+                          grid_i, acceptance_scale)

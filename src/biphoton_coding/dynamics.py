@@ -64,15 +64,22 @@ _P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
+# error-per-step tolerances; C and D are 1e-8 to 1e-15, so an atol near
+# them would hide them from the step control
+_RTOL = 1e-8
+_ATOL = 1e-16
+
+
 class DenseOutput:
     """The continuous extension of every accepted step; called with an
     array of times in [ts[0], ts[-1]], returns the states, shape
-    (n_state, len(t))."""
+    (n_state, len(t)).  nfev counts the right-hand-side calls made."""
 
-    def __init__(self, ts, ys, qs):
+    def __init__(self, ts, ys, qs, nfev):
         self.ts = ts        # step boundaries
         self._ys = ys       # state at each step start, (n_steps, n_state)
         self._qs = qs       # h K^T _P of each step, (n_steps, 4, n_state)
+        self.nfev = nfev
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -84,46 +91,25 @@ class DenseOutput:
                 + np.einsum("kj,kjn->kn", powers, self._qs[k])).T
 
 
-@dataclass(frozen=True)
-class OdeResult:
-    """States at t_eval (y, shape (n_state, len(t))), the dense output sol
-    and the number of right-hand-side calls.  The names follow
-    scipy.integrate.solve_ivp's result, which this replaces: success is
-    always True, because a failed step raises StepFailure."""
-
-    t: np.ndarray
-    y: np.ndarray
-    sol: DenseOutput
-    nfev: int
-    success: bool = True
-    message: str = "reached the end of the interval"
-
-
 def _rms(x) -> float:
     return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
 
-# The positional (fun, t_span, y0) call and the result's t, y, sol, nfev,
-# success and message are scipy.integrate.solve_ivp's: bench/tracer.py
-# wraps dynamics.solve_ivp by name and reads len(args[2]) and .nfev.
-def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-8, atol=1e-16) -> OdeResult:
+# bench/tracer.py wraps dynamics.solve_ivp by name and reads len(args[2])
+# and the result's .nfev
+def solve_ivp(fun, t_span, y0) -> DenseOutput:
     """Integrate y' = fun(t, y) over t_span by Dormand-Prince 5(4) with
-    error-per-step control, and return the states at t_eval (strictly
-    increasing, inside t_span).  Raises StepFailure when the step size
-    falls to rounding level, as it does approaching a singularity."""
+    error-per-step control at rtol _RTOL and atol _ATOL, and return the
+    dense output.  Raises StepFailure when the step size falls to rounding
+    level, as it does approaching a singularity."""
     t, t_end = map(float, t_span)
-    t_eval = np.asarray(t_eval, dtype=float)
     if not t < t_end:
         raise ValueError("the integration interval must be increasing")
-    if np.any(np.diff(t_eval) <= 0):
-        raise ValueError("evaluation times must be strictly increasing")
-    if t_eval.min() < t or t_eval.max() > t_end:
-        raise ValueError("evaluation times must lie inside the interval")
     y = np.array(y0)
     f = fun(t, y)
     # initial step (Hairer, Norsett & Wanner II.4): a small Euler probe
     # sizes h so that the local error lands near the tolerance
-    scale = atol + rtol * np.abs(y)
+    scale = _ATOL + _RTOL * np.abs(y)
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1, t_end - t)
     d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
@@ -146,7 +132,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-8, atol=1e-16) -> OdeResult:
             y_new = y + h * (_A[6] @ k[:6])
             k[6] = fun(t_new, y_new)
             nfev += 6
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
             err = _rms(h * (_E @ k) / scale)
             if err < 1.0:
                 break
@@ -161,8 +147,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-8, atol=1e-16) -> OdeResult:
         t, y, f = t_new, y_new, k[6].copy()
         growth = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
         h *= min(1.0, growth) if rejected else growth
-    sol = DenseOutput(np.array(ts), np.array(ys), np.array(qs))
-    return OdeResult(t=t_eval, y=sol(t_eval), sol=sol, nfev=nfev)
+    return DenseOutput(np.array(ts), np.array(ys), np.array(qs), nfev)
 
 
 @dataclass(frozen=True)
@@ -263,12 +248,13 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     D_jk = g_i int_{t_start}^{t} e^{i w_ik t'} C_j(t') dt'
 
     Starts 6 tau before the pulse center with eps = 1.  `solve_ivp`
-    (Dormand-Prince 5(4), rtol 1e-8, atol 1e-16) carries eps, A, B and C;
-    each D(t) is a composite Simpson sum of C read from the quartic dense
-    output, on nodes spaced to resolve the fastest oscillation of the
-    integrand.  Returns states at t_eval (default: only t_final), which
-    must be strictly increasing.  Raises GridTooLarge, before integrating,
-    when D would pass spectra.MAX_GRID_BYTES.
+    (Dormand-Prince 5(4), rtol 1e-8, atol 1e-16) carries eps, A, B and C
+    and returns its quartic dense output, which gives the states at t_eval
+    (default: only t_final; strictly increasing, inside [t_start,
+    t_final]).  Each D(t) is a composite Simpson sum of C read from the
+    same dense output, on nodes spaced to resolve the fastest oscillation
+    of the integrand.  Raises GridTooLarge, before integrating, when D
+    would pass spectra.MAX_GRID_BYTES.
     """
     drive.check_weak_drive()
     require_grid_memory(grid_s.points * grid_i.points, "the pair amplitudes D")
@@ -281,6 +267,8 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     if t_eval is None:
         t_eval = [t_final]
     t_eval = np.asarray(t_eval, dtype=float)
+    if np.any(np.diff(t_eval) <= 0):
+        raise ValueError("evaluation times must be strictly increasing")
     if t_eval.min() < t_start or t_eval.max() > t_final:
         raise ValueError(
             f"evaluation times must lie between the start {t_start:.4g} "
@@ -306,7 +294,8 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
 
     y0 = np.zeros(3 + ns, dtype=complex)
     y0[0] = 1.0
-    sol = solve_ivp(rhs, (t_start, float(t_final)), y0, t_eval)
+    sol = solve_ivp(rhs, (t_start, float(t_final)), y0)
+    ys = sol(t_eval)
     # D by composite Simpson (weights 1, 4, 2, ..., 4, 1), one rule per
     # interval between successive times.  The integrand oscillates at up to
     # the sum detuning plus the free frequencies of A, B and C, widened by
@@ -321,7 +310,7 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     block = max(1, MAX_GRID_BYTES // (16 * (len(wi) + 6 * len(y0))))
     d = np.zeros((ns, len(wi)), dtype=complex)
     states, t_prev = [], t_start
-    for k, t in enumerate(sol.t):
+    for k, t in enumerate(t_eval):
         m = 2 * max(1, math.ceil((t - t_prev) / (2.0 * spacing)))
         nodes = np.linspace(t_prev, t, m + 1)
         w = np.ones(m + 1)
@@ -329,14 +318,14 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
         w *= drive.g_i * (t - t_prev) / (3.0 * m)
         for lo in range(0, m + 1, block):
             blk = slice(lo, lo + block)
-            d += sol.sol(nodes[blk])[3:] @ (
+            d += sol(nodes[blk])[3:] @ (
                 w[blk, None] * np.exp(1j * np.outer(nodes[blk], wi)))
-        y = sol.y[:, k]
+        y = ys[:, k]
         states.append(AmplitudeState(
             time=float(t), eps=complex(y[0]), a_amp=complex(y[1]),
             b_amp=complex(y[2]), c_amp=y[3:].copy(), d_amp=d.copy()))
         t_prev = t
-    return DynamicsResult(times=sol.t, states=states)
+    return DynamicsResult(times=t_eval, states=states)
 
 
 def dsi_analytic(drive: DriveParams, domega_s, domega_i):

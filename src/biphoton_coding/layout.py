@@ -52,17 +52,6 @@ class ChannelLayout:
         if len(set(cells)) != len(cells):
             raise ValueError("placement cells must be distinct")
 
-    @property
-    def n_pairs(self) -> int:
-        return self.r * self.m
-
-    def pair_index(self, r: int, m: int, alternate: bool = False) -> int:
-        """1-based pair enumeration: canonical n = (r-1)M + m, or the
-        alternate channel-interleaved rule n = r + (m-1)R."""
-        if alternate:
-            return r + (m - 1) * self.r
-        return (r - 1) * self.m + m
-
     def cell(self, r: int, m: int) -> tuple:
         return self.placement[(r, m)]
 

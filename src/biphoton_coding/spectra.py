@@ -1,10 +1,8 @@
 """Joint spectral amplitudes of cascade-emitted photon pairs.
 
 All frequencies, rates, and shifts are expressed in units of the natural
-linewidth gamma; pulse durations in units of 1/gamma.  A single conversion
-constant (gamma / 2 pi = 6 MHz) is provided for translating results to
-laboratory units at the I/O boundary; nothing inside this package depends
-on it.
+linewidth gamma; pulse durations in units of 1/gamma, inputs and outputs
+alike.
 
 The single-pair amplitude is a Gaussian ridge along the energy-conservation
 axis omega_s + omega_i, its width set by the pulse duration tau, times a
@@ -21,9 +19,6 @@ import numpy as np
 
 from .errors import GridTooLarge, UnderResolvedGrid
 
-# gamma / (2 pi) in MHz; used only when converting outputs to lab units.
-GAMMA_2PI_MHZ = 6.0
-
 _RESOLUTION = 8.0    # grid samples per 1/tau
 _IDLER_SPAN = 20.0   # idler grid half-span around each pair, in gamma3n
 
@@ -39,15 +34,6 @@ def require_grid_memory(n_values: int, what: str):
         raise GridTooLarge(
             f"{what} would take {nbytes / 2 ** 20:.4g} MiB, past the "
             f"{MAX_GRID_BYTES / 2 ** 20:g} MiB budget")
-
-
-def angular_to_mhz(x):
-    """Convert angular frequencies in units of gamma to ordinary MHz."""
-    return np.asarray(x, dtype=float) * GAMMA_2PI_MHZ
-
-
-def mhz_to_angular(x):
-    return np.asarray(x, dtype=float) / GAMMA_2PI_MHZ
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ def test_criterion_01_hadamard_reduction():
     for n in (4, 16):
         matrix = g2_matrix_ideal(ladder_code(n, 1.0))
         rep = contrasts(matrix)
-        off = matrix.values[~np.eye(n, dtype=bool)]
+        off = matrix[~np.eye(n, dtype=bool)]
         worst_off = max(worst_off, float(np.max(np.abs(off))))
         ok &= rep.v == 1.0 and rep.c_od == 1.0
     elapsed = time.time() - t0
@@ -129,11 +129,10 @@ def test_criterion_04_numeric_matches_ideal_when_resolved():
     ideal = g2_matrix_ideal(code, g2_prefactor(n_s, n_i, params.tau))
     # cells below one percent of the peak are held to that floor instead
     # of a relative bound (several ideal cells are exactly zero)
-    floor = 0.01 * ideal.values.max()
-    dev = np.where(ideal.values > floor,
-                   np.abs(numeric.values - ideal.values)
-                   / np.maximum(ideal.values, 1e-300),
-                   np.abs(numeric.values - ideal.values) / floor)
+    floor = 0.01 * ideal.max()
+    dev = np.where(ideal > floor,
+                   np.abs(numeric - ideal) / np.maximum(ideal, 1e-300),
+                   np.abs(numeric - ideal) / floor)
     worst = float(dev.max())
     elapsed = time.time() - t0
     ok = worst < 0.01 and elapsed < 60.0

@@ -326,6 +326,11 @@ def _case(id_, command, body, prefix):
           {**NUMERIC, "delta": -100.0}, "config error: config.delta"),
     _case("numeric-bin-width-negative", "single-channel",
           {**NUMERIC, "bin_width": -5.0}, "config error: config.bin_width"),
+    # bins wider than the pair spacing come from the config, like a delta
+    _case("numeric-bin-overlap", "single-channel",
+          {**NUMERIC, "delta": 100.0, "bin_width": 150.0},
+          "config error: bin_width: coding bins of width 150 overlap at "
+          "center spacing 100"),
     _case("numeric-acceptance-0", "single-channel",
           {**NUMERIC, "acceptance_scale": 0.0},
           "config error: config.acceptance_scale"),
@@ -523,6 +528,34 @@ def test_spelled_out_defaults_match_omitted_keys(tmp_path, command, omitted,
         arts.append({p.name: p.read_text().replace(digest, "<sha>")
                      for p in (tmp_path / name).iterdir()})
     assert arts[0] and arts[0] == arts[1]
+
+
+# the tracer's hooks read the wrapped calls' arguments and results
+# (len(args[2]) and .nfev of the ODE solver, len(levels)); run them on one
+# traced pass of tiny configs so a changed return type fails here
+_TRACED_PASS = """
+import sys
+sys.path.insert(0, {bench!r})
+import tracer
+t = tracer.Tracer()
+traced_main = tracer.install(t)
+for argv in {argvs!r}:
+    assert traced_main(argv) == 0, argv
+c = t.counters
+assert c['dynamics.nfev'] > 0 and c['dynamics.state_size'] == 6, c
+assert c['correlation.levels'] > 0, c
+"""
+
+
+def test_benchmark_tracer_hooks_read_results(tmp_path):
+    argvs = []
+    for command, body in (("dynamics-check", TINY_GRIDS),
+                          ("single-channel", NUMERIC),
+                          ("multi-channel", {"r": 2, "m": 4})):
+        cfg = write_cfg(tmp_path, f"{command}.json", {"label": "t", **body})
+        argvs.append([command, cfg, "--out", str(tmp_path / command)])
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    _fresh_python(_TRACED_PASS.format(bench=bench, argvs=argvs))
 
 
 def _fresh_python(code):

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from biphoton_coding.codes import CodeVectorSpec, alamouti_n, gram, make_c
 from biphoton_coding.correlation import (
     BinnedDecode,
-    CodingAssignment,
-    G2Matrix,
     acceptance_gate,
     codeword_digits,
     coding_bin_mask,
@@ -19,7 +17,6 @@ from biphoton_coding.correlation import (
     contrasts_from_levels,
     convolution,
     convolution_grid,
-    g2_ideal_multi,
     g2_matrix_ideal,
     g2_matrix_ideal_multi,
     g2_matrix_numeric,
@@ -63,23 +60,14 @@ def test_matched_decode_is_conjugation():
     np.testing.assert_array_equal(matched_decode(c), c.conj())
 
 
-def test_ideal_single_matched_uniform():
-    # one channel is the (1, n) case of the multi-channel form
-    ones = np.ones((1, 4))
-    assert g2_ideal_multi(ones, ones, prefactor=2.0) == pytest.approx(8.0)
-    assert g2_ideal_multi(ones, ones) == pytest.approx(4.0)
-    with pytest.raises(ChannelShapeMismatch):
-        g2_ideal_multi(np.ones((1, 3)), ones)
-
-
 def test_ideal_matrix_oracle_values():
     m = g2_matrix_ideal(CODE4)
-    assert m.dimension == 4
-    np.testing.assert_allclose(np.diag(m.values), S4 ** 2 / 4.0, rtol=1e-12)
+    assert m.shape == (4, 4)
+    np.testing.assert_allclose(np.diag(m), S4 ** 2 / 4.0, rtol=1e-12)
     for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
-        assert m.values[i, j] == 0.0 and m.values[j, i] == 0.0
+        assert m[i, j] == 0.0 and m[j, i] == 0.0
     # quasi-orthogonal leakage |2(c1 c4 - c2 c3)|^2 / 4 = (4/9)^2 / 4
-    assert m.values[0, 3] == pytest.approx((4.0 / 9.0) ** 2 / 4.0, rel=1e-12)
+    assert m[0, 3] == pytest.approx((4.0 / 9.0) ** 2 / 4.0, rel=1e-12)
 
 
 def test_ideal_matrix_hadamard_is_diagonal():
@@ -87,7 +75,7 @@ def test_ideal_matrix_hadamard_is_diagonal():
     rep = contrasts(m)
     assert rep.v == pytest.approx(1.0, abs=1e-12)
     assert rep.c_od == pytest.approx(1.0, abs=1e-12)
-    off = m.values[~np.eye(4, dtype=bool)]
+    off = m[~np.eye(4, dtype=bool)]
     assert float(np.max(np.abs(off))) <= 1e-12
 
 
@@ -101,10 +89,10 @@ def test_ideal_matrix_h_inversion_reverses_indices(n, h):
             alamouti_n(make_c(CodeVectorSpec("linear-h", n, h=h)), n))
 
     inverted = matrix(1.0 / h)
-    reversed_ = matrix(h).values[::-1, ::-1] / h ** 4
+    reversed_ = matrix(h)[::-1, ::-1] / h ** 4
     # the structural zeros come out as ~1e-30 rounding noise, so they are
     # compared against the matrix scale rather than entry by entry
-    np.testing.assert_allclose(inverted.values, reversed_, rtol=1e-12,
+    np.testing.assert_allclose(inverted, reversed_, rtol=1e-12,
                                atol=1e-12 * np.abs(reversed_).max())
     a, b = contrasts(inverted), contrasts(matrix(h))
     assert a.v == pytest.approx(b.v, rel=1e-12)
@@ -133,10 +121,14 @@ def test_contrast_scale_invariance():
 
 def test_contrasts_argument_checks():
     with pytest.raises(DegenerateMatrix):
-        contrasts(G2Matrix(values=np.ones((4, 4)), kind="ideal"))
+        contrasts(np.ones((4, 4)))
     # M is inferred from D = M**R; 16 is no integer cube
     with pytest.raises(ValueError):
         contrasts(g2_matrix_ideal_multi(CODE4, 2), r_channels=3)
+    # only a square matrix has a diagonal to match against
+    for values in (np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(ValueError, match="square"):
+            contrasts(values)
 
 
 def test_codeword_digits_mixed_radix():
@@ -151,22 +143,16 @@ def test_codeword_digits_mixed_radix():
 
 def test_multi_matrix_reduces_to_single_channel():
     # the single-channel form already carries the uniform 1/N weight
-    np.testing.assert_allclose(g2_matrix_ideal_multi(CODE4, 1).values,
-                               g2_matrix_ideal(CODE4).values, rtol=1e-13)
-
-
-def test_ideal_multi_shape_check():
-    with pytest.raises(ChannelShapeMismatch):
-        g2_ideal_multi(np.ones((2, 4)), np.ones((4, 2)))
+    np.testing.assert_allclose(g2_matrix_ideal_multi(CODE4, 1),
+                               g2_matrix_ideal(CODE4), rtol=1e-13)
 
 
 def test_normalization_toggle_scales_by_channels():
-    g_glob = g2_ideal_multi(np.ones((2, 4)), np.ones((2, 4)))
-    g_chan = g2_ideal_multi(np.ones((2, 4)), np.ones((2, 4)),
-                            normalization="per_channel")
-    assert g_chan == pytest.approx(2.0 * g_glob, rel=1e-12)
+    g_glob = g2_matrix_ideal_multi(CODE4, 2)
+    g_chan = g2_matrix_ideal_multi(CODE4, 2, normalization="per_channel")
+    np.testing.assert_allclose(g_chan, 2.0 * g_glob, rtol=1e-12)
     with pytest.raises(ValueError):
-        g2_ideal_multi(np.ones((2, 4)), np.ones((2, 4)), normalization="bogus")
+        g2_matrix_ideal_multi(CODE4, 2, normalization="bogus")
 
 
 def test_level_summary_matches_full_matrix():
@@ -180,7 +166,7 @@ def test_level_summary_matches_full_matrix():
         for j in range(m ** r):
             dj = codeword_digits(j, r, m)
             matched = sum(a == b for a, b in zip(di, dj))
-            key = (matched, round(float(matrix.values[i, j]), 9))
+            key = (matched, round(float(matrix[i, j]), 9))
             seen[key] = seen.get(key, 0) + 1
     want = {(lc.matched_channels, round(float(lc.value), 9)): lc.multiplicity
             for lc in levels}
@@ -295,7 +281,7 @@ def comb_grids(n, delta):
 def test_numeric_all_ones_calibration():
     spec = MultiplexedSpectrum.comb(2, 60.0, P)
     gs, gi = comb_grids(2, 60.0)
-    value = g2_numeric(spec, CodingAssignment(), 60.0, gs, gi)
+    value = g2_numeric(spec, 60.0, gs, gi)
     _, n_s = marginal_signal_mode(spec.pairs[0], P, gs)
     _, n_i = marginal_idler_mode(spec.pairs[0], P, gi)
     assert value == pytest.approx(2.0 * g2_prefactor(n_s, n_i, P.tau), rel=1e-12)
@@ -305,11 +291,11 @@ def test_numeric_argument_checks():
     spec = MultiplexedSpectrum.comb(2, 60.0, P)
     gs, gi = comb_grids(2, 60.0)
     with pytest.raises(ValueError):
-        g2_numeric(spec, CodingAssignment(), -1.0, gs, gi)
+        g2_numeric(spec, -1.0, gs, gi)
     with pytest.raises(ChannelShapeMismatch):
-        g2_numeric(spec, CodingAssignment(encode=np.ones(3)), 60.0, gs, gi)
+        g2_numeric(spec, 60.0, gs, gi, encode=np.ones(3))
     with pytest.raises(ChannelShapeMismatch):
-        g2_numeric(spec, CodingAssignment(decode=np.ones(5)), 60.0, gs, gi)
+        g2_numeric(spec, 60.0, gs, gi, decode=np.ones(5))
     code = alamouti_n(np.ones(2), 2)
     with pytest.raises(ValueError):
         g2_matrix_numeric(spec, code, 0.0, gs, gi)
@@ -335,21 +321,19 @@ def test_numeric_matrix_tracks_ideal_two_pairs():
     _, n_s = marginal_signal_mode(spec.pairs[0], P, gs)
     _, n_i = marginal_idler_mode(spec.pairs[0], P, gi)
     ideal = g2_matrix_ideal(code, g2_prefactor(n_s, n_i, P.tau))
-    peak = ideal.values.max()
+    peak = ideal.max()
     for i in range(2):
         for j in range(2):
             if i == j:
-                assert num.values[i, j] == pytest.approx(ideal.values[i, j],
-                                                         rel=0.01)
+                assert num[i, j] == pytest.approx(ideal[i, j], rel=0.01)
             else:
-                assert abs(num.values[i, j] - ideal.values[i, j]) < 0.01 * peak
-    assert num.kind == "numeric"
+                assert abs(num[i, j] - ideal[i, j]) < 0.01 * peak
 
 
 def multi_channel_cells():
     """Staircase (2, 2) design with the n = 2 amplitude ladder: spectrum,
     grids, closed-form matrix, and the matched, half-matched and fully
-    mismatched (encode index, decode index, assignment) cells."""
+    mismatched (encode index, decode index, g2_numeric weights) cells."""
     layout = staircase(2, 2, bin_width=100.0)
     code = alamouti_n(make_c(CodeVectorSpec("linear-h", 2, h=2.0)), 2)
     pairs = tuple(layout.pair_shift(r, m)
@@ -372,7 +356,7 @@ def multi_channel_cells():
         bd = BinnedDecode(signal_weights=sw, idler_weights=iw,
                           bin_spacing=100.0)
         cells.append((enc_idx, dec_idx,
-                      CodingAssignment(encode=enc, channel_map=bd)))
+                      {"encode": enc, "channel_map": bd}))
     return spec, gs, gi, ideal, cells
 
 
@@ -380,11 +364,11 @@ def test_numeric_multi_channel_cells():
     """The factorized bin decoder reproduces matched, half-matched, and
     fully mismatched closed-form levels."""
     spec, gs, gi, ideal, cells = multi_channel_cells()
-    for enc_idx, dec_idx, assign in cells:
-        got = g2_numeric(spec, assign, 100.0, gs, gi)
-        want = ideal.values[enc_idx, dec_idx]
-        assert abs(got - want) < 0.02 * ideal.values.max()
-        if want > 0.1 * ideal.values.max():
+    for enc_idx, dec_idx, weights in cells:
+        got = g2_numeric(spec, 100.0, gs, gi, **weights)
+        want = ideal[enc_idx, dec_idx]
+        assert abs(got - want) < 0.02 * ideal.max()
+        if want > 0.1 * ideal.max():
             assert got == pytest.approx(want, rel=0.02)
 
 
@@ -405,16 +389,17 @@ def reference_numerator(spec, encode, mask_s, mask_i, gs, gi, gate):
     return float(gs.spacing * np.sum(gate * np.abs(f_sum) ** 2))
 
 
-def reference_g2(spec, assign, bin_width, gs, gi, acceptance_scale=3.0):
+def reference_g2(spec, bin_width, gs, gi, acceptance_scale=3.0, *,
+                 encode=None, decode=None, channel_map=None):
     """Per-cell numeric g2: masks, gate and the all-ones reference cell are
     rebuilt for every call, and every pair is convolved directly.  Kept as
     the independent oracle for the batched FFT engine."""
     n = spec.n_pairs
     ones = np.ones(n, complex)
-    encode = ones if assign.encode is None else assign.encode
+    encode = ones if encode is None else encode
     gate = acceptance_gate(convolution_grid(gs, gi), spec, acceptance_scale)
-    if assign.channel_map is not None:
-        cm = assign.channel_map
+    if channel_map is not None:
+        cm = channel_map
 
         def binned(weights, grid, ref):
             ks = sorted(weights)
@@ -431,7 +416,7 @@ def reference_g2(spec, assign, bin_width, gs, gi, acceptance_scale=3.0):
                                   binned(cm.idler_weights, gi, True),
                                   gs, gi, gate)
     else:
-        decode = ones if assign.decode is None else assign.decode
+        decode = ones if decode is None else decode
         sig = [p.signal_center for p in spec.pairs]
         idl = [p.delta_p for p in spec.pairs]
         num = reference_numerator(
@@ -458,14 +443,14 @@ def test_batched_engine_matches_per_cell_reference(n, kind, delta):
     code = alamouti_n(c, n)
     spec = MultiplexedSpectrum.comb(n, delta, P)
     gs, gi = comb_grids(n, delta)
-    matrix = g2_matrix_numeric(spec, code, delta, gs, gi).values
+    matrix = g2_matrix_numeric(spec, code, delta, gs, gi)
     for i in range(n):
         for j in range(n):
-            assign = CodingAssignment(encode=code.column(i),
-                                      decode=matched_decode(code.column(j)))
-            want = reference_g2(spec, assign, delta, gs, gi)
+            weights = {"encode": code.column(i),
+                       "decode": matched_decode(code.column(j))}
+            want = reference_g2(spec, delta, gs, gi, **weights)
             assert matrix[i, j] == pytest.approx(want, rel=ENGINE_RTOL)
-            got = g2_numeric(spec, assign, delta, gs, gi)
+            got = g2_numeric(spec, delta, gs, gi, **weights)
             assert got == pytest.approx(want, rel=ENGINE_RTOL)
 
 
@@ -477,19 +462,20 @@ def test_batched_engine_matches_reference_with_pair_weights_and_ridges():
     spec = MultiplexedSpectrum(params=P, pairs=pairs)
     gs = FrequencyGrid(-110.0, 170.0, 1121)
     gi = FrequencyGrid(-165.0, 165.0, 1321)
-    assign = CodingAssignment(encode=np.array([1.0, -0.5 + 0.5j, 0.3j]),
-                              decode=np.array([0.2, 1.0j, -1.0]))
+    weights = {"encode": np.array([1.0, -0.5 + 0.5j, 0.3j]),
+               "decode": np.array([0.2, 1.0j, -1.0])}
     for scale in (3.0, math.inf):
-        want = reference_g2(spec, assign, 60.0, gs, gi, scale)
-        got = g2_numeric(spec, assign, 60.0, gs, gi, scale)
+        want = reference_g2(spec, 60.0, gs, gi, scale, **weights)
+        got = g2_numeric(spec, 60.0, gs, gi, acceptance_scale=scale,
+                         **weights)
         assert got == pytest.approx(want, rel=ENGINE_RTOL)
 
 
 def test_batched_engine_matches_reference_on_channel_map_cells():
     spec, gs, gi, _, cells = multi_channel_cells()
-    for _, _, assign in cells:
-        want = reference_g2(spec, assign, 100.0, gs, gi)
-        got = g2_numeric(spec, assign, 100.0, gs, gi)
+    for _, _, weights in cells:
+        want = reference_g2(spec, 100.0, gs, gi, **weights)
+        got = g2_numeric(spec, 100.0, gs, gi, **weights)
         assert got == pytest.approx(want, rel=ENGINE_RTOL)
 
 

@@ -19,7 +19,7 @@ def test_staircase_placement():
     assert lay.placement[(1, 4)] == (4, -4)
     assert lay.placement[(2, 1)] == (1, 0)
     assert lay.placement[(2, 4)] == (4, -3)
-    assert lay.n_pairs == 8
+    assert len(lay.placement) == 8
     assert lay.delta_r == (0.0, -100.0)  # one ridge per channel
 
 
@@ -33,13 +33,6 @@ def test_staircase_channels_share_one_antidiagonal():
 def test_staircase_rejects_odd_m():
     with pytest.raises(OddM):
         staircase(2, 3)
-
-
-def test_pair_index_orderings():
-    lay = staircase(2, 4)
-    assert lay.pair_index(1, 1) == 1
-    assert lay.pair_index(2, 3) == 7          # channel-major
-    assert lay.pair_index(2, 3, alternate=True) == 6  # cell-major
 
 
 def test_pair_shift_arithmetic():

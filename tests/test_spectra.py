@@ -1,4 +1,4 @@
-"""Joint spectral amplitude, marginals, grids, and unit helpers."""
+"""Joint spectral amplitude, marginals and grids."""
 
 import dataclasses
 import math
@@ -13,14 +13,12 @@ from biphoton_coding.spectra import (
     MultiplexedSpectrum,
     PairShift,
     PhysicalParams,
-    angular_to_mhz,
     gaussian_envelope,
     jsa_multiplexed,
     jsa_single,
     lorentzian_factor,
     marginal_idler_mode,
     marginal_signal_mode,
-    mhz_to_angular,
 )
 
 P = PhysicalParams()  # gamma3n = 5, tau = 0.5, unit coupling
@@ -151,11 +149,6 @@ def test_grid_validation():
         FrequencyGrid(1.0, -1.0, 10)
     with pytest.raises(ValueError):
         FrequencyGrid(-1.0, 1.0, 1)
-
-
-def test_unit_conversion_roundtrip():
-    assert angular_to_mhz(1.0) == pytest.approx(6.0, rel=1e-12)
-    assert mhz_to_angular(angular_to_mhz(3.7)) == pytest.approx(3.7, rel=1e-12)
 
 
 def test_signal_marginal_norm_and_center():
