@@ -337,13 +337,12 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
     params = _parse_fields(sec.subsection("params"), PhysicalParams, "params")
     spec = _parse_spectrum(sec, params)
     grid_s, grid_i = _parse_grids(sec)
-    n_modes = sec.take("n_modes", _int, None)
     sec.close()
 
-    # n_modes < 1, an all-zero spectrum, or a grid too coarse or too large
+    # an all-zero spectrum, or a grid too coarse or too large
     with _config_errors("schmidt",
                         (ValueError, UnderResolvedGrid, GridTooLarge)):
-        d, caught = _warned(decompose, spec, grid_s, grid_i, n_modes=n_modes)
+        d, caught = _warned(decompose, spec, grid_s, grid_i)
 
     _write_csv(outdir / f"{label}_lambdas.csv", meta, [],
                ["index", "lambda"],
@@ -409,7 +408,7 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
             grid_s = _parse_fields(gsec, FrequencyGrid, "signal_grid")
             grid_i = _parse_fields(isec, FrequencyGrid, "idler_grid")
         spec = MultiplexedSpectrum.comb(code.n, delta, params)
-        with _config_errors("grids", UnderResolvedGrid), \
+        with _config_errors("grids", (UnderResolvedGrid, GridTooLarge)), \
                 _config_errors("bin_width", BinOverlap):
             matrix = g2_matrix_numeric(spec, code, bin_width, grid_s,
                                        grid_i, acceptance)
@@ -459,8 +458,9 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
         def matrix_at(delta):
             grid_s, grid_i = comb_grids(n, delta, params)
             spec = MultiplexedSpectrum.comb(n, delta, params)
-            return g2_matrix_numeric(spec, code, delta, grid_s, grid_i,
-                                     acceptance)
+            with _config_errors("grids", GridTooLarge):
+                return g2_matrix_numeric(spec, code, delta, grid_s, grid_i,
+                                         acceptance)
 
     reports = [contrasts(matrix_at(v)) for v in values]
     _write_csv(outdir / f"{label}_sweep.csv", meta,

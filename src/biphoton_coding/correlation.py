@@ -40,7 +40,8 @@ from .errors import (BinOverlap, ChannelShapeMismatch, CodeSpaceOverflow,
                      DegenerateMatrix, UnderResolvedGrid)
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PhysicalParams,
                       gaussian_envelope, lorentzian_factor,
-                      marginal_idler_mode, marginal_signal_mode)
+                      marginal_idler_mode, marginal_signal_mode,
+                      require_grid_memory)
 
 
 def matched_decode(codeword) -> np.ndarray:
@@ -88,7 +89,7 @@ def g2_prefactor(n_s: float, n_i: float, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# convolution and sum-frequency amplitudes
+# convolution and the pair kernel
 # ---------------------------------------------------------------------------
 
 def _matched_spacing(grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> float:
@@ -113,45 +114,31 @@ def convolution(signal_mode, idler_mode, spacing: float) -> np.ndarray:
                                  np.asarray(idler_mode, dtype=complex))
 
 
-def sum_frequency_amplitude(samples, grid_s: FrequencyGrid,
-                            grid_i: FrequencyGrid) -> np.ndarray:
-    """Anti-diagonal quadrature F(omega) = int f(w, omega - w) dw of a
-    sampled joint amplitude, on convolution_grid(grid_s, grid_i)."""
-    f = np.asarray(samples, dtype=complex)
-    if f.shape != (grid_s.points, grid_i.points):
-        raise ValueError("sample matrix shape does not match the grids")
-    spacing = _matched_spacing(grid_s, grid_i)
-    out = np.zeros(grid_s.points + grid_i.points - 1, dtype=complex)
-    for j in range(grid_s.points):
-        out[j:j + grid_i.points] += f[j, :]
-    return spacing * out
-
-
 def pair_correlation_kernel(pair, params: PhysicalParams,
                             grid_s: FrequencyGrid, grid_i: FrequencyGrid):
     """Joint correlation kernel of one pair on the sum-frequency axis.
 
     Integrates the pair amplitude along anti-diagonals and divides by the
-    idler line integral and by the marginal norms N_s N_i.  Because the
-    Gaussian ridge is constant along each anti-diagonal, the result is
+    idler line integral and by the marginal norms N_s N_i.  The Gaussian
+    ridge depends on omega_s + omega_i alone, so each anti-diagonal sum is
+    the ridge at that sum times a partial sum of the idler Lorentzian:
+    the convolution of the Lorentzian with N_s ones.  The result is
     (1 / (N_s N_i)) exp(-(omega + delta_q)^2 tau^2 / 8) up to the slow
-    omega-dependence of the truncated Lorentzian line integral; wide grids
-    push that residual well below one percent.
+    omega-dependence of that truncated line integral; wide grids push the
+    residual well below one percent.
 
     Returns (grid_out, kernel).
     """
     spacing = _matched_spacing(grid_s, grid_i)
     _, n_s = marginal_signal_mode(pair, params, grid_s)
     _, n_i = marginal_idler_mode(pair, params, grid_i)
-
-    gauss = gaussian_envelope(params, grid_s.omegas[:, None]
-                              + grid_i.omegas[None, :], pair.delta_q)
+    grid_out = convolution_grid(grid_s, grid_i)
     lor = lorentzian_factor(params, grid_i.omegas, pair.delta_p)
-    f = pair.weight * gauss * lor[None, :]
-
     line_integral = spacing * np.sum(lor)
-    kernel = sum_frequency_amplitude(f, grid_s, grid_i) / (n_s * n_i * line_integral)
-    return convolution_grid(grid_s, grid_i), kernel
+    kernel = pair.weight \
+        * gaussian_envelope(params, grid_out.omegas, pair.delta_q) \
+        * convolution(np.ones(grid_s.points), lor, spacing)
+    return grid_out, kernel / (n_s * n_i * line_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +390,13 @@ def _gated_power(amps, masks_s, masks_i, psi, phi, gate,
     marginal (signal ones times their amplitudes) takes one zero-padded
     FFT, the pair sum is one contraction per signal mask, and one signal
     row of F is transformed back at a time, so memory stays
-    O(masks * pairs * fft length).
+    O(masks * pairs * fft length).  Raises GridTooLarge, before the FFTs,
+    when the two transformed tensors would pass spectra.MAX_GRID_BYTES.
     """
     n_out = psi.shape[1] + phi.shape[1] - 1
     nfft = _next_fast_len(n_out)
+    require_grid_memory((len(masks_s) + len(masks_i)) * len(psi) * nfft,
+                        "the numeric g2 FFTs")
     sig = np.fft.fft(amps[:, :, None] * masks_s[:, None, :] * psi, nfft)
     idl = np.fft.fft(masks_i[:, None, :] * phi, nfft)
     rows = (np.fft.ifft(np.einsum("pk,bpk->bk", s, idl))[:, :n_out]

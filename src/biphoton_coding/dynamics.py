@@ -101,7 +101,9 @@ def solve_ivp(fun, t_span, y0) -> DenseOutput:
     """Integrate y' = fun(t, y) over t_span by Dormand-Prince 5(4) with
     error-per-step control at rtol _RTOL and atol _ATOL, and return the
     dense output.  Raises StepFailure when the step size falls to rounding
-    level, as it does approaching a singularity."""
+    level, as it does approaching a singularity, and GridTooLarge as soon
+    as the stored steps (five state-sized arrays each) pass
+    spectra.MAX_GRID_BYTES."""
     t, t_end = map(float, t_span)
     if not t < t_end:
         raise ValueError("the integration interval must be increasing")
@@ -142,6 +144,8 @@ def solve_ivp(fun, t_span, y0) -> DenseOutput:
         ts.append(t_new)
         ys.append(y)
         qs.append(h * (_P.T @ k))
+        require_grid_memory(5 * y.size * len(ys),
+                            f"the solver's dense output at step {len(ys)}")
         # a copy: k[6] is overwritten by the next attempt, and a rejected
         # attempt must restart from this step's end derivative
         t, y, f = t_new, y_new, k[6].copy()
@@ -254,7 +258,8 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     t_final]).  Each D(t) is a composite Simpson sum of C read from the
     same dense output, on nodes spaced to resolve the fastest oscillation
     of the integrand.  Raises GridTooLarge, before integrating, when D
-    would pass spectra.MAX_GRID_BYTES.
+    would pass spectra.MAX_GRID_BYTES, and while integrating when the
+    dense output would (a long window takes many steps).
     """
     drive.check_weak_drive()
     require_grid_memory(grid_s.points * grid_i.points, "the pair amplitudes D")

@@ -12,7 +12,8 @@ class UnderResolvedGrid(BiphotonCodingError):
 
 
 class GridTooLarge(BiphotonCodingError):
-    """A signal x idler array would exceed the memory budget."""
+    """An array (a signal x idler grid, the ODE's dense output, the g2
+    FFTs) would exceed the memory budget."""
 
 
 class BinOverlap(BiphotonCodingError):

@@ -12,6 +12,7 @@ freedom while keeping the occupied frequency extent minimal.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -107,22 +108,23 @@ def _ancestry(parent, node):
     return path
 
 
-def _walk(adj):
-    """One DFS over every component: (node sequence, None) for the first
-    cycle found, else (None, node count of each component)."""
+def _walk(adj, starts):
+    """One DFS over each component that holds a node of `starts`, begun
+    at the first such node: per component, the visit order as (node,
+    parent, pair) triples (the root's parent and pair are None).  Raises
+    CycleDetected at the first cycle found."""
     seen = set()
-    sizes = []
-    for start in adj:
+    components = []
+    for start in starts:
         if start in seen:
             continue
-        before = len(seen)
+        order = []
         stack = [(start, None)]
         parent = {start: None}
         while stack:
             node, via = stack.pop()
-            if node in seen:
-                continue
             seen.add(node)
+            order.append((node, parent[node], via))
             for nxt, pair in adj[node]:
                 if pair == via:
                     continue   # don't reuse the edge we arrived on
@@ -134,12 +136,16 @@ def _walk(adj):
                     index_a = {n: i for i, n in enumerate(pa)}
                     j = next(i for i, n in enumerate(pb) if n in index_a)
                     cycle = pa[:index_a[pb[j]]] + list(reversed(pb[:j + 1]))
-                    return cycle, None
+                    raise CycleDetected(
+                        "placement contains a cycle; decode weights cannot "
+                        "factorize: "
+                        + " - ".join(f"{axis}{k}" for axis, k in cycle),
+                        cycle=cycle)
                 if nxt not in parent:
                     parent[nxt] = node
                     stack.append((nxt, pair))
-        sizes.append(len(seen) - before)
-    return None, sizes
+        components.append(order)
+    return components
 
 
 def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
@@ -155,14 +161,10 @@ def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
     20/tau (pair ridges of neighboring channels then overlap spectrally).
     """
     adj, edges = _graph(layout)
-    cycle, sizes = _walk(adj)
-    if cycle is not None:
-        raise CycleDetected(
-            "placement contains a cycle; decode weights cannot factorize: "
-            + " - ".join(f"{axis}{k}" for axis, k in cycle), cycle=cycle)
+    components = _walk(adj, adj)
 
     # forest: dof = one free gauge per connected component
-    n_nodes = sum(sizes)
+    n_nodes = len(adj)
     n_edges = len(edges)
     dof = n_nodes - n_edges
 
@@ -175,7 +177,7 @@ def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
                 f"{20.0 / tau:.4g}; channels will crosstalk", ValidityWarning)
 
     return {"valid": True, "dof": dof, "nodes": n_nodes, "edges": n_edges,
-            "components": len(sizes)}
+            "components": len(components)}
 
 
 def _require_dimension(r: int, m: int):
@@ -195,11 +197,16 @@ def factor_decode(layout: ChannelLayout, per_channel_codewords):
     """Split per-pair decode weights into signal-bin and idler-bin factors.
 
     per_channel_codewords is an (R, M) array whose (r, m) entry is the
-    required product H^d_s(k) * H^d_i(k') for that pair's cell.  The gauge
-    fixes one node per connected component to 1 (its smallest signal bin,
-    matching the single-channel convention H^d_s = 1).  Zero
+    required product H^d_s(k) * H^d_i(k') for that pair's cell.  Zero
     targets are representable only on leaf edges, by zeroing the leaf
-    endpoint; anywhere else they would force whole subtrees to zero.
+    endpoint (the idler end of a bare edge); anywhere else they would
+    force whole subtrees to zero.  The gauge fixes one node per connected
+    component to 1: its smallest signal bin that is not a zero leaf,
+    matching the single-channel convention H^d_s = 1, or its idler hub
+    when zeros take every signal bin.  One walk over the forest then sets
+    each other node to target / parent.  Raises CycleDetected before any
+    zero is judged, and InfeasibleDecode naming a pair whose zero has no
+    leaf end.
 
     Returns (signal_weights, idler_weights) as {bin: complex} dicts.
     """
@@ -208,53 +215,33 @@ def factor_decode(layout: ChannelLayout, per_channel_codewords):
         raise InfeasibleDecode(
             f"expected codeword array of shape {(layout.r, layout.m)}, "
             f"got {targets.shape}")
-    validate(layout)
-
     adj, edges = _graph(layout)
-    degree = {node: len(nbrs) for node, nbrs in adj.items()}
     target_of = {(r, m): targets[r - 1, m - 1] for (r, m) in layout.placement}
 
-    values = {}
-    # zero targets first: only a leaf endpoint may carry the zero
-    for u, v, pair in edges:
-        if target_of[pair] != 0:
-            continue
-        if degree[v] == 1:
-            leaf = v       # prefer zeroing the idler side of a bare edge
-        elif degree[u] == 1:
-            leaf = u
-        else:
-            raise InfeasibleDecode(
-                f"pair {pair} requests decode 0 on a shared cell "
-                f"{layout.placement[pair]}; zeros need a private bin")
-        values[leaf] = 0.0
-
-    # propagate over nonzero edges, one gauge choice per component
-    nonzero_adj = {}
+    values, shared = {}, []
+    # a zero target lands on the edge's leaf end, the idler end of a bare
+    # edge; a zero on an edge with no leaf is refused after the walk
     for u, v, pair in edges:
         if target_of[pair] == 0:
-            continue
-        nonzero_adj.setdefault(u, []).append((v, pair))
-        nonzero_adj.setdefault(v, []).append((u, pair))
+            leaf = v if len(adj[v]) == 1 else u
+            if len(adj[leaf]) == 1:
+                values[leaf] = 0.0
+            else:
+                shared.append(pair)
 
-    # each component's smallest signal bin is its gauge root; every
-    # nonzero edge has a signal end, so every component gets one
-    for root in sorted(n for n in nonzero_adj if n[0] == "s"):
-        if root in values:
-            continue
-        values[root] = 1.0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            for nxt, pair in nonzero_adj[node]:
-                if nxt in values:
-                    continue
-                values[nxt] = target_of[pair] / values[node]
-                stack.append(nxt)
-
-    # any node touched only by zero edges and not yet fixed: free, gauge 1
-    for node in adj:
-        values.setdefault(node, 1.0)
+    # signal bins first, so each component's root is its gauge node
+    starts = sorted((n for n in adj if n not in values),
+                    key=lambda n: (n[0] != "s", n[1]))
+    components = _walk(adj, starts)
+    if shared:
+        raise InfeasibleDecode(
+            f"pair {shared[0]} requests decode 0 on a shared cell "
+            f"{layout.placement[shared[0]]}; zeros need a private bin")
+    for node, parent, pair in itertools.chain(*components):
+        if parent is None:
+            values[node] = 1.0
+        elif target_of[pair] != 0:    # a zero edge's child is its zero leaf
+            values[node] = target_of[pair] / values[parent]
 
     for u, v, pair in edges:
         resid = values[u] * values[v] - target_of[pair]
@@ -262,6 +249,6 @@ def factor_decode(layout: ChannelLayout, per_channel_codewords):
             raise InfeasibleDecode(
                 f"factorization residual {abs(resid):.3e} on pair {pair}")
 
-    signal = {k: values[("s", k)] for (axis, k) in values if axis == "s"}
-    idler = {k: values[("i", k)] for (axis, k) in values if axis == "i"}
+    signal = {k: x for (axis, k), x in values.items() if axis == "s"}
+    idler = {k: x for (axis, k), x in values.items() if axis == "i"}
     return signal, idler

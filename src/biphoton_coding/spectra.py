@@ -22,8 +22,9 @@ from .errors import GridTooLarge, UnderResolvedGrid
 _RESOLUTION = 8.0    # grid samples per 1/tau
 _IDLER_SPAN = 20.0   # idler grid half-span around each pair, in gamma3n
 
-# largest complex array over a signal x idler grid that a run allocates
-# (16 times a 1024 x 1024 amplitude); larger grids are refused up front
+# largest complex array, in bytes, that a run may hold (16 times a
+# 1024 x 1024 amplitude): a JSA, the pair amplitudes D, the solver's dense
+# output or the numeric g2 FFTs; larger ones are refused, not allocated
 MAX_GRID_BYTES = 2 ** 28
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biphoton_coding import correlation
+from biphoton_coding import correlation, spectra
 from biphoton_coding.cli import main
 from biphoton_coding.dynamics import DriveParams
 from biphoton_coding.spectra import PairShift, PhysicalParams
@@ -353,10 +353,12 @@ def _case(id_, command, body, prefix):
           "config error: config.tau"),
     _case("dynamics-t-final-negative", "dynamics-check",
           {"t_final": -10.0, **TINY_GRIDS}, "config error: t_final"),
+    # the CLI writes no mode functions, so there is no mode count to set
     _case("schmidt-n-modes-0", "schmidt", {"n_modes": 0, **SCHMIDT_GRIDS},
-          "config error: schmidt"),
+          "config error: config: unknown keys: n_modes"),
     _case("schmidt-n-modes-negative", "schmidt",
-          {"n_modes": -3, **SCHMIDT_GRIDS}, "config error: schmidt"),
+          {"n_modes": -3, **SCHMIDT_GRIDS},
+          "config error: config: unknown keys: n_modes"),
     # a grid too coarse for the spectrum is a config fault too
     _case("schmidt-coarse-grid", "schmidt",
           {**SCHMIDT_GRIDS,
@@ -373,6 +375,20 @@ def _case(id_, command, body, prefix):
            "signal_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6},
            "idler_grid": {"min": -100.0, "max": 100.0, "points": 10 ** 6}},
           "config error: grids: the joint spectral amplitude would take"),
+    # a long window: the solver's stored steps pass the lowered budget
+    # below (at the real one, t_final 2000 on a 96 x 96 grid passes it at
+    # step 33,894)
+    _case("dynamics-long-window", "dynamics-check",
+          {"t_final": 2000.0, **TINY_GRIDS},
+          "config error: grids: the solver's dense output at step"),
+    # n = 32 on the automatic grids needs two ~433 MiB FFT tensors
+    _case("numeric-n-32", "single-channel",
+          {**NUMERIC, "delta": 100.0,
+           "code": {"kind": "linear-h", "n": 32, "h": 1.0}},
+          "config error: grids: the numeric g2 FFTs would take"),
+    _case("sweep-delta-n-32", "sweep",
+          {"variable": "delta", "values": [100.0], "n": 32},
+          "config error: grids: the numeric g2 FFTs would take"),
     _case("dynamics-huge-grid", "dynamics-check",
           {"signal_grid": {"min": -4.0, "max": 4.0, "points": 10 ** 6},
            "idler_grid": {"min": -4.0, "max": 4.0, "points": 10 ** 6}},
@@ -487,8 +503,11 @@ def _case(id_, command, body, prefix):
 def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
                            prefix):
     # a lowered level bound keeps the enumeration case fast; at the real
-    # bound (10**6) r = 8, m = 16 stops after about 10 s
+    # bound (10**6) r = 8, m = 16 stops after about 10 s.  Likewise the
+    # memory budget, for the long-window case (test_correlation checks
+    # the n = 32 refusal at the real budget)
     monkeypatch.setattr(correlation, "_MAX_LEVELS", 10_000)
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", 2 ** 18)
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "bad.json",
                     {"output_dir": str(out), "label": "bad", **body})

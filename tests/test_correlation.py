@@ -25,12 +25,12 @@ from biphoton_coding.correlation import (
     level_summary,
     matched_decode,
     pair_correlation_kernel,
-    sum_frequency_amplitude,
 )
 from biphoton_coding.errors import (
     BinOverlap,
     ChannelShapeMismatch,
     DegenerateMatrix,
+    GridTooLarge,
     UnderResolvedGrid,
 )
 from biphoton_coding.layout import factor_decode, staircase
@@ -192,22 +192,40 @@ def test_level_contrasts_match_matrix_contrasts(r, h):
         assert rep_l.c_non == pytest.approx(1.0 / (2 * r - 1), abs=1e-9)
 
 
+def _antidiagonal_sum(f, spacing):
+    """Quadrature of each anti-diagonal of a sampled (signal, idler)
+    amplitude: entry n sums f[j, n - j] over every valid j."""
+    out = np.zeros(sum(f.shape) - 1, dtype=complex)
+    for j in range(f.shape[0]):
+        out[j:j + f.shape[1]] += f[j, :]
+    return spacing * out
+
+
 def test_convolution_identities():
     gs = FrequencyGrid(-4.0, 4.0, 33)
     gi = FrequencyGrid(-2.0, 2.0, 17)
     out = convolution_grid(gs, gi)
     assert out.points == 33 + 17 - 1
     assert out.min == -6.0 and out.max == 6.0
-    psi = np.exp(-gs.omegas ** 2) * (1.0 + 0.5j)
-    phi = 1.0 / (1.0 + 1j * gi.omegas)
-    f = psi[:, None] * phi[None, :]
-    np.testing.assert_allclose(sum_frequency_amplitude(f, gs, gi),
-                               convolution(psi, phi, gs.spacing),
-                               rtol=0, atol=1e-12)
-    with pytest.raises(ValueError):
-        sum_frequency_amplitude(f.T, gs, gi)
     with pytest.raises(UnderResolvedGrid):
         convolution_grid(gs, FrequencyGrid(-2.0, 2.0, 18))
+    # the kernel factors the ridge out of each anti-diagonal; summing the
+    # sampled pair amplitude itself must give the same numbers
+    params = PhysicalParams(gamma3n=0.5)   # idler span +-10 suffices
+    gs = FrequencyGrid(-20.0, 20.0, 161)
+    gi = FrequencyGrid(-12.0, 12.0, 97)
+    pair = PairShift(weight=0.6 - 0.8j, delta_p=1.0, delta_q=-3.0)
+    grid_out, kernel = pair_correlation_kernel(pair, params, gs, gi)
+    lor = 1.0 / (params.half_linewidth - 1j * (gi.omegas - pair.delta_p))
+    ridge = np.exp(-((gs.omegas[:, None] + gi.omegas[None, :]
+                      + pair.delta_q) * params.tau) ** 2 / 8.0)
+    _, n_s = marginal_signal_mode(pair, params, gs)
+    _, n_i = marginal_idler_mode(pair, params, gi)
+    want = _antidiagonal_sum(pair.weight * ridge * lor[None, :], gs.spacing) \
+        / (n_s * n_i * gs.spacing * np.sum(lor))
+    assert grid_out == convolution_grid(gs, gi)
+    np.testing.assert_allclose(kernel, want, rtol=0,
+                               atol=1e-12 * float(np.max(np.abs(want))))
 
 
 def test_fft_length_matches_scipy():
@@ -528,6 +546,16 @@ def test_marginal_path_equals_schmidt_reconstruction_path():
             for w, (psi, phi) in zip(weights, modes))
     d = decompose(f, gs, gi, n_modes=4)
     rec = d.norm * reconstruct(d)
-    f2 = sum_frequency_amplitude(mask_s[:, None] * rec * mask_i[None, :],
-                                 gs, gi)
+    f2 = _antidiagonal_sum(mask_s[:, None] * rec * mask_i[None, :],
+                           gs.spacing)
     assert float(np.max(np.abs(f1 - f2))) < 1e-6 * float(np.max(np.abs(f1)))
+
+
+def test_numeric_engine_refuses_ffts_past_the_budget():
+    # two (n + 1) x n x nfft complex tensors: 845.8 MiB at n = 32 on these
+    # grids (delta 100), past the 256 MiB budget; refused before the FFTs
+    code = alamouti_n(make_c(CodeVectorSpec("linear-h", 32, h=1.0)), 32)
+    gs, gi = comb_grids(32, 100.0)
+    spec = MultiplexedSpectrum.comb(32, 100.0, P)
+    with pytest.raises(GridTooLarge, match="g2 FFTs would take 845.8 MiB"):
+        g2_matrix_numeric(spec, code, 100.0, gs, gi)

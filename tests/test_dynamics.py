@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from biphoton_coding import spectra
 from biphoton_coding.dynamics import (
     DriveParams,
     compare_dynamics,
@@ -14,7 +15,8 @@ from biphoton_coding.dynamics import (
     integrate_eom,
     solve_ivp,
 )
-from biphoton_coding.errors import NotConverged, StepFailure, ValidityWarning
+from biphoton_coding.errors import (GridTooLarge, NotConverged, StepFailure,
+                                    ValidityWarning)
 from biphoton_coding.spectra import FrequencyGrid, PhysicalParams, jsa_single
 
 TINY_S = FrequencyGrid(-4.0, 4.0, 3)
@@ -373,3 +375,15 @@ def test_stepper_fails_at_a_singularity():
     # y = 1 / (1 - t) blows up at t = 1: the step shrinks to rounding level
     with pytest.raises(StepFailure):
         solve_ivp(lambda t, y: y ** 2, (0.0, 2.0), np.ones(1))
+
+
+def test_stepper_counts_its_dense_output_against_the_budget(monkeypatch):
+    # a long window keeps every step; each holds five state-sized arrays
+    # (the start state and four interpolation coefficients), here 5 * 100
+    # complex values, so a 1 MiB budget is passed at step 132
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", 2 ** 20)
+    with pytest.raises(GridTooLarge, match="dense output at step 132 "):
+        solve_ivp(lambda t, y: 1j * y, (0.0, 1000.0), np.ones(100, complex))
+    # the same problem over a short window stays inside it
+    assert solve_ivp(lambda t, y: 1j * y, (0.0, 1.0),
+                     np.ones(100, complex)).ts[-1] == 1.0

@@ -112,6 +112,20 @@ def test_factor_decode_zero_on_leaf():
     assert sw[k] * iw[kp] == 0.0
     k2, kp2 = lay.cell(2, 4)
     assert abs(sw[k2] * iw[kp2] - 1.0) < 1e-12
+    # signal bin 1 is a zero leaf, so bin 2, the smallest other signal
+    # bin, carries the component's gauge
+    lay = _layout(1, 4, [(1, -1), (2, -1), (2, -2), (3, -2)])
+    assert factor_decode(lay, [[0.0, 2.0, 3.0j, 6.0j]]) == (
+        {1: 0.0, 2: 1.0, 3: 2.0}, {-1: 2.0, -2: 3.0j})
+    # all-zero stars: zeros take the leaves and the hub is the gauge root,
+    # an idler bin when every signal bin is a zero leaf; a bare edge is a
+    # one-edge star whose idler end takes the zero
+    for cells, want in (
+            ([(1, -1), (2, -1), (3, -1)], ({1: 0, 2: 0, 3: 0}, {-1: 1})),
+            ([(1, -1), (1, -2)], ({1: 1}, {-1: 0, -2: 0})),
+            ([(1, -1)], ({1: 1}, {-1: 0}))):
+        star = _layout(1, len(cells), cells)
+        assert factor_decode(star, np.zeros((1, len(cells)))) == want
 
 
 def test_factor_decode_zero_on_shared_cell_infeasible():
