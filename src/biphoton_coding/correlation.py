@@ -317,6 +317,15 @@ def contrasts_from_levels(levels, r_channels: int) -> ContrastReport:
 # numeric path
 # ---------------------------------------------------------------------------
 
+def _require_disjoint_bins(centers, bin_width: float):
+    """Raise BinOverlap when bins of width bin_width about centers overlap."""
+    gaps = np.diff(np.sort(np.asarray(centers, dtype=float)))
+    if gaps.size and gaps.min() < bin_width * (1.0 - 1e-9):
+        raise BinOverlap(
+            f"coding bins of width {bin_width:.4g} overlap at center "
+            f"spacing {gaps.min():.4g}")
+
+
 def coding_bin_mask(centers, weights, bin_width: float,
                     grid: FrequencyGrid) -> np.ndarray:
     """Piecewise-constant coding mask: one hard bin of width bin_width per
@@ -327,13 +336,8 @@ def coding_bin_mask(centers, weights, bin_width: float,
     grids whose spacing divides bin_width/2.
     """
     centers = np.asarray(centers, dtype=float)
+    _require_disjoint_bins(centers, bin_width)
     w = np.asarray(weights, dtype=complex)
-    order = np.argsort(centers)
-    gaps = np.diff(centers[order])
-    if gaps.size and gaps.min() < bin_width * (1.0 - 1e-9):
-        raise BinOverlap(
-            f"coding bins of width {bin_width:.4g} overlap at center "
-            f"spacing {gaps.min():.4g}")
     mask = np.zeros(grid.points, dtype=complex)
     half = bin_width / 2.0
     eps = 0.25 * grid.spacing
@@ -390,13 +394,10 @@ def _gated_power(amps, masks_s, masks_i, psi, phi, gate,
     marginal (signal ones times their amplitudes) takes one zero-padded
     FFT, the pair sum is one contraction per signal mask, and one signal
     row of F is transformed back at a time, so memory stays
-    O(masks * pairs * fft length).  Raises GridTooLarge, before the FFTs,
-    when the two transformed tensors would pass spectra.MAX_GRID_BYTES.
+    O(masks * pairs * fft length), the size `_numeric_cells` checks.
     """
     n_out = psi.shape[1] + phi.shape[1] - 1
     nfft = _next_fast_len(n_out)
-    require_grid_memory((len(masks_s) + len(masks_i)) * len(psi) * nfft,
-                        "the numeric g2 FFTs")
     sig = np.fft.fft(amps[:, :, None] * masks_s[:, None, :] * psi, nfft)
     idl = np.fft.fft(masks_i[:, None, :] * phi, nfft)
     rows = (np.fft.ifft(np.einsum("pk,bpk->bk", s, idl))[:, :n_out]
@@ -412,24 +413,34 @@ def _bin_masks(centers, weight_rows, bin_width: float,
                      for w in rows])
 
 
-def _binned_masks(weights: dict, spacing: float,
-                  grid: FrequencyGrid) -> np.ndarray:
-    """Factorized-decoder mask on integer bins, then the all-ones reference."""
+def _integer_bins(weights: dict, spacing: float):
+    """Factorized-decoder bins: (centers, weight rows, bin width) on the
+    integer bins of `spacing`."""
     ks = sorted(weights)
-    return _bin_masks([k * spacing for k in ks], [[weights[k] for k in ks]],
-                      spacing, grid)
+    return [k * spacing for k in ks], [[weights[k] for k in ks]], spacing
 
 
-def _numeric_cells(spec: MultiplexedSpectrum, masks_s, amps, masks_i,
+def _numeric_cells(spec: MultiplexedSpectrum, bins_s, amps, bins_i,
                    grid_s: FrequencyGrid, grid_i: FrequencyGrid,
                    acceptance_scale: float) -> np.ndarray:
     """Calibrated g2 of every (signal mask, idler mask) cell.
 
-    The last signal and idler masks are the all-ones reference, whose
-    cell fixes the scale; amps holds the per-pair encode weights of the
-    other signal masks.  Marginals are built once for all cells.
+    bins_s and bins_i are each (centers, weight rows, bin width): every
+    weight row becomes a coding mask, and an all-ones reference mask,
+    whose cell fixes the scale, follows them; amps holds the per-pair
+    encode weights of the signal rows.  Bin overlap and the FFT budget are
+    checked from these sizes before any mask or marginal is built
+    (GridTooLarge past spectra.MAX_GRID_BYTES); marginals are built once
+    for all cells.
     """
     p, n = spec.params, spec.n_pairs
+    for centers, _, width in (bins_s, bins_i):
+        _require_disjoint_bins(centers, width)
+    n_masks = len(bins_s[1]) + len(bins_i[1]) + 2
+    nfft = _next_fast_len(grid_s.points + grid_i.points - 1)
+    require_grid_memory(n_masks * n * nfft, "the numeric g2 FFTs")
+    masks_s = _bin_masks(*bins_s, grid_s)
+    masks_i = _bin_masks(*bins_i, grid_i)
     spacing = _matched_spacing(grid_s, grid_i)
     gate = acceptance_gate(convolution_grid(grid_s, grid_i), spec,
                            acceptance_scale)
@@ -468,17 +479,15 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
     encode = _pair_weights(encode, n, "encode")
     if channel_map is not None:
         spacing = channel_map.bin_spacing
-        masks_s = _binned_masks(channel_map.signal_weights, spacing, grid_s)
-        masks_i = _binned_masks(channel_map.idler_weights, spacing, grid_i)
+        bins_s = _integer_bins(channel_map.signal_weights, spacing)
+        bins_i = _integer_bins(channel_map.idler_weights, spacing)
         amps = [encode]
     else:
         decode = _pair_weights(decode, n, "decode")
-        masks_s = _bin_masks([p.signal_center for p in spec.pairs], [encode],
-                             bin_width, grid_s)
-        masks_i = _bin_masks([p.delta_p for p in spec.pairs], [decode],
-                             bin_width, grid_i)
+        bins_s = ([p.signal_center for p in spec.pairs], [encode], bin_width)
+        bins_i = ([p.delta_p for p in spec.pairs], [decode], bin_width)
         amps = [np.ones(n)]      # weights already live in the signal mask
-    return float(_numeric_cells(spec, masks_s, amps, masks_i, grid_s, grid_i,
+    return float(_numeric_cells(spec, bins_s, amps, bins_i, grid_s, grid_i,
                                 acceptance_scale)[0, 0])
 
 
@@ -493,9 +502,8 @@ def g2_matrix_numeric(spec: MultiplexedSpectrum, code: CodeMatrix,
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     cols = [code.column(i) for i in range(n)]
-    masks_s = _bin_masks([p.signal_center for p in spec.pairs], cols,
-                         bin_width, grid_s)
-    masks_i = _bin_masks([p.delta_p for p in spec.pairs],
-                         [matched_decode(c) for c in cols], bin_width, grid_i)
-    return _numeric_cells(spec, masks_s, np.ones((n, n)), masks_i, grid_s,
+    bins_s = ([p.signal_center for p in spec.pairs], cols, bin_width)
+    bins_i = ([p.delta_p for p in spec.pairs],
+              [matched_decode(c) for c in cols], bin_width)
+    return _numeric_cells(spec, bins_s, np.ones((n, n)), bins_i, grid_s,
                           grid_i, acceptance_scale)

@@ -32,8 +32,6 @@ class SchmidtDecomposition:
     lambdas: np.ndarray
     signal_modes: np.ndarray   # shape (grid_s.points, n_modes)
     idler_modes: np.ndarray    # shape (n_modes, grid_i.points)
-    grid_s: FrequencyGrid
-    grid_i: FrequencyGrid
     norm: float
 
     @property
@@ -104,9 +102,8 @@ def decompose(spec, grid_s: FrequencyGrid, grid_i: FrequencyGrid,
         psi[:, n] /= phase
         phi[n, :] *= phase
 
-    return SchmidtDecomposition(
-        lambdas=lambdas, signal_modes=psi, idler_modes=phi,
-        grid_s=grid_s, grid_i=grid_i, norm=math.sqrt(total))
+    return SchmidtDecomposition(lambdas=lambdas, signal_modes=psi,
+                                idler_modes=phi, norm=math.sqrt(total))
 
 
 def entropy(d: SchmidtDecomposition) -> float:

@@ -595,8 +595,9 @@ def test_light_modules_do_not_import_the_ode_solver():
 
 
 # run in a fresh interpreter where any scipy import raises ImportError:
-# main(argv) must return 0 after `calls` ODE integrations, and nothing may
-# have replaced the blocked entry
+# main(argv) must return 0, `calls` counts its calls of dynamics.solve_ivp
+# (the package's own stepper), and nothing may have replaced the blocked
+# entry
 _RUN_IN_FRESH = """
 import sys
 sys.modules['scipy'] = None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton_coding import correlation, spectra
 from biphoton_coding.codes import CodeVectorSpec, alamouti_n, gram, make_c
 from biphoton_coding.correlation import (
     BinnedDecode,
@@ -559,3 +560,24 @@ def test_numeric_engine_refuses_ffts_past_the_budget():
     spec = MultiplexedSpectrum.comb(32, 100.0, P)
     with pytest.raises(GridTooLarge, match="g2 FFTs would take 845.8 MiB"):
         g2_matrix_numeric(spec, code, 100.0, gs, gi)
+
+
+def test_numeric_engine_refuses_before_building_masks(monkeypatch):
+    # the FFT budget follows from the grid sizes, the mask count and the
+    # pair count alone, so a refused config builds no mask and no marginal
+    # (at n = 4, delta 1e6 the automatic grids would take ~2.1 GiB of masks
+    # and ~1.7 GiB of marginals before the refusal)
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", 2 ** 18)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    for name in ("coding_bin_mask", "marginal_signal_mode",
+                 "marginal_idler_mode"):
+        monkeypatch.setattr(correlation, name, unreachable)
+    gs, gi = comb_grids(4, 100.0)
+    spec = MultiplexedSpectrum.comb(4, 100.0, P)
+    with pytest.raises(GridTooLarge, match="numeric g2 FFTs"):
+        g2_matrix_numeric(spec, CODE4, 100.0, gs, gi)
+    with pytest.raises(GridTooLarge, match="numeric g2 FFTs"):
+        g2_numeric(spec, 100.0, gs, gi)

@@ -1,11 +1,12 @@
 """Cascade amplitude integration against the adiabatic closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from biphoton_coding import spectra
+from biphoton_coding import dynamics, spectra
 from biphoton_coding.dynamics import (
     DriveParams,
     compare_dynamics,
@@ -24,11 +25,11 @@ TINY_I = FrequencyGrid(-4.0, 4.0, 3)
 
 
 def test_zero_drive_stays_in_vacuum():
-    res = integrate_eom(DriveParams(omega_a_tilde=0.0), TINY_S, TINY_I)
-    st = res.final
-    assert st.eps == 1.0 and st.a_amp == 0.0 and st.b_amp == 0.0
-    assert float(np.max(np.abs(st.c_amp))) == 0.0
-    assert float(np.max(np.abs(st.d_amp))) == 0.0
+    y, d = integrate_eom(DriveParams(omega_a_tilde=0.0), TINY_S, TINY_I)
+    assert y.shape == (1, 3 + TINY_S.points)
+    assert d.shape == (1, TINY_S.points, TINY_I.points)
+    assert y[0, 0] == 1.0 and float(np.max(np.abs(y[0, 1:]))) == 0.0
+    assert float(np.max(np.abs(d))) == 0.0
     rep = compare_dynamics(DriveParams(omega_a_tilde=0.0), TINY_S, TINY_I)
     assert rep["note"] == "no biphoton generated"
 
@@ -55,19 +56,23 @@ def test_default_t_final():
     assert default_t_final(d) == pytest.approx(2.0 + 2.0 + 2.0)
 
 
+def _sector_norm(y):
+    """|eps|^2 + |A|^2 + |B|^2 + sum |C|^2 at each time."""
+    return np.sum(np.abs(y) ** 2, axis=1)
+
+
 def test_norm_conserved_without_decay():
-    res = integrate_eom(DriveParams(gamma3n=1e-12), TINY_S, TINY_I,
-                        t_final=3.0)
-    assert res.final.sector_norm == pytest.approx(1.0, abs=1e-8)
+    y, _ = integrate_eom(DriveParams(gamma3n=1e-12), TINY_S, TINY_I, [3.0])
+    assert _sector_norm(y)[-1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_sector_norm_monotone_with_decay():
     d = DriveParams()
     t_eval = np.linspace(-3.0, default_t_final(d), 200)
-    res = integrate_eom(d, TINY_S, TINY_I, t_eval=t_eval)
-    norms = np.array([s.sector_norm for s in res.states])
+    y, dsi = integrate_eom(d, TINY_S, TINY_I, t_eval)
+    norms = _sector_norm(y)
     assert float(np.max(np.diff(norms))) < 1e-10
-    assert res.final.total_norm <= 1.0 + 1e-10
+    assert norms[-1] + float(np.sum(np.abs(dsi[-1]) ** 2)) <= 1.0 + 1e-10
 
 
 def test_adiabatic_tracking_near_pulse_center():
@@ -76,14 +81,14 @@ def test_adiabatic_tracking_near_pulse_center():
     # close to the envelope peak, where the drive derivative is small
     d = DriveParams()
     window = np.linspace(-d.tau / 8.0, d.tau / 8.0, 33)
-    res = integrate_eom(d, TINY_S, TINY_I, t_eval=window)
+    y, _ = integrate_eom(d, TINY_S, TINY_I, window)
     dev_a = dev_b = 0.0
-    for st in res.states:
-        om_a, om_b = d.pulse_a(st.time), d.pulse_b(st.time)
+    for t, a_amp, b_amp in zip(window, y[:, 1], y[:, 2]):
+        om_a, om_b = d.pulse_a(t), d.pulse_b(t)
         a_ref = -om_a / (2.0 * d.delta1)
         b_ref = om_a * om_b / (4.0 * d.delta1 * d.delta2)
-        dev_a = max(dev_a, abs(st.a_amp - a_ref) / abs(a_ref))
-        dev_b = max(dev_b, abs(st.b_amp - b_ref) / abs(b_ref))
+        dev_a = max(dev_a, abs(a_amp - a_ref) / abs(a_ref))
+        dev_b = max(dev_b, abs(b_amp - b_ref) / abs(b_ref))
     assert dev_a < 0.05
     assert dev_b < 0.05
 
@@ -94,12 +99,12 @@ def test_c_amplitude_matches_driven_decay_quadrature():
     d = DriveParams(delta1=500.0, delta2=500.0)
     grid = FrequencyGrid(-6.0, 6.0, 5)
     t_final = default_t_final(d)
-    res = integrate_eom(d, grid, grid, t_final=t_final)
+    c_amp = integrate_eom(d, grid, grid, [t_final])[0][-1, 3:]
 
     def b_adiabatic(t):
         return d.pulse_a(t) * d.pulse_b(t) / (4.0 * d.delta1 * d.delta2)
 
-    c_scale = float(np.max(np.abs(res.final.c_amp)))
+    c_scale = float(np.max(np.abs(c_amp)))
     for k, dws in enumerate(grid.omegas):
         def integrand(t, dws=dws):
             return (np.exp(1j * dws * t)
@@ -108,7 +113,7 @@ def test_c_amplitude_matches_driven_decay_quadrature():
         re = quad(lambda t: integrand(t).real, -3.0, t_final, limit=400)[0]
         im = quad(lambda t: integrand(t).imag, -3.0, t_final, limit=400)[0]
         closed = d.g_s * (re + 1j * im)
-        assert abs(res.final.c_amp[k] - closed) < 0.01 * c_scale
+        assert abs(c_amp[k] - closed) < 0.01 * c_scale
 
 
 def test_biphoton_kernel_proportional_to_jsa():
@@ -161,7 +166,7 @@ def test_first_order_matches_integrated_shape():
     gs = FrequencyGrid(-8.0, 8.0, 32)
     gi = FrequencyGrid(-10.0, 10.0, 32)
     ws, wi = gs.omegas[:, None], gi.omegas[None, :]
-    numeric = integrate_eom(d, gs, gi).final.d_amp
+    numeric = integrate_eom(d, gs, gi)[1][-1]
     assert _unit_peak_deviation(numeric, dsi_first_order(d, ws, wi)) < 0.005
     s = ws + wi
     only_b = dsi_analytic(d, ws, wi) * d.delta2 / (d.delta2 + s)
@@ -178,8 +183,8 @@ def test_numeric_biphoton_factorizes_along_ridge():
     d = DriveParams()
     gs = FrequencyGrid(-8.0, 8.0, 17)
     gi = FrequencyGrid(-10.0, 10.0, 21)
-    res = integrate_eom(d, gs, gi)
-    ridge = res.final.d_amp * (d.gamma3n / 2.0 - 1j * gi.omegas)[None, :]
+    _, dsi = integrate_eom(d, gs, gi)
+    ridge = dsi[-1] * (d.gamma3n / 2.0 - 1j * gi.omegas)[None, :]
     buckets = {}
     for i in range(gs.points):
         for j in range(gi.points):
@@ -195,8 +200,8 @@ def test_peak_scales_as_drive_product():
     peaks = {}
     for oa, ob in ((1.0, 1.0), (2.0, 1.0), (2.0, 2.0)):
         d = DriveParams(omega_a_tilde=oa, omega_b_tilde=ob)
-        res = integrate_eom(d, TINY_S, TINY_I)
-        peaks[(oa, ob)] = float(np.max(np.abs(res.final.d_amp)))
+        _, dsi = integrate_eom(d, TINY_S, TINY_I)
+        peaks[(oa, ob)] = float(np.max(np.abs(dsi)))
     assert peaks[(2.0, 1.0)] / peaks[(1.0, 1.0)] == pytest.approx(2.0, rel=0.01)
     assert peaks[(2.0, 2.0)] / peaks[(1.0, 1.0)] == pytest.approx(4.0, rel=0.01)
 
@@ -223,7 +228,7 @@ def test_compare_peaks_agree():
 def test_weak_drive_warning():
     d = DriveParams(omega_a_tilde=10.0, tau=0.1)
     with pytest.warns(ValidityWarning):
-        integrate_eom(d, TINY_S, TINY_I, t_final=1.0)
+        integrate_eom(d, TINY_S, TINY_I, [1.0])
 
 
 def reference_eom(drive, grid_s, grid_i, t_final, t_eval, rtol=1e-8,
@@ -275,8 +280,7 @@ def test_quadrature_matches_full_system(delta, t_final, shifts):
     # the two times compare_dynamics reads for its drift check
     t_eval = [t_final - 1.0, t_final]
     want = reference_eom(d, gs, gi, t_final, t_eval)
-    res = integrate_eom(d, gs, gi, t_final=t_final, t_eval=t_eval)
-    got = np.array([st.d_amp for st in res.states])
+    _, got = integrate_eom(d, gs, gi, t_eval)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) < 1e-7 * scale
 
@@ -292,8 +296,7 @@ def test_quadrature_resolves_a_wide_long_window():
     # |D| peaks at ~3e-11; at atol 1e-12 the oracle's own D is off by
     # ~2e-4 of that after 100 time units, so it runs far tighter here
     want = reference_eom(d, gs, gi, 100.0, t_eval, rtol=1e-12, atol=1e-20)
-    res = integrate_eom(d, gs, gi, t_final=100.0, t_eval=t_eval)
-    got = np.array([st.d_amp for st in res.states])
+    _, got = integrate_eom(d, gs, gi, t_eval)
     scale = float(np.max(np.abs(want)))
     assert float(np.max(np.abs(got - want))) < 1e-7 * scale
 
@@ -302,15 +305,40 @@ def test_t_eval_contract():
     d = DriveParams()
     t_start = d.pulse_center - 6.0 * d.tau
     t_eval = np.array([t_start, 0.0, 2.5, default_t_final(d)])
-    res = integrate_eom(d, TINY_S, TINY_I, t_eval=t_eval)
-    assert np.array_equal(res.times, t_eval)
-    assert [st.time for st in res.states] == list(t_eval)
-    # no time has passed, so no pair has been emitted
-    assert np.all(res.states[0].d_amp == 0.0)
-    assert float(np.max(np.abs(res.final.d_amp))) > 0.0
-    for bad in ([0.0, -1.0], [0.0, 0.0]):
+    y, dsi = integrate_eom(d, TINY_S, TINY_I, t_eval)
+    assert y.shape == (4, 3 + TINY_S.points)
+    assert dsi.shape == (4, TINY_S.points, TINY_I.points)
+    # no time has passed: the vacuum, and no pair has been emitted
+    assert y[0, 0] == 1.0 and np.all(y[0, 1:] == 0.0)
+    assert np.all(dsi[0] == 0.0)
+    assert float(np.max(np.abs(dsi[-1]))) > 0.0
+    # each d[k] is D at its own time, as a window ending there gives it,
+    # not the running sum of a later time
+    _, alone = integrate_eom(d, TINY_S, TINY_I, [0.0, 2.5])
+    scale = float(np.max(np.abs(alone)))
+    assert float(np.max(np.abs(dsi[1:3] - alone))) < 1e-6 * scale
+    for bad in ([], [0.0, -1.0], [0.0, 0.0], [t_start - 0.1, 0.0]):
         with pytest.raises(ValueError):
-            integrate_eom(d, TINY_S, TINY_I, t_eval=bad)
+            integrate_eom(d, TINY_S, TINY_I, bad)
+    with pytest.raises(ValueError, match="precede the start -3"):
+        integrate_eom(d, TINY_S, TINY_I, [-10.0])
+
+
+def test_integration_stops_at_the_last_requested_time(monkeypatch):
+    # a window that ends inside the pulse is integrated to its end, not on
+    # to default_t_final (6.0 here)
+    spans = []
+    solve = dynamics.solve_ivp
+
+    def recording(fun, t_span, y0):
+        spans.append(t_span)
+        return solve(fun, t_span, y0)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", recording)
+    d = DriveParams()
+    window = np.linspace(-d.tau / 8.0, d.tau / 8.0, 33)
+    integrate_eom(d, TINY_S, TINY_I, t_eval=window)
+    assert spans == [(d.pulse_center - 6.0 * d.tau, window[-1])]
 
 
 def test_not_converged_when_stopped_inside_pulse():
@@ -387,3 +415,19 @@ def test_stepper_counts_its_dense_output_against_the_budget(monkeypatch):
     # the same problem over a short window stays inside it
     assert solve_ivp(lambda t, y: 1j * y, (0.0, 1.0),
                      np.ones(100, complex)).ts[-1] == 1.0
+
+
+def test_stepper_holds_its_steps_once():
+    # 321 steps of a 2,000-state oscillator keep 49 MiB of dense output;
+    # stacking per-step lists into arrays at the end held them twice
+    # (98 MiB peak), where a buffer grown in place holds them once
+    tracemalloc.start()
+    try:
+        sol = solve_ivp(lambda t, y: 1j * y, (0.0, 30.0),
+                        np.ones(2000, complex))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sol.ts) == 322
+    stored = sol._ys.nbytes + sol._qs.nbytes
+    assert peak <= 1.25 * stored
