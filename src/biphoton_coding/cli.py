@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codes import CodeVectorSpec, alamouti_n, gram, make_c
+from .codes import alamouti_n, gram, make_c
 # g2_numeric and matched_decode are unused here; bench/tracer.py wraps them
 # in this module.  It also wraps compare_dynamics here and the ODE solver at
 # dynamics.solve_ivp, the package's own Dormand-Prince stepper: no
@@ -238,11 +238,10 @@ def _calibrated_params(sec) -> PhysicalParams:
 
 
 def _code(kind, n, **kw):
-    """A code vector spec and its Alamouti matrix; a spec or order the
-    codes module rejects is a config error."""
+    """The Alamouti code matrix of make_c(kind, n, **kw); a vector or order
+    the codes module rejects is a config error."""
     with _config_errors("code", (ValueError, NotPowerOfTwo)):
-        spec = CodeVectorSpec(kind, n, **kw)
-        return spec, alamouti_n(make_c(spec), n)
+        return alamouti_n(make_c(kind, n, **kw))
 
 
 def _staircase(r, m, bin_width):
@@ -251,6 +250,7 @@ def _staircase(r, m, bin_width):
 
 
 def _parse_code(sec):
+    """The code section's kind, its vector keywords and its code matrix."""
     kind = sec.take("kind", _choice("linear-h", "geometric"), "linear-h")
     n = sec.take("n", _int)
     if kind == "linear-h":
@@ -259,7 +259,7 @@ def _parse_code(sec):
         kw = {"a": sec.take("a", _complex, 1.0 + 0j),
               "r": sec.take("r", _complex, 1.0 + 0j)}
     sec.close()
-    return _code(kind, n, **kw)
+    return kind, kw, _code(kind, n, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +359,26 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
 
 
 def _cmd_codes(sec, meta, outdir: Path, label: str) -> int:
-    cspec, code = _parse_code(sec.subsection("code", required=True))
+    kind, kw, code = _parse_code(sec.subsection("code", required=True))
     sec.close()
 
     g = gram(code)
-    off = ~np.eye(code.n, dtype=bool)
-    orthogonal_pairs = int(np.sum(np.abs(g[off]) < 1e-12)) // 2
+    n = len(code)
+    off = ~np.eye(n, dtype=bool)
+    # orthogonality is scale-free: count column pairs whose inner product
+    # is rounding noise against the largest Gram entry
+    tol = 64 * n * np.finfo(float).eps * np.max(np.abs(g))
+    orthogonal_pairs = int(np.sum(np.abs(g[off]) <= tol)) // 2
     report = contrasts_from_levels(level_summary(code, 1), 1)
 
     _write_csv(outdir / f"{label}_code.csv", meta,
-               ["columns are codewords"], None, code.entries)
+               ["columns are codewords"], None, code)
     _write_csv(outdir / f"{label}_gram.csv", meta,
                ["entry (i, j) = <codeword_i, codeword_j>"], None, g)
     _write_json(outdir / f"{label}_report.json", meta, {
-        "kind": cspec.kind,
-        "n": code.n,
-        "h": cspec.h if cspec.kind == "linear-h" else None,
+        "kind": kind,
+        "n": n,
+        "h": kw.get("h"),
         "orthogonal_column_pairs": orthogonal_pairs,
         "ideal_contrast": report.as_dict(),
     })
@@ -382,7 +386,7 @@ def _cmd_codes(sec, meta, outdir: Path, label: str) -> int:
 
 
 def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
-    cspec, code = _parse_code(sec.subsection("code", required=True))
+    *_, code = _parse_code(sec.subsection("code", required=True))
     mode = sec.take("mode", _choice("ideal", "numeric"), "ideal")
 
     if mode == "ideal":
@@ -403,11 +407,11 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
         if (gsec is None) != (isec is None):
             raise ConfigError("give both grids or neither")
         if gsec is None:
-            grid_s, grid_i = comb_grids(code.n, delta, params)
+            grid_s, grid_i = comb_grids(len(code), delta, params)
         else:
             grid_s = _parse_fields(gsec, FrequencyGrid, "signal_grid")
             grid_i = _parse_fields(isec, FrequencyGrid, "idler_grid")
-        spec = MultiplexedSpectrum.comb(code.n, delta, params)
+        spec = MultiplexedSpectrum.comb(len(code), delta, params)
         with _config_errors("grids", (UnderResolvedGrid, GridTooLarge)), \
                 _config_errors("bin_width", BinOverlap):
             matrix = g2_matrix_numeric(spec, code, bin_width, grid_s,
@@ -426,7 +430,7 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
                comments + ["rows = encode index, columns = decode index"],
                None, matrix)
     _write_json(outdir / f"{label}_contrast.json", meta, {
-        "mode": mode, "n": code.n,
+        "mode": mode, "n": len(code),
         "contrast": report.as_dict(),
     })
     return 0
@@ -447,13 +451,13 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
         sec.close()
 
         def matrix_at(h):
-            return g2_matrix_ideal(_code("linear-h", n, h=h)[1])
+            return g2_matrix_ideal(_code("linear-h", n, h=h))
     else:
         params = _calibrated_params(sec)
         h = sec.take("h", _float, 1.0)
         acceptance = sec.take("acceptance_scale", _positive, 3.0)
         sec.close()
-        _, code = _code("linear-h", n, h=h)
+        code = _code("linear-h", n, h=h)
 
         def matrix_at(delta):
             grid_s, grid_i = comb_grids(n, delta, params)
@@ -484,7 +488,7 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
     layout = _staircase(r, m, bin_width)
     info, caught = _warned(validate, layout, tau=tau)
     d = dimension(layout)
-    _, code = _code("linear-h", m, h=h)
+    code = _code("linear-h", m, h=h)
 
     with _config_errors("levels", CodeSpaceOverflow):
         levels = level_summary(code, r, prefactor, normalization)

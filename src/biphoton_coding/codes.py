@@ -1,118 +1,72 @@
-"""Quasi-orthogonal block codes built from the 2x2 Alamouti cell.
+"""Quasi-orthogonal block codes built from the Alamouti cell.
 
-Codewords are the *columns* of the code matrix.  For an all-equal real
-parameter vector the construction collapses to a Hadamard matrix and every
-column pair is orthogonal; for generic parameters only specific column
-pairs are, which is what makes the codes quasi-orthogonal.
+A code is a square complex ndarray whose *columns* are the codewords:
+`make_c` builds the parameter vector c and `alamouti_n(c)` the code
+matrix of order len(c).  For an all-equal real parameter vector the
+construction collapses to a Hadamard matrix and every column pair is
+orthogonal; for generic parameters only specific column pairs are, which
+is what makes the codes quasi-orthogonal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadLength, NotPowerOfTwo
+from .errors import NotPowerOfTwo
 
 
-@dataclass(frozen=True)
-class CodeMatrix:
-    """n x n complex code matrix; column j is codeword j."""
+def make_c(kind: str, n: int, h: float = 2.0, a: complex = 1.0,
+           r: complex = 1.0) -> np.ndarray:
+    """The parameter vector c of length n.
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise BadLength("code matrix must be square")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j].copy()
-
-
-@dataclass(frozen=True)
-class CodeVectorSpec:
-    """Recipe for the parameter vector c.
-
-    kind="linear-h": n equally spaced reals from 1 to h.
+    kind="linear-h": n equally spaced reals spanning [1, h] inclusive
+    (descending when h < 1), e.g. n=4, h=2 gives (1, 4/3, 5/3, 2).
     kind="geometric": c_l = a * r**(l-1).
     """
-
-    kind: str
-    n: int
-    h: float = 2.0
-    a: complex = 1.0
-    r: complex = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("linear-h", "geometric"):
-            raise ValueError(f"unknown code vector kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.kind == "linear-h" and self.h <= 0:
-            raise ValueError("h must be positive")
+    if kind not in ("linear-h", "geometric"):
+        raise ValueError(f"unknown code vector kind {kind!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if kind == "geometric":
+        return a * r ** np.arange(n)
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if n == 1:
+        return np.array([1.0 + 0j])
+    return (1.0 + (h - 1.0) * np.arange(n) / (n - 1)).astype(complex)
 
 
-def make_c(spec: CodeVectorSpec) -> np.ndarray:
-    """Build the parameter vector described by spec.
-
-    linear-h spans [1, h] inclusive (descending when h < 1), e.g.
-    n=4, h=2 gives (1, 4/3, 5/3, 2).
-    """
-    if spec.kind == "linear-h":
-        if spec.n == 1:
-            return np.array([1.0 + 0j])
-        steps = np.arange(spec.n)
-        return (1.0 + (spec.h - 1.0) * steps / (spec.n - 1)).astype(complex)
-    return spec.a * spec.r ** np.arange(spec.n)
-
-
-def alamouti2(c1: complex, c2: complex) -> CodeMatrix:
-    """The 2x2 cell [[c1, c2], [-conj(c2), conj(c1)]]."""
-    m = np.array([[c1, c2],
-                  [-np.conj(c2), np.conj(c1)]], dtype=complex)
-    return CodeMatrix(m)
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def alamouti_n(c, n: int) -> CodeMatrix:
-    """Recursive block construction of the order-n code from vector c.
+def alamouti_n(c) -> np.ndarray:
+    """Recursive block construction of the code matrix of order len(c).
 
     C(1..n) = [[C(1..n/2),        C(n/2+1..n)],
                [-conj(C(n/2+1..n)), conj(C(1..n/2))]]
 
-    n must be a power of two and len(c) == n.
+    down to the 1x1 cells [c_l], so order 2 is the Alamouti cell
+    [[c1, c2], [-conj(c2), conj(c1)]].  len(c) must be a power of two >= 2.
     """
     c = np.asarray(c, dtype=complex)
-    if c.ndim != 1 or len(c) != n:
-        raise BadLength(f"need exactly {n} parameters, got {c.shape}")
-    if not _is_power_of_two(n) or n < 2:
+    if c.ndim != 1:
+        raise ValueError(f"c must be one-dimensional, got shape {c.shape}")
+    n = len(c)
+    if n < 2 or n & (n - 1):
         raise NotPowerOfTwo(f"order {n} is not a power of two >= 2")
-    return CodeMatrix(_build(c))
+    return _build(c)
 
 
 def _build(c: np.ndarray) -> np.ndarray:
-    if len(c) == 2:
-        return alamouti2(c[0], c[1]).entries
+    if len(c) == 1:
+        return c[:, None]
     half = len(c) // 2
     a = _build(c[:half])
     b = _build(c[half:])
     return np.block([[a, b], [-np.conj(b), np.conj(a)]])
 
 
-def gram(code: CodeMatrix) -> np.ndarray:
+def gram(code: np.ndarray) -> np.ndarray:
     """Conjugate inner products of column pairs, G[i, j] = <col_i, col_j>.
 
     For generic parameters the order-4 code has zeros exactly at the
     column pairs (1,2), (1,3), (2,4), (3,4) (1-based) and their mirrors.
     """
-    e = code.entries
-    return e.conj().T @ e
+    return code.conj().T @ code

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeMatrix, gram
+from .codes import gram
 from .errors import (BinOverlap, ChannelShapeMismatch, CodeSpaceOverflow,
                      DegenerateMatrix, UnderResolvedGrid)
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PhysicalParams,
@@ -51,19 +51,6 @@ def matched_decode(codeword) -> np.ndarray:
     it the matched inner sum is sum |c|^2, real and maximal.
     """
     return np.conj(np.asarray(codeword, dtype=complex))
-
-
-@dataclass(frozen=True)
-class BinnedDecode:
-    """Factorized decoder weights on integer signal/idler bins.
-
-    Bin j is centered at j * bin_spacing with width bin_spacing; bins
-    absent from a map get weight 0 (blocked).
-    """
-
-    signal_weights: dict
-    idler_weights: dict
-    bin_spacing: float
 
 
 @dataclass(frozen=True)
@@ -153,7 +140,7 @@ def _pair_weights(weights, n: int, what: str) -> np.ndarray:
     return w
 
 
-def g2_matrix_ideal(code: CodeMatrix, prefactor: float = 1.0) -> np.ndarray:
+def g2_matrix_ideal(code: np.ndarray, prefactor: float = 1.0) -> np.ndarray:
     """Ideal N x N correlation matrix over (encode column, decode column).
 
     The R = 1 case of g2_matrix_ideal_multi: entry (i, j) uses codeword i
@@ -188,7 +175,7 @@ def _digit_array(r: int, m: int) -> np.ndarray:
     return np.arange(m ** r)[:, None] // m ** np.arange(r - 1, -1, -1) % m
 
 
-def g2_matrix_ideal_multi(code: CodeMatrix, r_channels: int,
+def g2_matrix_ideal_multi(code: np.ndarray, r_channels: int,
                           prefactor: float = 1.0,
                           normalization: str = "global") -> np.ndarray:
     """Ideal correlation matrix over the full M^R code space.
@@ -198,7 +185,7 @@ def g2_matrix_ideal_multi(code: CodeMatrix, r_channels: int,
     prefactor * lam * sum_r |<col_{j_r}, col_{i_r}>|^2, with lam the
     pair-weight normalization of _lambda_norm.
     """
-    m = code.n
+    m = len(code)
     d = m ** r_channels
     p = np.abs(gram(code)) ** 2   # p[j, i] = |<col_j, col_i>|^2
     lam = _lambda_norm(r_channels, m, normalization)
@@ -220,7 +207,7 @@ class LevelClass:
 _MAX_LEVELS = 1_000_000
 
 
-def level_summary(code: CodeMatrix, r_channels: int, prefactor: float = 1.0,
+def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
                   normalization: str = "global") -> list:
     """Distinct correlation levels of the M^R code space, grouped by the
     number of matched channels, without enumerating all M^R x M^R cells.
@@ -229,7 +216,7 @@ def level_summary(code: CodeMatrix, r_channels: int, prefactor: float = 1.0,
     bookkeeping is exact integer arithmetic.  Raises CodeSpaceOverflow as
     soon as the table passes a million levels.
     """
-    m = code.n
+    m = len(code)
     p = np.abs(gram(code)) ** 2
     base = {}
     for i in range(m):
@@ -459,7 +446,7 @@ def _numeric_cells(spec: MultiplexedSpectrum, bins_s, amps, bins_i,
 def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
                grid_s: FrequencyGrid, grid_i: FrequencyGrid, *,
                encode=None, decode=None,
-               channel_map: BinnedDecode | None = None,
+               channel_map: tuple[dict, dict] | None = None,
                acceptance_scale: float = 3.0) -> float:
     """g2(0) through the frequency-bin numeric path.
 
@@ -467,20 +454,23 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
     all-pass).  Single channel: the encode weights become signal-axis bins
     centered on each pair's signal frequency and the decode weights become
     idler bins at delta_p, so both coding stages act imperfectly once the
-    bins stop being wide against the mode profiles.  With a channel_map
-    the decoder is the factorized bin assignment (decode is ignored) and
-    the encode weights stay exact per-pair amplitudes (applied at the
-    source, before multiplexing).  The scale is calibrated against the
-    all-ones cell so the result is directly comparable to the ideal path.
+    bins stop being wide against the mode profiles.  A channel_map
+    (signal_weights, idler_weights), the two dicts of
+    layout.factor_decode, replaces decode by the factorized bin decoder:
+    bin k is centered at k * bin_width with width bin_width, and bins
+    absent from a dict are blocked.  The encode weights then stay exact
+    per-pair amplitudes (applied at the source, before multiplexing).
+    The scale is calibrated against the all-ones cell so the result is
+    directly comparable to the ideal path.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     n = spec.n_pairs
     encode = _pair_weights(encode, n, "encode")
     if channel_map is not None:
-        spacing = channel_map.bin_spacing
-        bins_s = _integer_bins(channel_map.signal_weights, spacing)
-        bins_i = _integer_bins(channel_map.idler_weights, spacing)
+        if decode is not None:
+            raise ValueError("give decode or channel_map, not both")
+        bins_s, bins_i = (_integer_bins(w, bin_width) for w in channel_map)
         amps = [encode]
     else:
         decode = _pair_weights(decode, n, "decode")
@@ -491,17 +481,17 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
                                 acceptance_scale)[0, 0])
 
 
-def g2_matrix_numeric(spec: MultiplexedSpectrum, code: CodeMatrix,
+def g2_matrix_numeric(spec: MultiplexedSpectrum, code: np.ndarray,
                       bin_width: float, grid_s: FrequencyGrid,
                       grid_i: FrequencyGrid,
                       acceptance_scale: float = 3.0) -> np.ndarray:
     """Numeric correlation matrix over (encode column, decode column)."""
-    n = code.n
+    n = len(code)
     if spec.n_pairs != n:
         raise ChannelShapeMismatch("code order must match the pair count")
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
-    cols = [code.column(i) for i in range(n)]
+    cols = list(code.T)
     bins_s = ([p.signal_center for p in spec.pairs], cols, bin_width)
     bins_i = ([p.delta_p for p in spec.pairs],
               [matched_decode(c) for c in cols], bin_width)

@@ -231,12 +231,12 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     1e-8, atol 1e-16); d, shape (len(t_eval), n_signal, n_idler), is D by
     composite Simpson sums of C read from the same dense output, on nodes
     spaced to resolve the fastest oscillation of the integrand.  Raises
-    GridTooLarge, before integrating, when one D would pass
-    spectra.MAX_GRID_BYTES, and while integrating when the dense output
-    would (a long window takes many steps).
+    GridTooLarge, before integrating, when the D grids it holds (one per
+    time plus the running sum) would pass spectra.MAX_GRID_BYTES, and
+    while integrating when the dense output would (a long window takes
+    many steps).
     """
     drive.check_weak_drive()
-    require_grid_memory(grid_s.points * grid_i.points, "the pair amplitudes D")
     ws = grid_s.omegas
     wi = grid_i.omegas
     t_start = drive.pulse_center - 6.0 * drive.tau
@@ -248,6 +248,8 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     if t_eval[0] < t_start:
         raise ValueError("evaluation times must not precede the start "
                          f"{t_start:.4g} (6 tau before the pulse center)")
+    require_grid_memory((len(t_eval) + 1) * grid_s.points * grid_i.points,
+                        "the pair amplitudes D")
 
     decay = drive.gamma3n / 2.0 - 1j * drive.lamb_shift
 

@@ -20,10 +20,6 @@ class BinOverlap(BiphotonCodingError):
     """Frequency coding bins overlap; decode weights would be ambiguous."""
 
 
-class BadLength(BiphotonCodingError):
-    """Code vector length does not match the requested matrix order."""
-
-
 class NotPowerOfTwo(BiphotonCodingError):
     """Recursive code construction requires the order to be a power of two."""
 

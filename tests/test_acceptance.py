@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from biphoton_coding.codes import CodeVectorSpec, alamouti_n, make_c
+from biphoton_coding.codes import alamouti_n, make_c
 from biphoton_coding.correlation import (
     contrasts,
     contrasts_from_levels,
@@ -45,7 +45,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 def ladder_code(n, h):
-    return alamouti_n(make_c(CodeVectorSpec("linear-h", n, h=h)), n)
+    return alamouti_n(make_c("linear-h", n, h=h))
 
 
 def verdict(tag, ok, detail):

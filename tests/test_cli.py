@@ -131,6 +131,22 @@ def test_codes_report(tmp_path):
     assert gram.shape == (4, 4)
 
 
+@pytest.mark.parametrize("code, pairs", [
+    # the linear-h zero pattern is the one at h = 2 (72 pairs at n = 16)
+    ({"kind": "linear-h", "n": 16, "h": 300.0}, 72),
+    # real geometric codes are fully orthogonal: all 28 pairs at n = 8
+    ({"kind": "geometric", "n": 8, "a": 1e4, "r": 1.3}, 28),
+    # the 4 pairs of a = 1 stay 4 when the whole code is scaled by 1e-7
+    ({"kind": "geometric", "n": 4, "a": 1e-7, "r": [1.0, 0.5]}, 4),
+], ids=["linear-h-h300", "geometric-a1e4", "geometric-a1e-7"])
+def test_orthogonal_pairs_do_not_depend_on_scale(tmp_path, code, pairs):
+    cfg = write_cfg(tmp_path, "codes.json", {
+        "output_dir": str(tmp_path), "label": "c", "code": code})
+    assert main(["codes", cfg]) == 0
+    rep = json.loads((tmp_path / "c_report.json").read_text())
+    assert rep["orthogonal_column_pairs"] == pairs
+
+
 def test_single_channel_ideal_matrix(tmp_path):
     cfg = write_cfg(tmp_path, "sc.json", {
         "output_dir": str(tmp_path), "label": "ideal4",

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton_coding import correlation, spectra
-from biphoton_coding.codes import CodeVectorSpec, alamouti_n, gram, make_c
+from biphoton_coding.codes import alamouti_n, gram, make_c
 from biphoton_coding.correlation import (
-    BinnedDecode,
     acceptance_gate,
     codeword_digits,
     coding_bin_mask,
@@ -47,7 +46,7 @@ from biphoton_coding.spectra import (
 
 P = PhysicalParams()  # tau = 0.5, gamma3n = 5
 
-CODE4 = alamouti_n(make_c(CodeVectorSpec("linear-h", 4, h=2.0)), 4)
+CODE4 = alamouti_n(make_c("linear-h", 4, h=2.0))
 S4 = 86.0 / 9.0  # power of the h = 2 amplitude ladder at n = 4
 
 
@@ -72,7 +71,7 @@ def test_ideal_matrix_oracle_values():
 
 
 def test_ideal_matrix_hadamard_is_diagonal():
-    m = g2_matrix_ideal(alamouti_n(np.ones(4), 4))
+    m = g2_matrix_ideal(alamouti_n(np.ones(4)))
     rep = contrasts(m)
     assert rep.v == pytest.approx(1.0, abs=1e-12)
     assert rep.c_od == pytest.approx(1.0, abs=1e-12)
@@ -87,7 +86,7 @@ def test_ideal_matrix_h_inversion_reverses_indices(n, h):
     is the index-reversed matrix at h divided by h**4."""
     def matrix(h):
         return g2_matrix_ideal(
-            alamouti_n(make_c(CodeVectorSpec("linear-h", n, h=h)), n))
+            alamouti_n(make_c("linear-h", n, h=h)))
 
     inverted = matrix(1.0 / h)
     reversed_ = matrix(h)[::-1, ::-1] / h ** 4
@@ -113,9 +112,9 @@ def test_contrast_report_relations():
 
 
 def test_contrast_scale_invariance():
-    c = make_c(CodeVectorSpec("linear-h", 4, h=2.0))
-    a = contrasts(g2_matrix_ideal(alamouti_n(c, 4)))
-    b = contrasts(g2_matrix_ideal(alamouti_n((2.0 - 1.0j) * c, 4)))
+    c = make_c("linear-h", 4, h=2.0)
+    a = contrasts(g2_matrix_ideal(alamouti_n(c)))
+    b = contrasts(g2_matrix_ideal(alamouti_n((2.0 - 1.0j) * c)))
     assert b.c_od == pytest.approx(a.c_od, rel=1e-12)
     assert b.v == pytest.approx(a.v, rel=1e-12)
 
@@ -177,7 +176,7 @@ def test_level_summary_matches_full_matrix():
 @pytest.mark.parametrize("h", [2.0, 0.5, 3.0])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_level_contrasts_match_matrix_contrasts(r, h):
-    code = alamouti_n(make_c(CodeVectorSpec("linear-h", 4, h=h)), 4)
+    code = alamouti_n(make_c("linear-h", 4, h=h))
     rep_m = contrasts(g2_matrix_ideal_multi(code, r), r_channels=r)
     rep_l = contrasts_from_levels(level_summary(code, r), r)
     # the two paths accumulate products in different orders, so agreement
@@ -315,7 +314,7 @@ def test_numeric_argument_checks():
         g2_numeric(spec, 60.0, gs, gi, encode=np.ones(3))
     with pytest.raises(ChannelShapeMismatch):
         g2_numeric(spec, 60.0, gs, gi, decode=np.ones(5))
-    code = alamouti_n(np.ones(2), 2)
+    code = alamouti_n(np.ones(2))
     with pytest.raises(ValueError):
         g2_matrix_numeric(spec, code, 0.0, gs, gi)
     with pytest.raises(ChannelShapeMismatch):
@@ -333,7 +332,7 @@ def test_numeric_argument_checks():
 
 
 def test_numeric_matrix_tracks_ideal_two_pairs():
-    code = alamouti_n(np.ones(2), 2)
+    code = alamouti_n(np.ones(2))
     spec = MultiplexedSpectrum.comb(2, 60.0, P)
     gs, gi = comb_grids(2, 60.0)
     num = g2_matrix_numeric(spec, code, 60.0, gs, gi)
@@ -354,7 +353,7 @@ def multi_channel_cells():
     grids, closed-form matrix, and the matched, half-matched and fully
     mismatched (encode index, decode index, g2_numeric weights) cells."""
     layout = staircase(2, 2, bin_width=100.0)
-    code = alamouti_n(make_c(CodeVectorSpec("linear-h", 2, h=2.0)), 2)
+    code = alamouti_n(make_c("linear-h", 2, h=2.0))
     pairs = tuple(layout.pair_shift(r, m)
                   for r in range(1, 3) for m in range(1, 3))
     spec = MultiplexedSpectrum(params=P, pairs=pairs)
@@ -369,13 +368,11 @@ def multi_channel_cells():
     for enc_idx, dec_idx in ((0, 0), (2, 0), (3, 0)):
         enc_digits = codeword_digits(enc_idx, 2, 2)
         dec_digits = codeword_digits(dec_idx, 2, 2)
-        enc = np.concatenate([code.column(d) for d in enc_digits])
-        dec_rm = np.array([matched_decode(code.column(d)) for d in dec_digits])
-        sw, iw = factor_decode(layout, dec_rm)
-        bd = BinnedDecode(signal_weights=sw, idler_weights=iw,
-                          bin_spacing=100.0)
+        enc = np.concatenate([code[:, d] for d in enc_digits])
+        dec_rm = np.array([matched_decode(code[:, d]) for d in dec_digits])
         cells.append((enc_idx, dec_idx,
-                      {"encode": enc, "channel_map": bd}))
+                      {"encode": enc,
+                       "channel_map": factor_decode(layout, dec_rm)}))
     return spec, gs, gi, ideal, cells
 
 
@@ -418,21 +415,21 @@ def reference_g2(spec, bin_width, gs, gi, acceptance_scale=3.0, *,
     encode = ones if encode is None else encode
     gate = acceptance_gate(convolution_grid(gs, gi), spec, acceptance_scale)
     if channel_map is not None:
-        cm = channel_map
+        signal_weights, idler_weights = channel_map
 
         def binned(weights, grid, ref):
             ks = sorted(weights)
-            return coding_bin_mask([k * cm.bin_spacing for k in ks],
+            return coding_bin_mask([k * bin_width for k in ks],
                                    [1.0 if ref else weights[k] for k in ks],
-                                   cm.bin_spacing, grid)
+                                   bin_width, grid)
 
         num = reference_numerator(spec, encode,
-                                  binned(cm.signal_weights, gs, False),
-                                  binned(cm.idler_weights, gi, False),
+                                  binned(signal_weights, gs, False),
+                                  binned(idler_weights, gi, False),
                                   gs, gi, gate)
         ref = reference_numerator(spec, ones,
-                                  binned(cm.signal_weights, gs, True),
-                                  binned(cm.idler_weights, gi, True),
+                                  binned(signal_weights, gs, True),
+                                  binned(idler_weights, gi, True),
                                   gs, gi, gate)
     else:
         decode = ones if decode is None else decode
@@ -457,16 +454,16 @@ ENGINE_RTOL = 1e-11
 @pytest.mark.parametrize("kind", ["ladder", "alamouti"])
 @pytest.mark.parametrize("delta", [60.0, 100.0])
 def test_batched_engine_matches_per_cell_reference(n, kind, delta):
-    c = make_c(CodeVectorSpec("linear-h", n, h=2.0)) if kind == "ladder" \
+    c = make_c("linear-h", n, h=2.0) if kind == "ladder" \
         else np.ones(n)
-    code = alamouti_n(c, n)
+    code = alamouti_n(c)
     spec = MultiplexedSpectrum.comb(n, delta, P)
     gs, gi = comb_grids(n, delta)
     matrix = g2_matrix_numeric(spec, code, delta, gs, gi)
     for i in range(n):
         for j in range(n):
-            weights = {"encode": code.column(i),
-                       "decode": matched_decode(code.column(j))}
+            weights = {"encode": code[:, i],
+                       "decode": matched_decode(code[:, j])}
             want = reference_g2(spec, delta, gs, gi, **weights)
             assert matrix[i, j] == pytest.approx(want, rel=ENGINE_RTOL)
             got = g2_numeric(spec, delta, gs, gi, **weights)
@@ -496,6 +493,16 @@ def test_batched_engine_matches_reference_on_channel_map_cells():
         want = reference_g2(spec, 100.0, gs, gi, **weights)
         got = g2_numeric(spec, 100.0, gs, gi, **weights)
         assert got == pytest.approx(want, rel=ENGINE_RTOL)
+
+
+def test_channel_map_replaces_decode():
+    # the factorized decoder takes the place of the per-pair decode, so
+    # giving both is refused rather than one being dropped
+    spec, gs, gi, _, cells = multi_channel_cells()
+    weights = cells[0][2]
+    with pytest.raises(ValueError, match="decode or channel_map"):
+        g2_numeric(spec, 100.0, gs, gi, decode=np.ones(spec.n_pairs),
+                   **weights)
 
 
 _finite = st.floats(-10.0, 10.0, allow_nan=False)
@@ -555,7 +562,7 @@ def test_marginal_path_equals_schmidt_reconstruction_path():
 def test_numeric_engine_refuses_ffts_past_the_budget():
     # two (n + 1) x n x nfft complex tensors: 845.8 MiB at n = 32 on these
     # grids (delta 100), past the 256 MiB budget; refused before the FFTs
-    code = alamouti_n(make_c(CodeVectorSpec("linear-h", 32, h=1.0)), 32)
+    code = alamouti_n(make_c("linear-h", 32, h=1.0))
     gs, gi = comb_grids(32, 100.0)
     spec = MultiplexedSpectrum.comb(32, 100.0, P)
     with pytest.raises(GridTooLarge, match="g2 FFTs would take 845.8 MiB"):

@@ -341,6 +341,24 @@ def test_integration_stops_at_the_last_requested_time(monkeypatch):
     assert spans == [(d.pulse_center - 6.0 * d.tau, window[-1])]
 
 
+def test_pair_amplitude_budget_counts_every_time(monkeypatch):
+    # d holds one D per requested time and the running sum one more: on an
+    # 8 x 2,000 grid (0.24 MiB per D) two times hold 0.73 MiB and fit a
+    # 1 MiB budget, four hold 1.22 MiB and are refused before integrating
+    def no_solver(*args):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", 2 ** 20)
+    monkeypatch.setattr(dynamics, "solve_ivp", no_solver)
+    d = DriveParams()
+    gs, gi = FrequencyGrid(-4.0, 4.0, 8), FrequencyGrid(-4.0, 4.0, 2000)
+    with pytest.raises(AssertionError, match="solver was called"):
+        integrate_eom(d, gs, gi, [0.5, 1.0])
+    with pytest.raises(GridTooLarge,
+                       match="pair amplitudes D would take 1.221 MiB"):
+        integrate_eom(d, gs, gi, [0.25, 0.5, 0.75, 1.0])
+
+
 def test_not_converged_when_stopped_inside_pulse():
     with pytest.raises(NotConverged):
         compare_dynamics(DriveParams(), TINY_S, TINY_I, t_final=0.5)
