@@ -240,7 +240,7 @@ def _calibrated_params(sec) -> PhysicalParams:
 def _code(kind, n, **kw):
     """The Alamouti code matrix of make_c(kind, n, **kw); a vector or order
     the codes module rejects is a config error."""
-    with _config_errors("code", (ValueError, NotPowerOfTwo)):
+    with _config_errors("code", (ValueError, NotPowerOfTwo, GridTooLarge)):
         return alamouti_n(make_c(kind, n, **kw))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPowerOfTwo
+from .spectra import require_grid_memory
 
 
 def make_c(kind: str, n: int, h: float = 2.0, a: complex = 1.0,
@@ -22,11 +23,14 @@ def make_c(kind: str, n: int, h: float = 2.0, a: complex = 1.0,
     kind="linear-h": n equally spaced reals spanning [1, h] inclusive
     (descending when h < 1), e.g. n=4, h=2 gives (1, 4/3, 5/3, 2).
     kind="geometric": c_l = a * r**(l-1).
+    Raises GridTooLarge, before building c, when the n x n code matrix
+    would pass spectra.MAX_GRID_BYTES.
     """
     if kind not in ("linear-h", "geometric"):
         raise ValueError(f"unknown code vector kind {kind!r}")
     if n < 1:
         raise ValueError("n must be positive")
+    require_grid_memory(n * n, f"the order-{n} code matrix")
     if kind == "geometric":
         return a * r ** np.arange(n)
     if h <= 0:

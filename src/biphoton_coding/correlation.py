@@ -361,15 +361,16 @@ def acceptance_gate(grid_out: FrequencyGrid, spec: MultiplexedSpectrum,
 def _next_fast_len(n: int) -> int:
     """Smallest length >= n (n >= 1) with no prime factor above 11: the
     sizes pocketfft transforms fastest, as scipy.fft.next_fast_len picks
-    them for complex input."""
-    while True:
-        m = n
-        for p in (2, 3, 5, 7, 11):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
+    them for complex input.  Each odd 11-smooth f up to a power of two
+    >= n gets the least power of two that lifts it to n, so the work grows
+    with the count of such f (a few thousand near 1e14, ~50 ms), not with
+    the gap to the answer, and a budget check can follow at any size."""
+    top = 1 << (n - 1).bit_length()
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        odd = [f * p ** k for f in odd for k in range(top.bit_length())
+               if f * p ** k <= top]
+    return min(f << (-(-n // f) - 1).bit_length() for f in odd)
 
 
 def _gated_power(amps, masks_s, masks_i, psi, phi, gate,

@@ -1,19 +1,19 @@
 """Cascade equations of motion and the closed-form pair amplitude.
 
-Integrates the collective single-excitation amplitudes of the driven
-cascade: vacuum eps, intermediate A, upper B and one-signal-photon C_j on
-a grid of signal mode detunings.  The mu-indexed atomic sums are collapsed
-to one collective mode with the phase-matching sum set to 1, so the ODE
-is a small complex system of 3 + n_signal unknowns, integrated by the
-embedded Dormand-Prince 5(4) pair below on numpy alone.  The pair
-amplitudes D_jk on the signal x idler detuning grid are not ODE unknowns
-but a quadrature of C over the integrator's dense output.
+The driven cascade to first order in the emission couplings, with the
+mu-indexed atomic sums collapsed to one collective mode (phase-matching
+sum 1).  Vacuum eps, intermediate A and upper B evolve as y' = i H(t) y
+with H Hermitian, integrated by the embedded Dormand-Prince 5(4) pair
+below on numpy alone.  The one-signal-photon amplitudes C_j and the pair
+amplitudes D_jk on the signal x idler grid are closed-form transforms of
+B, summed in one Simpson pass over the integrator's dense output.
 
-Mode couplings g_s, g_i are kept small (default 1e-3).  They only scale
-C and D globally, but the discrete signal-mode continuum would otherwise
-feed an artificial decay back onto B at rate ~2 pi g_s^2 / (mode spacing).
-The D amplitudes are one-way probes of the emitted idler field,
-D_jk(t) = g_i int C_j(t') e^{i w_ik t'} dt': C already decays at the
+Emission does not act back on B.  The full system's back-action
+-g_s sum_j e^{-i w_sj t} C_j is, on a discrete signal grid, an artificial
+decay at rate ~2 pi g_s^2 / (mode spacing); leaving it out moves D by at
+most 3.7e-8 of its peak at the default g_s = g_i = 1e-3, against the full
+system integrated by scipy (`reference_eom` in the tests).  D is a
+one-way probe of the emitted idler field: C already decays at the
 collective rate gamma3n/2, which *is* the idler emission, so letting a
 truncated D grid drain C as well would count that decay twice.
 
@@ -64,8 +64,9 @@ _P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
 
-# error-per-step tolerances; C and D are 1e-8 to 1e-15, so an atol near
-# them would hide them from the step control
+# error-per-step tolerances; B, which C and D are transforms of, peaks
+# near 1e-4 and its tail is far smaller, so an atol near it would hide it
+# from the step control
 _RTOL = 1e-8
 _ATOL = 1e-16
 
@@ -203,8 +204,8 @@ class DriveParams:
                           "adiabatic solutions degrade", ValidityWarning)
 
 
-# D quadrature: Simpson nodes per half period of the fastest oscillation
-# of C_j e^{i w_ik t}
+# Simpson nodes per half period of the fastest oscillation of the
+# integrands of C and Bhat
 _NODES_PER_HALF_PERIOD = 4
 
 
@@ -217,28 +218,27 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
                   grid_i: FrequencyGrid, t_eval=None):
     """Integrate the cascade amplitudes from the vacuum initial state.
 
-    eps' = i (Omega_a*/2) A
-    A'   = i [(Omega_a/2) eps + Delta1 A + (Omega_b*/2) B]
-    B'   = i [(Omega_b/2) A + Delta2 B] - g_s sum_j e^{-i w_sj t} C_j
-    C_j' = g_s e^{i w_sj t} B - (gamma3n/2 - i lamb_shift) C_j
-    D_jk = g_i int_{t_start}^{t} e^{i w_ik t'} C_j(t') dt'
+    eps' = i (Omega_a/2) A
+    A'   = i [(Omega_a/2) eps + Delta1 A + (Omega_b/2) B]
+    B'   = i [(Omega_b/2) A + Delta2 B]
+    C_j  = g_s int B(t') e^{i w_sj t'} e^{-kappa (t - t')} dt'
+    D_jk = g_i int C_j(t') e^{i w_ik t'} dt'
+         = g_i / (kappa - i w_ik) [g_s Bhat_jk - e^{i w_ik t} C_j]
 
-    Starts 6 tau before the pulse center with eps = 1 and integrates only
-    to the last of t_eval (strictly increasing, none before the start;
-    default [default_t_final]).  Returns (y, d) at the t_eval times: y,
-    shape (len(t_eval), 3 + n_signal), is (eps, A, B, C_1..C_n) read from
-    the quartic dense output of `solve_ivp` (Dormand-Prince 5(4), rtol
-    1e-8, atol 1e-16); d, shape (len(t_eval), n_signal, n_idler), is D by
-    composite Simpson sums of C read from the same dense output, on nodes
-    spaced to resolve the fastest oscillation of the integrand.  Raises
-    GridTooLarge, before integrating, when the D grids it holds (one per
-    time plus the running sum) would pass spectra.MAX_GRID_BYTES, and
-    while integrating when the dense output would (a long window takes
-    many steps).
+    over [t_start, t], with kappa = gamma3n/2 - i lamb_shift and Bhat_jk =
+    int B(t') e^{i (w_sj + w_ik) t'} dt'.  Starts 6 tau before the pulse
+    center with eps = 1 and integrates only to the last of t_eval (strictly
+    increasing, none before the start; default [default_t_final]).
+    Returns (y, d) at the t_eval times: y, shape (len(t_eval), 3 +
+    n_signal), is (eps, A, B, C_1..C_n) and d, shape (len(t_eval),
+    n_signal, n_idler), is D.  eps, A and B are read from the quartic dense
+    output of `solve_ivp` (rtol 1e-8, atol 1e-16); C and Bhat are composite
+    Simpson sums of B read from it, on nodes spaced to resolve the fastest
+    oscillation of the integrands.  Raises GridTooLarge, before reading
+    either grid, when the D grids it holds (one per time plus Bhat) would
+    pass spectra.MAX_GRID_BYTES.
     """
     drive.check_weak_drive()
-    ws = grid_s.omegas
-    wi = grid_i.omegas
     t_start = drive.pulse_center - 6.0 * drive.tau
     if t_eval is None:
         t_eval = [default_t_final(drive)]
@@ -250,55 +250,53 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
                          f"{t_start:.4g} (6 tau before the pulse center)")
     require_grid_memory((len(t_eval) + 1) * grid_s.points * grid_i.points,
                         "the pair amplitudes D")
-
-    decay = drive.gamma3n / 2.0 - 1j * drive.lamb_shift
-
-    def rhs(t, y):
-        # eps, A, B and the real pulses as Python scalars: numpy scalar
-        # arithmetic would cost more than the n_signal-long C update
-        eps, a, b = y[:3].tolist()
-        env = drive.envelope(t)
-        om_a, om_b = drive.omega_a_tilde * env, drive.omega_b_tilde * env
-        c = y[3:]
-        phase_s = np.exp(1j * ws * t)
-        out = np.empty_like(y)
-        out[0] = 0.5j * om_a * a
-        out[1] = 1j * (0.5 * om_a * eps + drive.delta1 * a + 0.5 * om_b * b)
-        out[2] = 1j * (0.5 * om_b * a + drive.delta2 * b) \
-            - drive.g_s * np.vdot(phase_s, c)
-        out[3:] = drive.g_s * b * phase_s - decay * c
-        return out
-
-    y0 = np.zeros(3 + len(ws), dtype=complex)
-    y0[0] = 1.0
-    sol = solve_ivp(rhs, (t_start, float(t_eval[-1])), y0)
-    # D by composite Simpson (weights 1, 4, 2, ..., 4, 1), one rule per
-    # interval between successive times.  The integrand oscillates at up to
-    # the sum detuning plus the free frequencies of A, B and C, widened by
-    # the decay and the pulse spectrum (down e^{-25} at 10/tau)
+    ws, wi = grid_s.omegas, grid_i.omegas
+    # y' = (h_free + envelope(t) h_drive) y: i times a Hermitian matrix,
+    # since both pulses are real and share the envelope
+    h_free = 1j * np.diag([0.0, drive.delta1, drive.delta2])
+    om_a, om_b = drive.omega_a_tilde, drive.omega_b_tilde
+    h_drive = 0.5j * np.array([[0.0, om_a, 0.0], [om_a, 0.0, om_b],
+                               [0.0, om_b, 0.0]])
+    sol = solve_ivp(lambda t, y: (h_free + drive.envelope(t) * h_drive) @ y,
+                    (t_start, float(t_eval[-1])),
+                    np.array([1.0, 0.0, 0.0], dtype=complex))
+    kappa = drive.gamma3n / 2.0 - 1j * drive.lamb_shift
+    # composite Simpson (weights 1, 4, 2, ..., 4, 1), one rule per interval
+    # between successive times.  The integrands oscillate at up to the sum
+    # detuning plus the free frequencies of A and B, widened by the decay
+    # and the pulse spectrum (down e^{-25} at 10/tau)
     band = (np.max(np.abs(ws)) + np.max(np.abs(wi))
             + max(abs(drive.delta1), abs(drive.delta2))
             + abs(drive.lamb_shift) + drive.gamma3n + 10.0 / drive.tau)
     spacing = math.pi / (_NODES_PER_HALF_PERIOD * band)
-    # nodes read from the dense output at a time, so that each array of a
-    # block, its phase factors (nodes x n_idler) and its dense-output read
-    # (nodes x 6 x state), stays inside the budget however long the window
-    block = max(1, MAX_GRID_BYTES // (16 * (len(wi) + 6 * len(y0))))
-    # the running sum in its own buffer, copied into d at each time
-    acc = np.zeros((len(ws), len(wi)), dtype=complex)
-    d = np.empty((len(t_eval), *acc.shape), dtype=complex)
+    # nodes read from the dense output at a time: a block's phase factors
+    # (nodes x n_signal, nodes x n_idler, two of each live at once) stay a
+    # few MiB on a long window, and each stays inside the budget on a wide
+    # grid
+    block = max(1, min(4096, MAX_GRID_BYTES // (16 * (len(ws) + len(wi)))))
+    # running sums: Bhat, and C / g_s
+    b_hat = np.zeros((len(ws), len(wi)), dtype=complex)
+    c = np.zeros(len(ws), dtype=complex)
+    y = np.empty((len(t_eval), 3 + len(ws)), dtype=complex)
+    y[:, :3] = sol(t_eval).T
+    d = np.empty((len(t_eval), *b_hat.shape), dtype=complex)
     for k, (t_prev, t) in enumerate(zip([t_start, *t_eval[:-1]], t_eval)):
         m = 2 * max(1, math.ceil((t - t_prev) / (2.0 * spacing)))
         nodes = np.linspace(t_prev, t, m + 1)
         w = np.ones(m + 1)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        w *= drive.g_i * (t - t_prev) / (3.0 * m)
+        w *= (t - t_prev) / (3.0 * m)
+        c *= np.exp(-kappa * (t - t_prev))
         for lo in range(0, m + 1, block):
-            blk = slice(lo, lo + block)
-            acc += sol(nodes[blk])[3:] @ (
-                w[blk, None] * np.exp(1j * np.outer(nodes[blk], wi)))
-        d[k] = acc
-    return sol(t_eval).T, d
+            tn = nodes[lo:lo + block]
+            wb = w[lo:lo + block] * sol(tn)[2]
+            phase_s = np.exp(1j * np.outer(tn, ws))
+            b_hat += (wb[:, None] * phase_s).T @ np.exp(1j * np.outer(tn, wi))
+            c += (wb * np.exp(-kappa * (t - tn))) @ phase_s
+        y[k, 3:] = drive.g_s * c
+        d[k] = drive.g_s * drive.g_i * (b_hat - np.exp(1j * wi * t)
+                                        * c[:, None]) / (kappa - 1j * wi)
+    return y, d
 
 
 def dsi_analytic(drive: DriveParams, domega_s, domega_i):

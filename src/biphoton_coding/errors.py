@@ -13,7 +13,7 @@ class UnderResolvedGrid(BiphotonCodingError):
 
 class GridTooLarge(BiphotonCodingError):
     """An array (a signal x idler grid, the ODE's dense output, the g2
-    FFTs) would exceed the memory budget."""
+    FFTs, a code matrix) would exceed the memory budget."""
 
 
 class BinOverlap(BiphotonCodingError):

@@ -24,7 +24,8 @@ _IDLER_SPAN = 20.0   # idler grid half-span around each pair, in gamma3n
 
 # largest complex array, in bytes, that a run may hold (16 times a
 # 1024 x 1024 amplitude): a JSA, the pair amplitudes D, the solver's dense
-# output or the numeric g2 FFTs; larger ones are refused, not allocated
+# output, the numeric g2 FFTs or a code matrix; larger ones are refused,
+# not allocated
 MAX_GRID_BYTES = 2 ** 28
 
 

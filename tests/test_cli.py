@@ -392,8 +392,8 @@ def _case(id_, command, body, prefix):
            "idler_grid": {"min": -100.0, "max": 100.0, "points": 10 ** 6}},
           "config error: grids: the joint spectral amplitude would take"),
     # a long window: the solver's stored steps pass the lowered budget
-    # below (at the real one, t_final 2000 on a 96 x 96 grid passes it at
-    # step 33,894)
+    # below (at the real one, three amplitudes per step, a window needs
+    # over a million steps: t_final 2000 on a 96 x 96 grid takes 100,103)
     _case("dynamics-long-window", "dynamics-check",
           {"t_final": 2000.0, **TINY_GRIDS},
           "config error: grids: the solver's dense output at step"),
@@ -409,6 +409,22 @@ def _case(id_, command, body, prefix):
           {"signal_grid": {"min": -4.0, "max": 4.0, "points": 10 ** 6},
            "idler_grid": {"min": -4.0, "max": 4.0, "points": 10 ** 6}},
           "config error: grids: the pair amplitudes D would take"),
+    # each refused from its sizes before a grid or code is built: the
+    # 2**40-point signal grid, the FFT length search above a ~1.6e14-point
+    # convolution, and the n x n code matrices (n = 16,384 is 4 GiB, past
+    # the real budget too)
+    _case("dynamics-signal-points-2**40", "dynamics-check",
+          {"signal_grid": {"min": -4.0, "max": 4.0, "points": 2 ** 40},
+           "idler_grid": {"min": -4.0, "max": 4.0, "points": 3}},
+          "config error: grids: the pair amplitudes D would take"),
+    _case("sweep-delta-1e-12", "sweep",
+          {"variable": "delta", "values": [1e-12], "n": 4},
+          "config error: grids: the numeric g2 FFTs would take"),
+    _case("codes-n-2**40", "codes", {"code": {"n": 2 ** 40}},
+          "config error: code: the order-1099511627776 code matrix would "
+          "take"),
+    _case("codes-n-16384", "codes", {"code": {"n": 16384}},
+          "config error: code: the order-16384 code matrix would take"),
     _case("numeric-coarse-grid", "single-channel",
           {**NUMERIC,
            "signal_grid": {"min": -100.0, "max": 100.0, "points": 21},
@@ -577,7 +593,7 @@ traced_main = tracer.install(t)
 for argv in {argvs!r}:
     assert traced_main(argv) == 0, argv
 c = t.counters
-assert c['dynamics.nfev'] > 0 and c['dynamics.state_size'] == 6, c
+assert c['dynamics.nfev'] > 0 and c['dynamics.state_size'] == 3, c
 assert c['correlation.levels'] > 0, c
 """
 

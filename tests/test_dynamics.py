@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton_coding import dynamics, spectra
 from biphoton_coding.dynamics import (
@@ -73,6 +75,35 @@ def test_sector_norm_monotone_with_decay():
     norms = _sector_norm(y)
     assert float(np.max(np.diff(norms))) < 1e-10
     assert norms[-1] + float(np.sum(np.abs(dsi[-1]) ** 2)) <= 1.0 + 1e-10
+
+
+def _signed(lo, hi):
+    return st.builds(lambda x, sign: sign * x, st.floats(lo, hi),
+                     st.sampled_from([-1.0, 1.0]))
+
+
+# strong drives included: unitarity does not need the adiabatic limit
+@pytest.mark.filterwarnings("ignore::biphoton_coding.errors.ValidityWarning")
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(om_a=_signed(0.0, 5.0), om_b=_signed(0.0, 5.0),
+       delta1=_signed(3.0, 300.0), delta2=_signed(3.0, 300.0),
+       tau=st.floats(0.1, 2.0), pulse_center=st.floats(-3.0, 3.0),
+       lamb_shift=st.floats(-5.0, 5.0))
+def test_closed_block_is_unitary(om_a, om_b, delta1, delta2, tau,
+                                 pulse_center, lamb_shift):
+    # (eps, A, B) evolves under i times a Hermitian matrix and emission
+    # does not act back on it, so its norm stays 1 at every time.  The
+    # bound is the stepper's error accumulated at rtol 1e-8: ~4e-11 in
+    # weak drive, up to 5.6e-8 where a strong pulse moves real population
+    # across |Delta| = 3
+    d = DriveParams(omega_a_tilde=om_a, omega_b_tilde=om_b, delta1=delta1,
+                    delta2=delta2, tau=tau, pulse_center=pulse_center,
+                    lamb_shift=lamb_shift)
+    t_start = pulse_center - 6.0 * tau
+    t_eval = np.linspace(t_start, default_t_final(d), 25)
+    y, _ = integrate_eom(d, TINY_S, TINY_I, t_eval)
+    norms = np.sum(np.abs(y[:, :3]) ** 2, axis=1)
+    assert float(np.max(np.abs(norms - 1.0))) < 1e-7
 
 
 def test_adiabatic_tracking_near_pulse_center():
