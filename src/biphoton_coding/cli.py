@@ -13,7 +13,7 @@ All frequencies and rates in configs are in units of gamma, times in
 units of 1/gamma, matching the library convention.
 
 Exit codes: 0 success, 1 configuration or validation failure, 2 numeric
-failure (non-convergence, integrator abort, degenerate contrast).
+failure (non-convergence, degenerate contrast).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .codes import alamouti_n, gram, make_c
 # g2_numeric and matched_decode are unused here; bench/tracer.py wraps them
 # in this module.  It also wraps compare_dynamics here and the ODE solver at
-# dynamics.solve_ivp, the package's own Dormand-Prince stepper: no
+# dynamics.solve_ivp, the package's own fourth-order Magnus scan: no
 # subcommand imports scipy.
 from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
                           g2_matrix_ideal_multi, g2_matrix_numeric,
@@ -43,7 +43,7 @@ from .dynamics import DriveParams, compare_dynamics
 from .errors import (BinOverlap, BiphotonCodingError, CodeSpaceOverflow,
                      ConfigError, CycleDetected, DegenerateMatrix,
                      GridTooLarge, NotConverged, NotPowerOfTwo, OddM,
-                     StepFailure, UnderResolvedGrid)
+                     UnderResolvedGrid)
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
@@ -637,7 +637,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NotConverged, StepFailure, DegenerateMatrix) as exc:
+    except (NotConverged, DegenerateMatrix) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except BiphotonCodingError as exc:

@@ -3,10 +3,10 @@
 The driven cascade to first order in the emission couplings, with the
 mu-indexed atomic sums collapsed to one collective mode (phase-matching
 sum 1).  Vacuum eps, intermediate A and upper B evolve as y' = i H(t) y
-with H Hermitian, integrated by the embedded Dormand-Prince 5(4) pair
-below on numpy alone.  The one-signal-photon amplitudes C_j and the pair
+with H Hermitian, stepped by fourth-order Magnus on numpy alone, every
+step unitary.  The one-signal-photon amplitudes C_j and the pair
 amplitudes D_jk on the signal x idler grid are closed-form transforms of
-B, summed in one Simpson pass over the integrator's dense output.
+B: Simpson sums of B on the very nodes the Magnus scan steps through.
 
 Emission does not act back on B.  The full system's back-action
 -g_s sum_j e^{-i w_sj t} C_j is, on a discrete signal grid, an artificial
@@ -25,139 +25,70 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotConverged, StepFailure, ValidityWarning
+from .errors import NotConverged, ValidityWarning
 from .spectra import MAX_GRID_BYTES, FrequencyGrid, require_grid_memory
 
 
-# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6(1), 1980;
-# Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6): stage nodes _C and
-# coefficients _A, whose last row is the fifth-order solution, so the last
-# stage is the next step's first derivative; _E, the fifth- minus the
-# fourth-order weights, estimates the local error; and _P, the quartic
-# continuous extension y(t + x h) = y + h sum_j x^j (K^T _P)_j.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]])
-_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
-               -22 / 525, 1 / 40])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# fourth-order Magnus (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009;
+# Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999): the two
+# Gauss-Legendre points of a step, as fractions of it
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+# largest h max||H|| of one step.  On the `reference_eom` cases of the
+# tests (h max||H|| up to 0.65 per Simpson gap), D moves from a converged
+# run by up to 1.5e-6 of its peak at one step per gap, 1.3e-8 at 0.16 and
+# 1.7e-9 at 0.1, far inside the tests' 1e-7 gate
+_THETA = 0.1
+# steps exponentiated per batched eigh
+_BLOCK = 4096
 
 
-# error-per-step tolerances; B, which C and D are transforms of, peaks
-# near 1e-4 and its tail is far smaller, so an atol near it would hide it
-# from the step control
-_RTOL = 1e-8
-_ATOL = 1e-16
-
-
-class DenseOutput:
-    """The continuous extension of every accepted step; called with an
-    array of times in [ts[0], ts[-1]], returns the states, shape
-    (n_state, len(t)).  nfev counts the right-hand-side calls made."""
-
-    def __init__(self, ts, ys, qs, nfev):
-        self.ts = ts        # step boundaries
-        self._ys = ys       # state at each step start, (n_steps, n_state)
-        self._qs = qs       # h K^T _P of each step, (n_steps, 4, n_state)
-        self.nfev = nfev
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.ts, t, side="right") - 1,
-                    0, len(self._ys) - 1)
-        x = (t - self.ts[k]) / (self.ts[k + 1] - self.ts[k])
-        powers = x[:, None] ** np.arange(1, 5)
-        return (self._ys[k]
-                + np.einsum("kj,kjn->kn", powers, self._qs[k])).T
-
-
-def _rms(x) -> float:
-    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+class Solution(NamedTuple):
+    y: np.ndarray   # the states at the requested times, (len(t), len(y0))
+    nfev: int       # evaluations of H, one per time
 
 
 # bench/tracer.py wraps dynamics.solve_ivp by name and reads len(args[2])
 # and the result's .nfev
-def solve_ivp(fun, t_span, y0) -> DenseOutput:
-    """Integrate y' = fun(t, y) over t_span by Dormand-Prince 5(4) with
-    error-per-step control at rtol _RTOL and atol _ATOL, and return the
-    dense output.  Raises StepFailure when the step size falls to rounding
-    level, as it does approaching a singularity, and GridTooLarge as soon
-    as the stored steps (five state-sized arrays each) pass
-    spectra.MAX_GRID_BYTES."""
-    t, t_end = map(float, t_span)
-    if not t < t_end:
-        raise ValueError("the integration interval must be increasing")
-    y = np.array(y0)
-    f = fun(t, y)
-    # initial step (Hairer, Norsett & Wanner II.4): a small Euler probe
-    # sizes h so that the local error lands near the tolerance
-    scale = _ATOL + _RTOL * np.abs(y)
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
-    bound = max(d1, d2)
-    h = min(100.0 * h0, (0.01 / bound) ** 0.2 if bound > 1e-15
-            else max(1e-6, 1e-3 * h0))
-    nfev = 2
-    k = np.empty((7, y.size), dtype=np.result_type(y, f))
-    # per step: its start state, then h K^T _P (float64 at least); grown in
-    # place (realloc) by an eighth, so the stored steps are never held twice
-    ts, n, steps = [t], 0, np.empty((16, 5, y.size), np.result_type(y, f, 1.0))
-    while t < t_end:
-        rejected = False
-        while True:
-            if h < 10.0 * math.ulp(t):
-                raise StepFailure(f"step size underflow at t = {t:.6g}")
-            t_new = min(t + h, t_end)
-            h = t_new - t
-            k[0] = f
-            for s in range(1, 6):
-                k[s] = fun(t + _C[s] * h, y + h * (_A[s, :s] @ k[:s]))
-            y_new = y + h * (_A[6] @ k[:6])
-            k[6] = fun(t_new, y_new)
-            nfev += 6
-            scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms(h * (_E @ k) / scale)
-            if err < 1.0:
-                break
-            # a NaN or infinite error estimate shrinks the step by 5
-            h *= max(0.2, 0.9 * err ** -0.2)
-            rejected = True
-        ts.append(t_new)
-        if n == len(steps):
-            steps.resize((n + n // 8 + 1, *steps.shape[1:]), refcheck=False)
-        steps[n, 0], steps[n, 1:] = y, h * (_P.T @ k)
-        n += 1
-        require_grid_memory(5 * y.size * n,
-                            f"the solver's dense output at step {n}")
-        # a copy: k[6] is overwritten by the next attempt, and a rejected
-        # attempt must restart from this step's end derivative
-        t, y, f = t_new, y_new, k[6].copy()
-        growth = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-        h *= min(1.0, growth) if rejected else growth
-    steps.resize((n, *steps.shape[1:]), refcheck=False)
-    return DenseOutput(np.array(ts), steps[:, 0], steps[:, 1:], nfev)
+def solve_ivp(hamiltonian, t, y0) -> Solution:
+    """Integrate y' = i H(t) y, H Hermitian, from y(t[0]) = y0 by
+    fourth-order Magnus and return the states at the times t.
+
+    hamiltonian maps an array of times to the stack of their H.  Every
+    gap of t takes s equal steps, s = ceil(max gap * max ||H|| / _THETA),
+    with the spectral norm read at the times t.  A step of length h is
+    exp(i K), K = h/2 (H1 + H2) + i sqrt(3)/12 h^2 [H2, H1] with H1 and H2
+    at its two Gauss points, exponentiated through `np.linalg.eigh`, so
+    every step is unitary and a gap of length zero is the identity.
+    """
+    t = np.asarray(t, dtype=float)
+    gaps = np.diff(t)
+    norm = max(np.abs(np.linalg.eigvalsh(hamiltonian(t[i:i + _BLOCK]))).max()
+               for i in range(0, len(t), _BLOCK))
+    s = max(1, math.ceil(np.abs(gaps).max(initial=0.0) * norm / _THETA))
+    y = np.empty((len(t), len(y0)), dtype=complex)
+    y[0] = y0
+    per = max(1, _BLOCK // s)
+    for lo in range(0, len(gaps), per):
+        g = gaps[lo:lo + per] / s
+        start = (t[lo:lo + len(g), None] + g[:, None] * np.arange(s)).ravel()
+        h = np.repeat(g, s)
+        h1, h2 = (hamiltonian(start + c * h) for c in _GAUSS)
+        h = h[:, None, None]
+        k = h / 2 * (h1 + h2) \
+            + 1j * math.sqrt(3.0) / 12 * h ** 2 * (h2 @ h1 - h1 @ h2)
+        lam, v = np.linalg.eigh(k)
+        u = ((v * np.exp(1j * lam)[:, None, :]) @ v.conj().swapaxes(1, 2)
+             ).reshape(len(g), s, *k.shape[1:])
+        # each gap's steps, the later ones on the left
+        for j in range(1, s):
+            u[:, 0] = u[:, j] @ u[:, 0]
+        for i, step in enumerate(u[:, 0], lo):
+            y[i + 1] = step @ y[i]
+    return Solution(y, len(t) + 2 * s * len(gaps))
 
 
 @dataclass(frozen=True)
@@ -184,10 +115,11 @@ class DriveParams:
         if self.delta1 == 0 or self.delta2 == 0:
             raise ValueError("delta1 and delta2 must be nonzero")
 
-    def envelope(self, t: float) -> float:
-        """exp(-(t-t0)^2/tau^2) / (sqrt(pi) tau), the shape both pulses share."""
+    def envelope(self, t):
+        """exp(-(t-t0)^2/tau^2) / (sqrt(pi) tau), the shape both pulses
+        share, at a time or an array of times."""
         x = (t - self.pulse_center) / self.tau
-        return math.exp(-x * x) / (math.sqrt(math.pi) * self.tau)
+        return np.exp(-x * x) / (math.sqrt(math.pi) * self.tau)
 
     def pulse_a(self, t: float) -> float:
         """Omega_a(t) = omega_a_tilde * envelope(t)."""
@@ -231,12 +163,13 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     increasing, none before the start; default [default_t_final]).
     Returns (y, d) at the t_eval times: y, shape (len(t_eval), 3 +
     n_signal), is (eps, A, B, C_1..C_n) and d, shape (len(t_eval),
-    n_signal, n_idler), is D.  eps, A and B are read from the quartic dense
-    output of `solve_ivp` (rtol 1e-8, atol 1e-16); C and Bhat are composite
-    Simpson sums of B read from it, on nodes spaced to resolve the fastest
-    oscillation of the integrands.  Raises GridTooLarge, before reading
+    n_signal, n_idler), is D.  C and Bhat are composite Simpson sums of B
+    on nodes spaced to resolve the fastest oscillation of the integrands,
+    and one `solve_ivp` call steps (eps, A, B) through those very nodes,
+    so nothing is interpolated.  Raises GridTooLarge, before reading
     either grid, when the D grids it holds (one per time plus Bhat) would
-    pass spectra.MAX_GRID_BYTES.
+    pass spectra.MAX_GRID_BYTES, and before building a node when the
+    nodes would.
     """
     drive.check_weak_drive()
     t_start = drive.pulse_center - 6.0 * drive.tau
@@ -251,45 +184,55 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     require_grid_memory((len(t_eval) + 1) * grid_s.points * grid_i.points,
                         "the pair amplitudes D")
     ws, wi = grid_s.omegas, grid_i.omegas
-    # y' = (h_free + envelope(t) h_drive) y: i times a Hermitian matrix,
-    # since both pulses are real and share the envelope
-    h_free = 1j * np.diag([0.0, drive.delta1, drive.delta2])
-    om_a, om_b = drive.omega_a_tilde, drive.omega_b_tilde
-    h_drive = 0.5j * np.array([[0.0, om_a, 0.0], [om_a, 0.0, om_b],
-                               [0.0, om_b, 0.0]])
-    sol = solve_ivp(lambda t, y: (h_free + drive.envelope(t) * h_drive) @ y,
-                    (t_start, float(t_eval[-1])),
-                    np.array([1.0, 0.0, 0.0], dtype=complex))
     kappa = drive.gamma3n / 2.0 - 1j * drive.lamb_shift
-    # composite Simpson (weights 1, 4, 2, ..., 4, 1), one rule per interval
-    # between successive times.  The integrands oscillate at up to the sum
-    # detuning plus the free frequencies of A and B, widened by the decay
-    # and the pulse spectrum (down e^{-25} at 10/tau)
+    # composite Simpson (weights 1, 4, 2, ..., 4, 1), one rule of m[k] gaps
+    # per interval between successive times.  The integrands oscillate at
+    # up to the sum detuning plus the free frequencies of A and B, widened
+    # by the decay and the pulse spectrum (down e^{-25} at 10/tau)
     band = (np.max(np.abs(ws)) + np.max(np.abs(wi))
             + max(abs(drive.delta1), abs(drive.delta2))
             + abs(drive.lamb_shift) + drive.gamma3n + 10.0 / drive.tau)
     spacing = math.pi / (_NODES_PER_HALF_PERIOD * band)
-    # nodes read from the dense output at a time: a block's phase factors
-    # (nodes x n_signal, nodes x n_idler, two of each live at once) stay a
-    # few MiB on a long window, and each stays inside the budget on a wide
-    # grid
+    starts = [t_start, *t_eval[:-1]]
+    m = 2 * np.maximum(1.0, np.ceil(np.diff(t_eval, prepend=t_start)
+                                    / (2.0 * spacing)))
+    # three amplitudes, the time and the weight: 64 bytes a node
+    n_nodes = 1.0 + m.sum()
+    require_grid_memory(4 * n_nodes, f"the cascade state at "
+                        f"{n_nodes:,.0f} quadrature nodes")
+    m = m.astype(int)
+    ends = np.cumsum(m)
+    nodes = np.concatenate([[t_start]] + [
+        np.linspace(t_prev, t, mk + 1)[1:]
+        for t_prev, t, mk in zip(starts, t_eval, m)])
+    # y' = i (h_free + envelope(t) h_drive) y, with a real symmetric h_drive
+    # since both pulses are real and share the envelope
+    h_free = np.diag([0.0, drive.delta1, drive.delta2])
+    om_a, om_b = drive.omega_a_tilde / 2.0, drive.omega_b_tilde / 2.0
+    h_drive = np.array([[0, om_a, 0], [om_a, 0, om_b], [0, om_b, 0]])
+    states = solve_ivp(
+        lambda t: h_free + drive.envelope(t)[:, None, None] * h_drive,
+        nodes, np.array([1.0, 0.0, 0.0], dtype=complex)).y
+    # nodes summed at a time: a block's phase factors (nodes x n_signal,
+    # nodes x n_idler, two of each live at once) stay a few MiB on a long
+    # window, and each stays inside the budget on a wide grid
     block = max(1, min(4096, MAX_GRID_BYTES // (16 * (len(ws) + len(wi)))))
     # running sums: Bhat, and C / g_s
     b_hat = np.zeros((len(ws), len(wi)), dtype=complex)
     c = np.zeros(len(ws), dtype=complex)
     y = np.empty((len(t_eval), 3 + len(ws)), dtype=complex)
-    y[:, :3] = sol(t_eval).T
+    y[:, :3] = states[ends]
     d = np.empty((len(t_eval), *b_hat.shape), dtype=complex)
-    for k, (t_prev, t) in enumerate(zip([t_start, *t_eval[:-1]], t_eval)):
-        m = 2 * max(1, math.ceil((t - t_prev) / (2.0 * spacing)))
-        nodes = np.linspace(t_prev, t, m + 1)
-        w = np.ones(m + 1)
+    for k, (t_prev, t) in enumerate(zip(starts, t_eval)):
+        w = np.ones(m[k] + 1)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        w *= (t - t_prev) / (3.0 * m)
+        w *= (t - t_prev) / (3.0 * m[k])
+        span = slice(ends[k] - m[k], ends[k] + 1)
+        tn_k, b_k = nodes[span], states[span, 2]
         c *= np.exp(-kappa * (t - t_prev))
-        for lo in range(0, m + 1, block):
-            tn = nodes[lo:lo + block]
-            wb = w[lo:lo + block] * sol(tn)[2]
+        for lo in range(0, m[k] + 1, block):
+            tn = tn_k[lo:lo + block]
+            wb = w[lo:lo + block] * b_k[lo:lo + block]
             phase_s = np.exp(1j * np.outer(tn, ws))
             b_hat += (wb[:, None] * phase_s).T @ np.exp(1j * np.outer(tn, wi))
             c += (wb * np.exp(-kappa * (t - tn))) @ phase_s

@@ -12,8 +12,8 @@ class UnderResolvedGrid(BiphotonCodingError):
 
 
 class GridTooLarge(BiphotonCodingError):
-    """An array (a signal x idler grid, the ODE's dense output, the g2
-    FFTs, a code matrix) would exceed the memory budget."""
+    """An array (a signal x idler grid, the cascade's quadrature nodes,
+    the g2 FFTs, a code matrix) would exceed the memory budget."""
 
 
 class BinOverlap(BiphotonCodingError):
@@ -50,10 +50,6 @@ class InfeasibleDecode(BiphotonCodingError):
 
 class CodeSpaceOverflow(BiphotonCodingError):
     """Codeword-space dimension M**R exceeds the representable range."""
-
-
-class StepFailure(BiphotonCodingError):
-    """The ODE integrator failed to advance the state."""
 
 
 class NotConverged(BiphotonCodingError):

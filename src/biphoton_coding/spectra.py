@@ -23,9 +23,9 @@ _RESOLUTION = 8.0    # grid samples per 1/tau
 _IDLER_SPAN = 20.0   # idler grid half-span around each pair, in gamma3n
 
 # largest complex array, in bytes, that a run may hold (16 times a
-# 1024 x 1024 amplitude): a JSA, the pair amplitudes D, the solver's dense
-# output, the numeric g2 FFTs or a code matrix; larger ones are refused,
-# not allocated
+# 1024 x 1024 amplitude): a JSA, the pair amplitudes D, the cascade state
+# at its quadrature nodes, the numeric g2 FFTs or a code matrix; larger
+# ones are refused, not allocated
 MAX_GRID_BYTES = 2 ** 28
 
 

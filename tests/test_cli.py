@@ -281,6 +281,23 @@ def test_dynamics_check_not_converged_exit_code(tmp_path):
     assert main(["dynamics-check", cfg]) == 2  # numeric failure, not schema
 
 
+def test_dynamics_check_tiny_drive(tmp_path):
+    # D is linear in each pulse area, and the integrator has no absolute
+    # tolerance for a faint B to fall under: a 1e-12 drive converges to
+    # the unit drive's |D|^2 scaled by 1e-24, but for the unit drive's
+    # AC Stark shift (2e-4)
+    peaks = []
+    for label, omega in (("unit", 1.0), ("faint", 1e-12)):
+        cfg = write_cfg(tmp_path, f"{label}.json", {
+            "output_dir": str(tmp_path), "label": label,
+            "drive": {"omega_a_tilde": omega}, **TINY_GRIDS})
+        assert main(["dynamics-check", cfg]) == 0
+        rep = json.loads((tmp_path / f"{label}_dynamics.json").read_text())
+        assert rep["converged"] is True
+        peaks.append(rep["peak_numeric"])
+    assert peaks[1] / (1e-24 * peaks[0]) == pytest.approx(1.0, rel=1e-3)
+
+
 @pytest.mark.parametrize("field, value", [
     ("tau", 0.0), ("tau", -0.5), ("gamma3n", 0.0), ("gamma3n", -5.0),
     ("delta1", 0.0), ("delta2", 0.0)])
@@ -391,12 +408,14 @@ def _case(id_, command, body, prefix):
            "signal_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6},
            "idler_grid": {"min": -100.0, "max": 100.0, "points": 10 ** 6}},
           "config error: grids: the joint spectral amplitude would take"),
-    # a long window: the solver's stored steps pass the lowered budget
-    # below (at the real one, three amplitudes per step, a window needs
-    # over a million steps: t_final 2000 on a 96 x 96 grid takes 100,103)
+    # a long window: the cascade state at its quadrature nodes passes the
+    # lowered budget below before a node is built (at the real one, 64
+    # bytes per node, a window needs over four million nodes: t_final 2000
+    # on a 96 x 96 grid takes 237,181)
     _case("dynamics-long-window", "dynamics-check",
           {"t_final": 2000.0, **TINY_GRIDS},
-          "config error: grids: the solver's dense output at step"),
+          "config error: grids: the cascade state at 211,677 quadrature "
+          "nodes would take"),
     # n = 32 on the automatic grids needs two ~433 MiB FFT tensors
     _case("numeric-n-32", "single-channel",
           {**NUMERIC, "delta": 100.0,
@@ -628,7 +647,7 @@ def test_light_modules_do_not_import_the_ode_solver():
 
 # run in a fresh interpreter where any scipy import raises ImportError:
 # main(argv) must return 0, `calls` counts its calls of dynamics.solve_ivp
-# (the package's own stepper), and nothing may have replaced the blocked
+# (the package's own Magnus scan), and nothing may have replaced the blocked
 # entry
 _RUN_IN_FRESH = """
 import sys
