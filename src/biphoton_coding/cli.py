@@ -42,8 +42,7 @@ from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
 from .dynamics import DriveParams, compare_dynamics
 from .errors import (BinOverlap, BiphotonCodingError, CodeSpaceOverflow,
                      ConfigError, CycleDetected, DegenerateMatrix,
-                     GridTooLarge, NotConverged, NotPowerOfTwo, OddM,
-                     UnderResolvedGrid)
+                     GridTooLarge, NotConverged, UnderResolvedGrid)
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
@@ -89,6 +88,20 @@ def _float(raw):
     except OverflowError:       # an integer beyond the float range
         pass
     raise ValueError(f"expected a finite number, got {raw!r}")
+
+
+def _path(raw):
+    """Caster for a path string; no file name holds a NUL byte."""
+    if "\0" in _str(raw):
+        raise ValueError(f"NUL byte in {raw!r}")
+    return raw
+
+
+def _label(raw):
+    """Caster for an artifact label: one file-name stem, not a path."""
+    if Path(_path(raw)).name != raw:
+        raise ValueError(f"expected a file-name stem, got {raw!r}")
+    return raw
 
 
 def _positive(raw):
@@ -240,12 +253,12 @@ def _calibrated_params(sec) -> PhysicalParams:
 def _code(kind, n, **kw):
     """The Alamouti code matrix of make_c(kind, n, **kw); a vector or order
     the codes module rejects is a config error."""
-    with _config_errors("code", (ValueError, NotPowerOfTwo, GridTooLarge)):
+    with _config_errors("code", (ValueError, GridTooLarge)):
         return alamouti_n(make_c(kind, n, **kw))
 
 
 def _staircase(r, m, bin_width):
-    with _config_errors("staircase", (ValueError, CodeSpaceOverflow, OddM)):
+    with _config_errors("staircase", (ValueError, CodeSpaceOverflow)):
         return staircase(r, m, bin_width)
 
 
@@ -380,7 +393,7 @@ def _cmd_codes(sec, meta, outdir: Path, label: str) -> int:
         "n": n,
         "h": kw.get("h"),
         "orthogonal_column_pairs": orthogonal_pairs,
-        "ideal_contrast": report.as_dict(),
+        "ideal_contrast": report,
     })
     return 0
 
@@ -431,7 +444,7 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
                None, matrix)
     _write_json(outdir / f"{label}_contrast.json", meta, {
         "mode": mode, "n": len(code),
-        "contrast": report.as_dict(),
+        "contrast": report,
     })
     return 0
 
@@ -469,8 +482,7 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
     reports = [contrasts(matrix_at(v)) for v in values]
     _write_csv(outdir / f"{label}_sweep.csv", meta,
                [f"n = {n}"], [variable, "v", "c_od"],
-               [(v, float(r.v), float(r.c_od))
-                for v, r in zip(values, reports)])
+               [(v, r["v"], r["c_od"]) for v, r in zip(values, reports)])
     return 0
 
 
@@ -497,9 +509,7 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
     _write_csv(outdir / f"{label}_levels.csv", meta,
                [f"r = {r}, m = {m}, h = {h:.12g}, "
                 f"normalization = {normalization}"],
-               ["matched_channels", "value", "multiplicity"],
-               [(lc.matched_channels, lc.value, lc.multiplicity)
-                for lc in levels])
+               ["matched_channels", "value", "multiplicity"], levels)
     if d <= LEVEL_THRESHOLD:
         matrix = g2_matrix_ideal_multi(code, r, prefactor, normalization)
         _write_csv(outdir / f"{label}_g2.csv", meta,
@@ -513,7 +523,7 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
         "layout": info,
         "n_levels": len(levels),
         "matrix_emitted": d <= LEVEL_THRESHOLD,
-        "contrast": report.as_dict(),
+        "contrast": report,
         "warnings": caught,
     })
     return 0
@@ -547,8 +557,10 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
             placement[(entry[0], entry[1])] = (entry[2], entry[3])
         if len(placement) != len(cells):
             raise ConfigError("placement.cells: a (r, m) slot is given twice")
-        with _config_errors("placement"):
+        # a staircase refuses a code space past int64 itself
+        with _config_errors("placement", (ValueError, CodeSpaceOverflow)):
             layout = ChannelLayout(r=r, m=m, placement=placement)
+            dimension(layout)
 
     path = outdir / f"{label}_layout.json"
     try:
@@ -624,9 +636,9 @@ def main(argv=None) -> int:
                 f"unsupported config_version {version} (expected {CONFIG_VERSION})")
         # consume output_dir even when --out overrides it, so the
         # unknown-key check stays strict for everything else
-        cfg_out = sec.take("output_dir", _str, ".")
+        cfg_out = sec.take("output_dir", _path, ".")
         outdir = Path(args.out) if args.out is not None else Path(cfg_out)
-        label = sec.take("label", _str, args.command.replace("-", "_"))
+        label = sec.take("label", _label, args.command.replace("-", "_"))
         meta = {"artifact_version": ARTIFACT_VERSION,
                 "config_sha256": digest,
                 "tool": f"biphoton-coding {args.command}",
@@ -640,7 +652,7 @@ def main(argv=None) -> int:
     except (NotConverged, DegenerateMatrix) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except BiphotonCodingError as exc:
+    except (BiphotonCodingError, OSError) as exc:  # or an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

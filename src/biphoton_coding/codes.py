@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPowerOfTwo
 from .spectra import require_grid_memory
 
 
@@ -54,7 +53,7 @@ def alamouti_n(c) -> np.ndarray:
         raise ValueError(f"c must be one-dimensional, got shape {c.shape}")
     n = len(c)
     if n < 2 or n & (n - 1):
-        raise NotPowerOfTwo(f"order {n} is not a power of two >= 2")
+        raise ValueError(f"order {n} is not a power of two >= 2")
     return _build(c)
 
 

@@ -31,13 +31,12 @@ share units; contrast metrics are insensitive to this calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import gram
-from .errors import (BinOverlap, ChannelShapeMismatch, CodeSpaceOverflow,
-                     DegenerateMatrix, UnderResolvedGrid)
+from .errors import (BinOverlap, CodeSpaceOverflow, DegenerateMatrix,
+                     UnderResolvedGrid)
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PhysicalParams,
                       gaussian_envelope, lorentzian_factor,
                       marginal_idler_mode, marginal_signal_mode,
@@ -51,23 +50,6 @@ def matched_decode(codeword) -> np.ndarray:
     it the matched inner sum is sum |c|^2, real and maximal.
     """
     return np.conj(np.asarray(codeword, dtype=complex))
-
-
-@dataclass(frozen=True)
-class ContrastReport:
-    v: float
-    c_od: float
-    g2_max: float
-    g2_min: float
-    g2_od: float
-    c_non: float | None = None
-
-    def as_dict(self) -> dict:
-        d = {"v": self.v, "c_od": self.c_od, "g2_max": self.g2_max,
-             "g2_min": self.g2_min, "g2_od": self.g2_od}
-        if self.c_non is not None:
-            d["c_non"] = self.c_non
-        return d
 
 
 def g2_prefactor(n_s: float, n_i: float, tau: float) -> float:
@@ -136,7 +118,7 @@ def _pair_weights(weights, n: int, what: str) -> np.ndarray:
     """Per-pair weights (all ones for None), checked against the pair count."""
     w = np.ones(n, complex) if weights is None else np.asarray(weights, complex)
     if len(w) != n:
-        raise ChannelShapeMismatch(f"{what} length must match the pair count")
+        raise ValueError(f"{what} length must match the pair count")
     return w
 
 
@@ -160,46 +142,24 @@ def _lambda_norm(r: int, m: int, normalization: str) -> float:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def codeword_digits(index: int, r: int, m: int) -> tuple:
-    """Mixed-radix decomposition of a code-space index into per-channel
-    codeword choices (channel 1 most significant), all 0-based."""
-    digits = []
-    for _ in range(r):
-        index, d = divmod(index, m)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
-def _digit_array(r: int, m: int) -> np.ndarray:
-    """codeword_digits of every index 0..M**R - 1, as an (M**R, R) array."""
-    return np.arange(m ** r)[:, None] // m ** np.arange(r - 1, -1, -1) % m
-
-
 def g2_matrix_ideal_multi(code: np.ndarray, r_channels: int,
                           prefactor: float = 1.0,
                           normalization: str = "global") -> np.ndarray:
     """Ideal correlation matrix over the full M^R code space.
 
-    Every channel draws from the same order-M codebook; index digits give
-    the per-channel choices (see codeword_digits).  Entry (i, j) is
-    prefactor * lam * sum_r |<col_{j_r}, col_{i_r}>|^2, with lam the
-    pair-weight normalization of _lambda_norm.
+    Every channel draws from the same order-M codebook; the digits of an
+    index, np.unravel_index over (M,) * R with channel 1 first, give the
+    per-channel choices.  Entry (i, j) is prefactor * lam * sum_r
+    |<col_{j_r}, col_{i_r}>|^2, lam the normalization of _lambda_norm.
     """
     m = len(code)
     d = m ** r_channels
     p = np.abs(gram(code)) ** 2   # p[j, i] = |<col_j, col_i>|^2
     lam = _lambda_norm(r_channels, m, normalization)
     values = np.zeros((d, d))
-    for digits in _digit_array(r_channels, m).T:
+    for digits in np.unravel_index(np.arange(d), (m,) * r_channels):
         values += p[digits[None, :], digits[:, None]]
     return prefactor * lam * values
-
-
-@dataclass(frozen=True)
-class LevelClass:
-    matched_channels: int
-    value: float
-    multiplicity: int
 
 
 # level_summary's table bound: at M = 16 the table grows ~20x per channel
@@ -212,9 +172,11 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
     """Distinct correlation levels of the M^R code space, grouped by the
     number of matched channels, without enumerating all M^R x M^R cells.
 
-    The per-channel value distribution is convolved R times; multiplicity
-    bookkeeping is exact integer arithmetic.  Raises CodeSpaceOverflow as
-    soon as the table passes a million levels.
+    Returns (matched_channels, value, multiplicity) tuples sorted by
+    descending matched channels, then value.  The per-channel value
+    distribution is convolved R times; the multiplicities are exact Python
+    ints.  Raises CodeSpaceOverflow as soon as the table passes a million
+    levels.
     """
     m = len(code)
     p = np.abs(gram(code)) ** 2
@@ -239,24 +201,22 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
         acc = nxt
 
     lam = _lambda_norm(r_channels, m, normalization)
-    out = [LevelClass(matched_channels=k, value=prefactor * lam * v,
-                      multiplicity=c)
-           for (k, v), c in acc.items()]
-    out.sort(key=lambda lc: (-lc.matched_channels, -lc.value))
-    return out
+    return sorted(((k, prefactor * lam * v, c) for (k, v), c in acc.items()),
+                  key=lambda row: (-row[0], -row[1]))
 
 
 # ---------------------------------------------------------------------------
 # contrast metrics
 # ---------------------------------------------------------------------------
 
-def _contrast_report(values, matched, r: int) -> ContrastReport:
+def _contrast_report(values, matched, r: int) -> dict:
     """Contrast metrics from values and their matched-channel counts.
 
     Only the extrema of each class k = 0..R enter.  V uses the global
     max/min; C_od compares the matched maximum against the largest value
     with a mismatched channel; for R > 1, C_non compares the fully matched
-    maximum against the lowest (R-1)-matched value.
+    maximum against the lowest (R-1)-matched value.  Returns a dict of v,
+    c_od, g2_max, g2_min and g2_od, plus c_non only when R > 1.
     """
     hi, lo = {}, {}
     for k in range(r + 1):
@@ -267,16 +227,15 @@ def _contrast_report(values, matched, r: int) -> ContrastReport:
     if g_max == g_min:
         raise DegenerateMatrix("all correlation entries are equal")
     g_od = max(v for k, v in hi.items() if k < r)
-    c_non = None
+    report = {"v": (g_max - g_min) / (g_max + g_min),
+              "c_od": (g_max - g_od) / (g_max + g_od),
+              "g2_max": g_max, "g2_min": g_min, "g2_od": g_od}
     if r > 1:
-        c_non = (hi[r] - lo[r - 1]) / (hi[r] + lo[r - 1])
-    return ContrastReport(
-        v=(g_max - g_min) / (g_max + g_min),
-        c_od=(g_max - g_od) / (g_max + g_od),
-        g2_max=g_max, g2_min=g_min, g2_od=g_od, c_non=c_non)
+        report["c_non"] = (hi[r] - lo[r - 1]) / (hi[r] + lo[r - 1])
+    return report
 
 
-def contrasts(values, r_channels: int = 1) -> ContrastReport:
+def contrasts(values, r_channels: int = 1) -> dict:
     """Visibility and contrast metrics of a square correlation matrix over
     an M^R code space (M inferred from the dimension D = M**R)."""
     values = np.asarray(values)
@@ -288,16 +247,15 @@ def contrasts(values, r_channels: int = 1) -> ContrastReport:
         raise ValueError(f"dimension {d} is not M**R for R = {r_channels}")
     # matched channels of cell (i, j), one byte per cell
     matched = np.zeros((d, d), dtype=np.uint8)
-    for digits in _digit_array(r_channels, m).T:
+    for digits in np.unravel_index(np.arange(d), (m,) * r_channels):
         matched += digits[:, None] == digits[None, :]
     return _contrast_report(values, matched, r_channels)
 
 
-def contrasts_from_levels(levels, r_channels: int) -> ContrastReport:
+def contrasts_from_levels(levels, r_channels: int) -> dict:
     """Contrast metrics computed from a level_summary table."""
-    return _contrast_report(np.array([lc.value for lc in levels]),
-                            np.array([lc.matched_channels for lc in levels]),
-                            r_channels)
+    matched, values, _ = zip(*levels)
+    return _contrast_report(np.array(values), np.array(matched), r_channels)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +447,7 @@ def g2_matrix_numeric(spec: MultiplexedSpectrum, code: np.ndarray,
     """Numeric correlation matrix over (encode column, decode column)."""
     n = len(code)
     if spec.n_pairs != n:
-        raise ChannelShapeMismatch("code order must match the pair count")
+        raise ValueError("code order must match the pair count")
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     cols = list(code.T)

@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit.
+
+A class exists only where a caller handles it apart from ValueError: the
+CLI names a config key for UnderResolvedGrid, GridTooLarge, BinOverlap and
+CodeSpaceOverflow, reports CycleDetected's cycle, and exits 2 on
+NotConverged and DegenerateMatrix.  Other bad arguments raise ValueError.
+"""
 
 from __future__ import annotations
 
@@ -20,20 +26,8 @@ class BinOverlap(BiphotonCodingError):
     """Frequency coding bins overlap; decode weights would be ambiguous."""
 
 
-class NotPowerOfTwo(BiphotonCodingError):
-    """Recursive code construction requires the order to be a power of two."""
-
-
-class ChannelShapeMismatch(BiphotonCodingError):
-    """Per-channel codeword arrays disagree with the channel layout shape."""
-
-
 class DegenerateMatrix(BiphotonCodingError):
     """All correlation entries are equal; contrast ratios are undefined."""
-
-
-class OddM(BiphotonCodingError):
-    """Channel designs require an even number of pairs per channel."""
 
 
 class CycleDetected(BiphotonCodingError):
@@ -42,10 +36,6 @@ class CycleDetected(BiphotonCodingError):
     def __init__(self, message: str, cycle: list | None = None):
         super().__init__(message)
         self.cycle = cycle or []
-
-
-class InfeasibleDecode(BiphotonCodingError):
-    """Requested per-pair decode values admit no bin-wise factorization."""
 
 
 class CodeSpaceOverflow(BiphotonCodingError):

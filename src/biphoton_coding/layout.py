@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CodeSpaceOverflow, CycleDetected, InfeasibleDecode,
-                     OddM, ValidityWarning)
+from .errors import CodeSpaceOverflow, CycleDetected, ValidityWarning
 from .spectra import PairShift
 
 _INT_LIMIT = 2 ** 63 - 1
@@ -53,9 +52,6 @@ class ChannelLayout:
         if len(set(cells)) != len(cells):
             raise ValueError("placement cells must be distinct")
 
-    def cell(self, r: int, m: int) -> tuple:
-        return self.placement[(r, m)]
-
     def pair_shift(self, r: int, m: int, weight: complex = 1.0) -> PairShift:
         """Physical shifts of the pair at cell (k, k'): the idler sits at
         k' * bin_width and the signal at k * bin_width."""
@@ -74,7 +70,7 @@ def staircase(r: int, m: int, bin_width: float = 100.0) -> ChannelLayout:
     exactly one redundant degree of freedom per connected component.
     """
     if m % 2 != 0:
-        raise OddM(f"pairs per channel must be even, got {m}")
+        raise ValueError(f"pairs per channel must be even, got {m}")
     _require_dimension(r, m)
     placement = {}
     delta_r = []
@@ -205,14 +201,14 @@ def factor_decode(layout: ChannelLayout, per_channel_codewords):
     matching the single-channel convention H^d_s = 1, or its idler hub
     when zeros take every signal bin.  One walk over the forest then sets
     each other node to target / parent.  Raises CycleDetected before any
-    zero is judged, and InfeasibleDecode naming a pair whose zero has no
-    leaf end.
+    zero is judged, and ValueError naming a pair whose zero has no leaf
+    end.
 
     Returns (signal_weights, idler_weights) as {bin: complex} dicts.
     """
     targets = np.asarray(per_channel_codewords, dtype=complex)
     if targets.shape != (layout.r, layout.m):
-        raise InfeasibleDecode(
+        raise ValueError(
             f"expected codeword array of shape {(layout.r, layout.m)}, "
             f"got {targets.shape}")
     adj, edges = _graph(layout)
@@ -234,7 +230,7 @@ def factor_decode(layout: ChannelLayout, per_channel_codewords):
                     key=lambda n: (n[0] != "s", n[1]))
     components = _walk(adj, starts)
     if shared:
-        raise InfeasibleDecode(
+        raise ValueError(
             f"pair {shared[0]} requests decode 0 on a shared cell "
             f"{layout.placement[shared[0]]}; zeros need a private bin")
     for node, parent, pair in itertools.chain(*components):
@@ -246,7 +242,7 @@ def factor_decode(layout: ChannelLayout, per_channel_codewords):
     for u, v, pair in edges:
         resid = values[u] * values[v] - target_of[pair]
         if abs(resid) > 1e-12 * max(1.0, abs(target_of[pair])):
-            raise InfeasibleDecode(
+            raise ValueError(
                 f"factorization residual {abs(resid):.3e} on pair {pair}")
 
     signal = {k: x for (axis, k), x in values.items() if axis == "s"}

@@ -499,6 +499,12 @@ def _case(id_, command, body, prefix):
           {"placement": {"r": 1_000_000, "m": 1_000_000,
                          "cells": [[1, 1, 0, 0]]}},
           "config error: placement: placement keys"),
+    # a tree whose 2**64 code words pass int64: refused before validate
+    _case("placement-2**64", "validate-layout",
+          {"placement": {"r": 64, "m": 2,
+                         "cells": [[c, s, 2 * c + s, 0]
+                                   for c in range(1, 65) for s in (1, 2)]}},
+          "config error: placement: 2**64 exceeds the representable range"),
     _case("placement-repeated-slot", "validate-layout",
           {"placement": {"r": 1, "m": 2,
                          "cells": [[1, 1, 0, 0], [1, 1, 5, 5], [1, 2, 1, 1]]}},
@@ -565,6 +571,33 @@ def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
     assert main([command, cfg]) == 1
     assert capsys.readouterr().err.startswith(prefix)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("label", ["x/y", "dir/", "nul\0byte"],
+                         ids=["slash", "trailing-slash", "nul"])
+def test_label_must_be_a_file_name_stem(tmp_path, capsys, label):
+    # refused while parsing, so the output directory is never made
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "bad.json", {
+        "output_dir": str(out), "label": label, "code": {"n": 4}})
+    assert main(["codes", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: config.label: ")
+    assert not out.exists()
+
+
+def test_output_the_os_refuses_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "codes.json", {"label": "c", "code": {"n": 4}})
+    # --out names an existing file
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert main(["codes", cfg, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "keep"
+    # an artifact's name is taken by a directory
+    out = tmp_path / "out"
+    (out / "c_report.json").mkdir(parents=True)
+    assert main(["codes", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _defaults(cls):
