@@ -32,13 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .codes import alamouti_n, gram, make_c
-# g2_numeric and matched_decode are unused here; bench/tracer.py wraps them
-# in this module.  It also wraps compare_dynamics here and the ODE solver at
-# dynamics.solve_ivp, the package's own fourth-order Magnus scan: no
+# bench/tracer.py wraps compare_dynamics in this module and the ODE solver
+# at dynamics.solve_ivp, the package's own fourth-order Magnus scan: no
 # subcommand imports scipy.
 from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
-                          g2_matrix_ideal_multi, g2_matrix_numeric,
-                          g2_numeric, level_summary, matched_decode)
+                          g2_matrix_ideal_multi, g2_numeric, level_summary,
+                          matched_decode)
 from .dynamics import DriveParams, compare_dynamics
 from .errors import (BinOverlap, BiphotonCodingError, CodeSpaceOverflow,
                      ConfigError, CycleDetected, DegenerateMatrix,
@@ -427,8 +426,9 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
         spec = MultiplexedSpectrum.comb(len(code), delta, params)
         with _config_errors("grids", (UnderResolvedGrid, GridTooLarge)), \
                 _config_errors("bin_width", BinOverlap):
-            matrix = g2_matrix_numeric(spec, code, bin_width, grid_s,
-                                       grid_i, acceptance)
+            matrix = g2_numeric(spec, bin_width, grid_s, grid_i, code.T,
+                                matched_decode(code.T),
+                                acceptance_scale=acceptance)
         comments = [f"numeric path, delta = {delta:.12g}, "
                     f"bin_width = {bin_width:.12g}, "
                     f"acceptance_scale = {acceptance:.12g}",
@@ -476,8 +476,9 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
             grid_s, grid_i = comb_grids(n, delta, params)
             spec = MultiplexedSpectrum.comb(n, delta, params)
             with _config_errors("grids", GridTooLarge):
-                return g2_matrix_numeric(spec, code, delta, grid_s, grid_i,
-                                         acceptance)
+                return g2_numeric(spec, delta, grid_s, grid_i, code.T,
+                                  matched_decode(code.T),
+                                  acceptance_scale=acceptance)
 
     reports = [contrasts(matrix_at(v)) for v in values]
     _write_csv(outdir / f"{label}_sweep.csv", meta,

@@ -114,14 +114,6 @@ def pair_correlation_kernel(pair, params: PhysicalParams,
 # ideal (closed-form) path
 # ---------------------------------------------------------------------------
 
-def _pair_weights(weights, n: int, what: str) -> np.ndarray:
-    """Per-pair weights (all ones for None), checked against the pair count."""
-    w = np.ones(n, complex) if weights is None else np.asarray(weights, complex)
-    if len(w) != n:
-        raise ValueError(f"{what} length must match the pair count")
-    return w
-
-
 def g2_matrix_ideal(code: np.ndarray, prefactor: float = 1.0) -> np.ndarray:
     """Ideal N x N correlation matrix over (encode column, decode column).
 
@@ -135,6 +127,8 @@ def g2_matrix_ideal(code: np.ndarray, prefactor: float = 1.0) -> np.ndarray:
 def _lambda_norm(r: int, m: int, normalization: str) -> float:
     # 'global' spreads unit total weight over all R*M pairs; 'per_channel'
     # keeps the printed 1/M factor.  The two differ by 1/R overall.
+    if r < 1:
+        raise ValueError(f"need at least one channel, got R = {r}")
     if normalization == "global":
         return 1.0 / (r * m)
     if normalization == "per_channel":
@@ -153,9 +147,9 @@ def g2_matrix_ideal_multi(code: np.ndarray, r_channels: int,
     |<col_{j_r}, col_{i_r}>|^2, lam the normalization of _lambda_norm.
     """
     m = len(code)
+    lam = _lambda_norm(r_channels, m, normalization)
     d = m ** r_channels
     p = np.abs(gram(code)) ** 2   # p[j, i] = |<col_j, col_i>|^2
-    lam = _lambda_norm(r_channels, m, normalization)
     values = np.zeros((d, d))
     for digits in np.unravel_index(np.arange(d), (m,) * r_channels):
         values += p[digits[None, :], digits[:, None]]
@@ -179,6 +173,7 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
     levels.
     """
     m = len(code)
+    lam = _lambda_norm(r_channels, m, normalization)
     p = np.abs(gram(code)) ** 2
     base = {}
     for i in range(m):
@@ -200,7 +195,6 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
                     "enumerated")
         acc = nxt
 
-    lam = _lambda_norm(r_channels, m, normalization)
     return sorted(((k, prefactor * lam * v, c) for (k, v), c in acc.items()),
                   key=lambda row: (-row[0], -row[1]))
 
@@ -359,13 +353,6 @@ def _bin_masks(centers, weight_rows, bin_width: float,
                      for w in rows])
 
 
-def _integer_bins(weights: dict, spacing: float):
-    """Factorized-decoder bins: (centers, weight rows, bin width) on the
-    integer bins of `spacing`."""
-    ks = sorted(weights)
-    return [k * spacing for k in ks], [[weights[k] for k in ks]], spacing
-
-
 def _numeric_cells(spec: MultiplexedSpectrum, bins_s, amps, bins_i,
                    grid_s: FrequencyGrid, grid_i: FrequencyGrid,
                    acceptance_scale: float) -> np.ndarray:
@@ -402,57 +389,60 @@ def _numeric_cells(spec: MultiplexedSpectrum, bins_s, amps, bins_i,
     return ideal_ref * power[:-1, :-1] / power[-1, -1]
 
 
-def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
-               grid_s: FrequencyGrid, grid_i: FrequencyGrid, *,
-               encode=None, decode=None,
-               channel_map: tuple[dict, dict] | None = None,
-               acceptance_scale: float = 3.0) -> float:
-    """g2(0) through the frequency-bin numeric path.
+def _weight_rows(weights, n: int, what: str) -> np.ndarray:
+    """Per-pair weight rows: a vector is one row, None one all-ones row;
+    each row is checked against the pair count."""
+    w = np.atleast_2d(np.asarray(np.ones(n) if weights is None else weights,
+                                 complex))
+    if w.ndim != 2:
+        raise ValueError(f"{what} must be one weight row or a 2-D array "
+                         f"of rows, got {w.ndim} dimensions")
+    if w.shape[1] != n:
+        raise ValueError(f"{what} length must match the pair count")
+    return w
 
-    encode/decode are per-pair weights; None means all ones (uncoded /
-    all-pass).  Single channel: the encode weights become signal-axis bins
-    centered on each pair's signal frequency and the decode weights become
-    idler bins at delta_p, so both coding stages act imperfectly once the
-    bins stop being wide against the mode profiles.  A channel_map
-    (signal_weights, idler_weights), the two dicts of
-    layout.factor_decode, replaces decode by the factorized bin decoder:
-    bin k is centered at k * bin_width with width bin_width, and bins
-    absent from a dict are blocked.  The encode weights then stay exact
-    per-pair amplitudes (applied at the source, before multiplexing).
-    The scale is calibrated against the all-ones cell so the result is
-    directly comparable to the ideal path.
+
+def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
+               grid_s: FrequencyGrid, grid_i: FrequencyGrid,
+               encode=None, decode=None, *,
+               channel_map: tuple[dict, dict] | None = None,
+               acceptance_scale: float = 3.0) -> np.ndarray:
+    """g2(0) of every (encode row, decode row) cell through the
+    frequency-bin numeric path.
+
+    encode/decode are per-pair weight rows: a vector is one row and None
+    one all-ones row (uncoded / all-pass).  The result is the (encode rows
+    x decode rows) array, so one cell is [0, 0], and a code's matrix over
+    (encode column, decode column) is g2_numeric(spec, w, grid_s, grid_i,
+    code.T, matched_decode(code.T)).  Single channel: each encode row
+    becomes signal-axis bins centered on each pair's signal frequency and
+    each decode row idler bins at delta_p, so both coding stages act
+    imperfectly once the bins stop being wide against the mode profiles.
+    A channel_map (signal_weights, idler_weights), the two dicts of
+    layout.factor_decode, replaces decode by the one factorized bin
+    decoder: bin k is centered at k * bin_width with width bin_width, and
+    bins absent from a dict are blocked.  Each encode row then stays an
+    exact per-pair amplitude row (applied at the source, before
+    multiplexing).  The scale is calibrated against the all-ones cell so
+    the result is directly comparable to the ideal path.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     n = spec.n_pairs
-    encode = _pair_weights(encode, n, "encode")
+    encode = _weight_rows(encode, n, "encode")
     if channel_map is not None:
         if decode is not None:
             raise ValueError("give decode or channel_map, not both")
-        bins_s, bins_i = (_integer_bins(w, bin_width) for w in channel_map)
-        amps = [encode]
+        (sig, sig_w), (idl, idl_w) = (
+            ([k * bin_width for k in sorted(w)], [w[k] for k in sorted(w)])
+            for w in channel_map)
+        bins_s = (sig, [sig_w] * len(encode), bin_width)
+        bins_i = (idl, [idl_w], bin_width)
+        amps = encode
     else:
-        decode = _pair_weights(decode, n, "decode")
-        bins_s = ([p.signal_center for p in spec.pairs], [encode], bin_width)
-        bins_i = ([p.delta_p for p in spec.pairs], [decode], bin_width)
-        amps = [np.ones(n)]      # weights already live in the signal mask
-    return float(_numeric_cells(spec, bins_s, amps, bins_i, grid_s, grid_i,
-                                acceptance_scale)[0, 0])
-
-
-def g2_matrix_numeric(spec: MultiplexedSpectrum, code: np.ndarray,
-                      bin_width: float, grid_s: FrequencyGrid,
-                      grid_i: FrequencyGrid,
-                      acceptance_scale: float = 3.0) -> np.ndarray:
-    """Numeric correlation matrix over (encode column, decode column)."""
-    n = len(code)
-    if spec.n_pairs != n:
-        raise ValueError("code order must match the pair count")
-    if not bin_width > 0:
-        raise ValueError("bin_width must be positive")
-    cols = list(code.T)
-    bins_s = ([p.signal_center for p in spec.pairs], cols, bin_width)
-    bins_i = ([p.delta_p for p in spec.pairs],
-              [matched_decode(c) for c in cols], bin_width)
-    return _numeric_cells(spec, bins_s, np.ones((n, n)), bins_i, grid_s,
-                          grid_i, acceptance_scale)
+        bins_s = ([p.signal_center for p in spec.pairs], encode, bin_width)
+        bins_i = ([p.delta_p for p in spec.pairs],
+                  _weight_rows(decode, n, "decode"), bin_width)
+        amps = np.ones(encode.shape)   # weights already live in the signal mask
+    return _numeric_cells(spec, bins_s, amps, bins_i, grid_s, grid_i,
+                          acceptance_scale)

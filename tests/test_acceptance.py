@@ -15,9 +15,10 @@ from biphoton_coding.correlation import (
     contrasts,
     contrasts_from_levels,
     g2_matrix_ideal,
-    g2_matrix_numeric,
+    g2_numeric,
     g2_prefactor,
     level_summary,
+    matched_decode,
     pair_correlation_kernel,
 )
 from biphoton_coding.dynamics import (
@@ -123,7 +124,8 @@ def test_criterion_04_numeric_matches_ideal_when_resolved():
     code = ladder_code(4, 2.0)
     grid_s, grid_i = comb_grids(4, 100.0, params)
     spec = MultiplexedSpectrum.comb(4, 100.0, params)
-    numeric = g2_matrix_numeric(spec, code, 100.0, grid_s, grid_i)
+    numeric = g2_numeric(spec, 100.0, grid_s, grid_i, code.T,
+                         matched_decode(code.T))
     _, n_s = marginal_signal_mode(spec.pairs[0], params, grid_s)
     _, n_i = marginal_idler_mode(spec.pairs[0], params, grid_i)
     ideal = g2_matrix_ideal(code, g2_prefactor(n_s, n_i, params.tau))
@@ -151,7 +153,8 @@ def test_criterion_05_contrast_grows_with_separation():
         for delta in deltas:
             grid_s, grid_i = comb_grids(4, delta, params)
             spec = MultiplexedSpectrum.comb(4, delta, params)
-            matrix = g2_matrix_numeric(spec, code, delta, grid_s, grid_i)
+            matrix = g2_numeric(spec, delta, grid_s, grid_i, code.T,
+                                matched_decode(code.T))
             cods.append(contrasts(matrix)["c_od"])
         curves[tau] = cods
     monotone = all(b >= a - 1e-12

@@ -647,6 +647,8 @@ for argv in {argvs!r}:
 c = t.counters
 assert c['dynamics.nfev'] > 0 and c['dynamics.state_size'] == 3, c
 assert c['correlation.levels'] > 0, c
+# the numeric single-channel run goes through the name the tracer wraps
+assert c['correlation.g2_cells'] > 0, c
 """
 
 

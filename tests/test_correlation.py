@@ -18,7 +18,6 @@ from biphoton_coding.correlation import (
     convolution_grid,
     g2_matrix_ideal,
     g2_matrix_ideal_multi,
-    g2_matrix_numeric,
     g2_numeric,
     g2_prefactor,
     level_summary,
@@ -142,6 +141,16 @@ def test_normalization_toggle_scales_by_channels():
     np.testing.assert_allclose(g_chan, 2.0 * g_glob, rtol=1e-12)
     with pytest.raises(ValueError):
         g2_matrix_ideal_multi(CODE4, 2, normalization="bogus")
+
+
+@pytest.mark.parametrize("normalization", ["global", "per_channel"])
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize("table", [g2_matrix_ideal_multi, level_summary])
+def test_code_space_needs_a_channel(table, r, normalization):
+    # the CLI's staircase refuses r < 1 first; called directly, R = 0 used
+    # to divide by zero and per_channel returned a table or a numpy error
+    with pytest.raises(ValueError, match="at least one channel"):
+        table(CODE4, r, normalization=normalization)
 
 
 def test_level_summary_matches_full_matrix():
@@ -331,7 +340,7 @@ def comb_grids(n, delta):
 def test_numeric_all_ones_calibration():
     spec = MultiplexedSpectrum.comb(2, 60.0, P)
     gs, gi = comb_grids(2, 60.0)
-    value = g2_numeric(spec, 60.0, gs, gi)
+    value = g2_numeric(spec, 60.0, gs, gi)[0, 0]
     _, n_s = marginal_signal_mode(spec.pairs[0], P, gs)
     _, n_i = marginal_idler_mode(spec.pairs[0], P, gi)
     assert value == pytest.approx(2.0 * g2_prefactor(n_s, n_i, P.tau), rel=1e-12)
@@ -346,28 +355,35 @@ def test_numeric_argument_checks():
         g2_numeric(spec, 60.0, gs, gi, encode=np.ones(3))
     with pytest.raises(ValueError, match="decode length must match"):
         g2_numeric(spec, 60.0, gs, gi, decode=np.ones(5))
+    # weights are rows: a 3-D array is refused, and every row is checked
+    # against the pair count
+    with pytest.raises(ValueError, match="2-D array of rows"):
+        g2_numeric(spec, 60.0, gs, gi, encode=np.ones((1, 1, 2)))
+    with pytest.raises(ValueError, match="encode length must match"):
+        g2_numeric(spec, 60.0, gs, gi, encode=np.ones((2, 3)))
     code = alamouti_n(np.ones(2))
     with pytest.raises(ValueError):
-        g2_matrix_numeric(spec, code, 0.0, gs, gi)
-    with pytest.raises(ValueError, match="code order must match"):
-        g2_matrix_numeric(spec, CODE4, 60.0, gs, gi)
+        g2_numeric(spec, 0.0, gs, gi, code.T, matched_decode(code.T))
+    with pytest.raises(ValueError, match="encode length must match"):
+        g2_numeric(spec, 60.0, gs, gi, CODE4.T, matched_decode(CODE4.T))
     with pytest.raises(BinOverlap):
-        g2_matrix_numeric(spec, code, 70.0, gs, gi)
+        g2_numeric(spec, 70.0, gs, gi, code.T, matched_decode(code.T))
     with pytest.raises(UnderResolvedGrid):   # unequal signal/idler spacing
-        g2_matrix_numeric(spec, code, 60.0, gs,
-                          FrequencyGrid(gi.min, gi.max, gi.points + 1))
+        g2_numeric(spec, 60.0, gs,
+                   FrequencyGrid(gi.min, gi.max, gi.points + 1),
+                   code.T, matched_decode(code.T))
     coarse = FrequencyGrid(gs.min, gs.max, 41)
     with pytest.raises(UnderResolvedGrid):   # marginals need (1/tau)/8
-        g2_matrix_numeric(spec, code, 60.0, coarse,
-                          FrequencyGrid(gi.min, gi.min + 40 * coarse.spacing,
-                                        41))
+        g2_numeric(spec, 60.0, coarse,
+                   FrequencyGrid(gi.min, gi.min + 40 * coarse.spacing, 41),
+                   code.T, matched_decode(code.T))
 
 
 def test_numeric_matrix_tracks_ideal_two_pairs():
     code = alamouti_n(np.ones(2))
     spec = MultiplexedSpectrum.comb(2, 60.0, P)
     gs, gi = comb_grids(2, 60.0)
-    num = g2_matrix_numeric(spec, code, 60.0, gs, gi)
+    num = g2_numeric(spec, 60.0, gs, gi, code.T, matched_decode(code.T))
     _, n_s = marginal_signal_mode(spec.pairs[0], P, gs)
     _, n_i = marginal_idler_mode(spec.pairs[0], P, gi)
     ideal = g2_matrix_ideal(code, g2_prefactor(n_s, n_i, P.tau))
@@ -413,7 +429,7 @@ def test_numeric_multi_channel_cells():
     fully mismatched closed-form levels."""
     spec, gs, gi, ideal, cells = multi_channel_cells()
     for enc_idx, dec_idx, weights in cells:
-        got = g2_numeric(spec, 100.0, gs, gi, **weights)
+        got = g2_numeric(spec, 100.0, gs, gi, **weights)[0, 0]
         want = ideal[enc_idx, dec_idx]
         assert abs(got - want) < 0.02 * ideal.max()
         if want > 0.1 * ideal.max():
@@ -486,19 +502,24 @@ ENGINE_RTOL = 1e-11
 @pytest.mark.parametrize("kind", ["ladder", "alamouti"])
 @pytest.mark.parametrize("delta", [60.0, 100.0])
 def test_batched_engine_matches_per_cell_reference(n, kind, delta):
+    """The code-matrix call equals the per-row calls, and every cell the
+    per-cell reference."""
     c = make_c("linear-h", n, h=2.0) if kind == "ladder" \
         else np.ones(n)
     code = alamouti_n(c)
     spec = MultiplexedSpectrum.comb(n, delta, P)
     gs, gi = comb_grids(n, delta)
-    matrix = g2_matrix_numeric(spec, code, delta, gs, gi)
+    decode = matched_decode(code.T)
+    matrix = g2_numeric(spec, delta, gs, gi, code.T, decode)
+    assert matrix.shape == (n, n)
     for i in range(n):
+        row = g2_numeric(spec, delta, gs, gi, code[:, i], decode)
+        np.testing.assert_allclose(row, matrix[i:i + 1], rtol=ENGINE_RTOL)
         for j in range(n):
-            weights = {"encode": code[:, i],
-                       "decode": matched_decode(code[:, j])}
+            weights = {"encode": code[:, i], "decode": decode[j]}
             want = reference_g2(spec, delta, gs, gi, **weights)
             assert matrix[i, j] == pytest.approx(want, rel=ENGINE_RTOL)
-            got = g2_numeric(spec, delta, gs, gi, **weights)
+            got = g2_numeric(spec, delta, gs, gi, **weights)[0, 0]
             assert got == pytest.approx(want, rel=ENGINE_RTOL)
 
 
@@ -515,7 +536,7 @@ def test_batched_engine_matches_reference_with_pair_weights_and_ridges():
     for scale in (3.0, math.inf):
         want = reference_g2(spec, 60.0, gs, gi, scale, **weights)
         got = g2_numeric(spec, 60.0, gs, gi, acceptance_scale=scale,
-                         **weights)
+                         **weights)[0, 0]
         assert got == pytest.approx(want, rel=ENGINE_RTOL)
 
 
@@ -523,8 +544,22 @@ def test_batched_engine_matches_reference_on_channel_map_cells():
     spec, gs, gi, _, cells = multi_channel_cells()
     for _, _, weights in cells:
         want = reference_g2(spec, 100.0, gs, gi, **weights)
-        got = g2_numeric(spec, 100.0, gs, gi, **weights)
+        got = g2_numeric(spec, 100.0, gs, gi, **weights)[0, 0]
         assert got == pytest.approx(want, rel=ENGINE_RTOL)
+
+
+def test_channel_map_takes_encode_rows():
+    # the cells share decode index 0, so one channel_map serves them all:
+    # each encode row is a source-side amplitude row against that decoder
+    spec, gs, gi, _, cells = multi_channel_cells()
+    channel_map = cells[0][2]["channel_map"]
+    rows = np.array([weights["encode"] for _, _, weights in cells])
+    got = g2_numeric(spec, 100.0, gs, gi, rows, channel_map=channel_map)
+    assert got.shape == (len(cells), 1)
+    for row, want_row in zip(got, rows):
+        want = g2_numeric(spec, 100.0, gs, gi, want_row,
+                          channel_map=channel_map)
+        np.testing.assert_allclose(row, want[0], rtol=ENGINE_RTOL)
 
 
 def test_channel_map_replaces_decode():
@@ -598,7 +633,7 @@ def test_numeric_engine_refuses_ffts_past_the_budget():
     gs, gi = comb_grids(32, 100.0)
     spec = MultiplexedSpectrum.comb(32, 100.0, P)
     with pytest.raises(GridTooLarge, match="g2 FFTs would take 845.8 MiB"):
-        g2_matrix_numeric(spec, code, 100.0, gs, gi)
+        g2_numeric(spec, 100.0, gs, gi, code.T, matched_decode(code.T))
 
 
 def test_numeric_engine_refuses_before_building_masks(monkeypatch):
@@ -617,6 +652,6 @@ def test_numeric_engine_refuses_before_building_masks(monkeypatch):
     gs, gi = comb_grids(4, 100.0)
     spec = MultiplexedSpectrum.comb(4, 100.0, P)
     with pytest.raises(GridTooLarge, match="numeric g2 FFTs"):
-        g2_matrix_numeric(spec, CODE4, 100.0, gs, gi)
+        g2_numeric(spec, 100.0, gs, gi, CODE4.T, matched_decode(CODE4.T))
     with pytest.raises(GridTooLarge, match="numeric g2 FFTs"):
         g2_numeric(spec, 100.0, gs, gi)
