@@ -322,12 +322,17 @@ def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
     grid_s, grid_i = _parse_grids(sec)
     sec.close()
 
-    with _config_errors("grids", GridTooLarge):
+    with _config_errors("grids", GridTooLarge), \
+            np.errstate(over="ignore", invalid="ignore"):
         f = jsa_multiplexed(spec, grid_s.omegas[:, None],
                             grid_i.omegas[None, :])
-    surface = np.abs(f) ** 2
+        surface = np.abs(f) ** 2
+        total = float(grid_s.weights @ surface @ grid_i.weights)
+    # an inf or nan sample of |f|^2 makes the total inf or nan as well
+    if not math.isfinite(total):
+        raise ConfigError("jsa: |f|^2 is not finite; the pair weights or "
+                          "the coupling prefactor are too large")
     peak = np.unravel_index(int(np.argmax(surface)), surface.shape)
-    total = float(grid_s.weights @ surface @ grid_i.weights)
 
     _write_csv(outdir / f"{label}_surface.csv", meta,
                [_grid_comment("signal_grid", grid_s),
@@ -351,10 +356,11 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
     grid_s, grid_i = _parse_grids(sec)
     sec.close()
 
-    # an all-zero spectrum, or a grid too coarse or too large
+    # an all-zero or non-finite spectrum, or a grid too coarse or too large
     with _config_errors("schmidt",
                         (ValueError, UnderResolvedGrid, GridTooLarge)):
-        d, caught = _warned(decompose, spec, grid_s, grid_i)
+        # the command writes no mode function, so LAPACK builds no U or Vh
+        d, caught = _warned(decompose, spec, grid_s, grid_i, modes=False)
 
     _write_csv(outdir / f"{label}_lambdas.csv", meta, [],
                ["index", "lambda"],

@@ -4,7 +4,9 @@ The amplitude is sampled on a signal x idler grid, weighted by the square
 roots of the trapezoidal quadrature weights, and factored by a dense SVD.
 The squared singular values, normalized to unit sum, are the Schmidt
 weights lambda_n; the unweighted singular vectors are the discrete signal
-and idler mode functions.
+and idler mode functions.  With modes=False only the singular values are
+computed (LAPACK builds no U or Vh), which is all the `schmidt` command
+needs for the weights, entropy and norm it writes.
 """
 
 from __future__ import annotations
@@ -24,19 +26,18 @@ class SchmidtDecomposition:
     """Weights and mode functions of one decomposition.
 
     lambdas holds the full descending spectrum (sums to 1); signal_modes
-    and idler_modes keep only the first n_modes columns.  norm is the
-    quadrature L2 norm of the input amplitude that was divided out, so
+    and idler_modes keep only the first n_modes columns, and are None on a
+    weights-only decomposition.  n_modes is also the window of leading
+    weights checked for degeneracy.  norm is the quadrature L2 norm of
+    the input amplitude that was divided out, so
     f ~= norm * sum_n sqrt(lambda_n) psi_n(w_s) phi_n(w_i).
     """
 
     lambdas: np.ndarray
-    signal_modes: np.ndarray   # shape (grid_s.points, n_modes)
-    idler_modes: np.ndarray    # shape (n_modes, grid_i.points)
+    signal_modes: np.ndarray | None   # shape (grid_s.points, n_modes)
+    idler_modes: np.ndarray | None    # shape (n_modes, grid_i.points)
     norm: float
-
-    @property
-    def n_modes(self) -> int:
-        return self.signal_modes.shape[1]
+    n_modes: int
 
 
 def _check_grids(spec, grid_s, grid_i):
@@ -52,9 +53,14 @@ def _check_grids(spec, grid_s, grid_i):
 
 
 def decompose(spec, grid_s: FrequencyGrid, grid_i: FrequencyGrid,
-              n_modes: int | None = None) -> SchmidtDecomposition:
+              n_modes: int | None = None, *,
+              modes: bool = True) -> SchmidtDecomposition:
     """Schmidt-decompose a multiplexed spectrum (or a precomputed sample
     matrix of shape (grid_s.points, grid_i.points)).
+
+    modes=False computes the singular values only and leaves both mode
+    arrays None; the weights, norm, n_modes and degeneracy warning are
+    those of the full decomposition.
 
     Phase gauge: each signal mode is rotated so its largest-magnitude
     sample is real positive, with the inverse rotation applied to the
@@ -63,23 +69,37 @@ def decompose(spec, grid_s: FrequencyGrid, grid_i: FrequencyGrid,
     """
     if n_modes is not None and n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    if isinstance(spec, MultiplexedSpectrum):
-        _check_grids(spec, grid_s, grid_i)
-        f = jsa_multiplexed(spec, grid_s.omegas[:, None], grid_i.omegas[None, :])
+    # an overflowing sample becomes inf or nan here and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(spec, MultiplexedSpectrum):
+            _check_grids(spec, grid_s, grid_i)
+            f = jsa_multiplexed(spec, grid_s.omegas[:, None],
+                                grid_i.omegas[None, :])
+        else:
+            f = np.asarray(spec, dtype=complex)
+            if f.shape != (grid_s.points, grid_i.points):
+                raise ValueError("sample matrix shape does not match the grids")
+
+        ws = grid_s.weights
+        wi = grid_i.weights
+        a = np.sqrt(ws)[:, None] * f * np.sqrt(wi)[None, :]
+    if not np.all(np.isfinite(a)):
+        raise ValueError("the sampled amplitude is not finite")
+    if modes:
+        u, sigma, vh = np.linalg.svd(a, full_matrices=False)
     else:
-        f = np.asarray(spec, dtype=complex)
-        if f.shape != (grid_s.points, grid_i.points):
-            raise ValueError("sample matrix shape does not match the grids")
+        sigma = np.linalg.svd(a, compute_uv=False)
 
-    ws = grid_s.weights
-    wi = grid_i.weights
-    a = np.sqrt(ws)[:, None] * f * np.sqrt(wi)[None, :]
-    u, sigma, vh = np.linalg.svd(a, full_matrices=False)
-
-    total = float(np.sum(sigma ** 2))
-    if total == 0.0:
+    # hypot scales internally: inf only when the norm itself passes the
+    # float range
+    norm = math.hypot(*sigma)
+    if norm == 0.0:
         raise ValueError("zero amplitude; nothing to decompose")
-    lambdas = sigma ** 2 / total
+    if not math.isfinite(norm):
+        raise ValueError("the amplitude's norm passes the float range")
+    # scaled by the largest singular value, so squaring cannot overflow
+    scaled = (sigma / sigma[0]) ** 2
+    lambdas = scaled / np.sum(scaled)
 
     rank = len(sigma)
     if n_modes is None:
@@ -91,6 +111,10 @@ def decompose(spec, grid_s: FrequencyGrid, grid_i: FrequencyGrid,
         warnings.warn("adjacent Schmidt weights nearly degenerate; modes "
                       "within the degenerate subspace are an arbitrary mix",
                       DegenerateSpectrum)
+    if not modes:
+        return SchmidtDecomposition(lambdas=lambdas, signal_modes=None,
+                                    idler_modes=None, norm=norm,
+                                    n_modes=n_modes)
 
     psi = u[:, :n_modes] / np.sqrt(ws)[:, None]
     phi = vh[:n_modes, :] / np.sqrt(wi)[None, :]
@@ -103,7 +127,7 @@ def decompose(spec, grid_s: FrequencyGrid, grid_i: FrequencyGrid,
         phi[n, :] *= phase
 
     return SchmidtDecomposition(lambdas=lambdas, signal_modes=psi,
-                                idler_modes=phi, norm=math.sqrt(total))
+                                idler_modes=phi, norm=norm, n_modes=n_modes)
 
 
 def entropy(d: SchmidtDecomposition) -> float:
@@ -117,5 +141,8 @@ def reconstruct(d: SchmidtDecomposition) -> np.ndarray:
 
     Equals the input amplitude divided by d.norm when all modes are kept.
     """
+    if d.signal_modes is None:
+        raise ValueError("a weights-only decomposition has no modes to "
+                         "reconstruct from; decompose with modes=True")
     root = np.sqrt(d.lambdas[:d.n_modes])
     return (d.signal_modes * root[None, :]) @ d.idler_modes

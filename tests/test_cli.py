@@ -312,18 +312,81 @@ def test_dynamics_check_rejects_bad_drive(tmp_path, capsys, field, value):
     assert not (tmp_path / "bad_dynamics.json").exists()
 
 
-def test_schmidt_command(tmp_path):
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_schmidt_command(tmp_path, monkeypatch):
+    # the command writes weights only, so LAPACK is never asked for U or Vh
+    svd_kwargs = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        svd_kwargs.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
     cfg = write_cfg(tmp_path, "sch.json", {
         "output_dir": str(tmp_path), "label": "one",
         "params": {"tau": 0.25},
         "signal_grid": {"min": -60.0, "max": 60.0, "points": 601},
         "idler_grid": {"min": -120.0, "max": 120.0, "points": 1201}})
     assert main(["schmidt", cfg]) == 0
-    rep = json.loads((tmp_path / "one_report.json").read_text())
+    rep = json.loads((tmp_path / "one_report.json").read_text(),
+                     parse_constant=_refuse_constant)
     assert rep["lambda_sum"] == pytest.approx(1.0, abs=1e-8)
     assert rep["lambdas_top"][0] == pytest.approx(0.8193882853339827, rel=1e-6)
     assert rep["entropy"] == pytest.approx(0.7332579386243485, rel=1e-6)
     assert not math.isnan(rep["norm"])
+    assert sorted(rep) == ["artifact_version", "config_sha256", "entropy",
+                           "lambda_sum", "lambdas_top", "n_modes", "norm",
+                           "tool", "units", "warnings"]
+    # the degeneracy-check window, min(64, rank)
+    assert rep["n_modes"] == 64
+
+    # two mirror-image pairs: the leading two weights are equal, and the
+    # weights-only path still reports it
+    cfg = write_cfg(tmp_path, "deg.json", {
+        "output_dir": str(tmp_path), "label": "deg",
+        "params": {"tau": 0.5},
+        "pairs": [{"delta_p": -100.0}, {"delta_p": 100.0}],
+        "signal_grid": {"min": -200.0, "max": 200.0, "points": 401},
+        "idler_grid": {"min": -200.0, "max": 200.0, "points": 401}})
+    assert main(["schmidt", cfg]) == 0
+    rep = json.loads((tmp_path / "deg_report.json").read_text())
+    assert rep["lambdas_top"][0] == pytest.approx(rep["lambdas_top"][1],
+                                                  abs=1e-10)
+    assert rep["warnings"] == [
+        "adjacent Schmidt weights nearly degenerate; modes within the "
+        "degenerate subspace are an arbitrary mix"]
+    assert svd_kwargs == [{"compute_uv": False}] * 2
+
+
+@pytest.mark.parametrize("weight", [1e160, 1e200])
+def test_schmidt_large_pair_weight_matches_unit_weight(tmp_path, weight):
+    # sigma^2 passes the float range from about 1e154; the weights are
+    # scale-free, so they must equal the unit-weight run's
+    reports = {}
+    for label, w in (("unit", 1.0), ("large", weight)):
+        cfg = write_cfg(tmp_path, f"{label}.json", {
+            "output_dir": str(tmp_path), "label": label,
+            "params": {"tau": 0.5}, "pairs": [{"weight": [w, 0.0]}],
+            "signal_grid": {"min": -20.0, "max": 20.0, "points": 41},
+            "idler_grid": {"min": -20.0, "max": 20.0, "points": 41}})
+        assert main(["schmidt", cfg]) == 0
+        reports[label] = json.loads(
+            (tmp_path / f"{label}_report.json").read_text(),
+            parse_constant=_refuse_constant)
+        lam = read_csv_matrix(tmp_path / f"{label}_lambdas.csv")[:, 1]
+        assert np.all(np.isfinite(lam))
+        reports[label]["lambdas"] = lam
+    unit, large = reports["unit"], reports["large"]
+    np.testing.assert_allclose(large["lambdas"], unit["lambdas"],
+                               rtol=0, atol=1e-13)
+    assert large["lambda_sum"] == pytest.approx(1.0, abs=1e-12)
+    assert large["entropy"] == pytest.approx(unit["entropy"], rel=1e-13)
+    assert large["norm"] == pytest.approx(weight * unit["norm"], rel=1e-13)
+    assert large["warnings"] == unit["warnings"]
 
 
 def test_benchmark_tracer_finds_every_wrapped_name():
@@ -403,6 +466,18 @@ def _case(id_, command, body, prefix):
           {"signal_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6},
            "idler_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6}},
           "config error: schmidt: the joint spectral amplitude would take"),
+    # |f|^2 passes the float range, so the intensities would be Infinity
+    _case("jsa-weight-1e160", "jsa",
+          {**SCHMIDT_GRIDS, "pairs": [{"weight": [1e160, 0.0]}]},
+          "config error: jsa: |f|^2 is not finite"),
+    _case("jsa-weight-1e200", "jsa",
+          {**SCHMIDT_GRIDS, "pairs": [{"weight": [1e200, 0.0]}]},
+          "config error: jsa: |f|^2 is not finite"),
+    # the samples themselves overflow: weight times prefactor is 1e600
+    _case("schmidt-sample-overflow", "schmidt",
+          {**SCHMIDT_GRIDS, "params": {"coupling_prefactor": 1e300},
+           "pairs": [{"weight": [1e300, 0.0]}]},
+          "config error: schmidt: the sampled amplitude is not finite"),
     _case("jsa-huge-grid", "jsa",
           {**JSA_BODY,
            "signal_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6},

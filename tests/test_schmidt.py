@@ -154,16 +154,73 @@ def test_double_gaussian_matches_closed_form(a, b, points, span):
     (1 - mu^2) mu^(2n), mu = (b - a) / (b + a), and Schmidt number
     K = (a^2 + b^2) / 2ab (Law, Walmsley & Eberly, PRL 84, 5304, 2000).
     A sweep of 39 (a, b) pairs on 300-600-point grids met 8.9e-16 in
-    lambda and 1.8e-15 relative in K."""
+    lambda and 1.8e-15 relative in K.  Both the full SVD and the
+    weights-only path are held to it."""
     grid = FrequencyGrid(-span * max(a, b), span * max(a, b), points)
     ws, wi = grid.omegas[:, None], grid.omegas[None, :]
     f = np.exp(-(ws + wi) ** 2 / (2 * a * a) - (ws - wi) ** 2 / (2 * b * b))
-    # the geometric tail falls below the 1e-10 gap within the first 64
-    # weights, so the degeneracy warning always fires there
-    with pytest.warns(DegenerateSpectrum):
-        d = decompose(f, grid, grid)
     mu = (b - a) / (b + a)
     want = (1 - mu ** 2) * mu ** (2 * np.arange(points))
-    assert np.max(np.abs(d.lambdas - want)) <= 1e-13
-    k = 1.0 / float(np.sum(d.lambdas ** 2))
-    assert k == pytest.approx((a * a + b * b) / (2 * a * b), rel=1e-13)
+    for modes in (True, False):
+        # the geometric tail falls below the 1e-10 gap within the first 64
+        # weights, so the degeneracy warning always fires there
+        with pytest.warns(DegenerateSpectrum):
+            d = decompose(f, grid, grid, modes=modes)
+        assert np.max(np.abs(d.lambdas - want)) <= 1e-13
+        k = 1.0 / float(np.sum(d.lambdas ** 2))
+        assert k == pytest.approx((a * a + b * b) / (2 * a * b), rel=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
+                                st.floats(-60.0, 60.0), st.floats(-20.0, 20.0)),
+                      min_size=2, max_size=5),
+       tau=st.floats(0.3, 2.0), points=st.integers(120, 240))
+def test_weights_only_matches_full_decomposition(pairs, tau, points):
+    """The values-only SVD gives the full path's weights and norm."""
+    spec = MultiplexedSpectrum(
+        params=PhysicalParams(tau=tau),
+        pairs=tuple(PairShift(weight=m * complex(math.cos(ph), math.sin(ph)),
+                              delta_p=dp, delta_q=dq)
+                    for m, ph, dp, dq in pairs))
+    # just inside the coarsest spacing _check_grids allows
+    spacing = 0.49 * min(1.0 / tau, spec.params.gamma3n)
+    half = 0.5 * (points - 1) * spacing
+    grid = FrequencyGrid(-half, half, points)
+    full = decompose(spec, grid, grid)
+    only = decompose(spec, grid, grid, modes=False)
+    assert only.signal_modes is None and only.idler_modes is None
+    assert only.n_modes == full.n_modes == min(64, points)
+    np.testing.assert_allclose(only.lambdas, full.lambdas, rtol=0, atol=1e-13)
+    assert only.norm == pytest.approx(full.norm, rel=1e-13)
+
+
+def test_weights_only_cannot_reconstruct():
+    spec, gs, gi = single_pair_quarter_tau()
+    with pytest.raises(ValueError, match="weights-only"):
+        reconstruct(decompose(spec, gs, gi, modes=False))
+
+
+def test_scaled_sample_matrix_has_the_same_weights():
+    # sigma^2 of a 1e200-scale matrix passes the float range; the weights
+    # are scale-free and the norm scales with it
+    ws, wi = GRID.omegas[:, None], GRID.omegas[None, :]
+    f = sum(blob(ws, wi, c, sigma=s) for c, s in ((-100.0, 8.0), (150.0, 20.0)))
+    for modes in (True, False):
+        d = decompose(f, GRID, GRID, modes=modes)
+        big = decompose(1e200 * f, GRID, GRID, modes=modes)
+        np.testing.assert_allclose(big.lambdas, d.lambdas, rtol=0, atol=1e-13)
+        assert big.norm == pytest.approx(1e200 * d.norm, rel=1e-13)
+
+
+def test_non_finite_sample_or_norm_rejected():
+    f = np.ones((512, 512))
+    f[3, 7] = np.inf
+    # finite samples whose largest singular value is inf
+    grid = FrequencyGrid(-400.0, 400.0, 64)
+    huge = np.full((64, 64), 1e307)
+    for modes in (True, False):
+        with pytest.raises(ValueError, match="not finite"):
+            decompose(f, GRID, GRID, modes=modes)
+        with pytest.raises(ValueError, match="passes the float range"):
+            decompose(huge, grid, grid, modes=modes)
