@@ -3,16 +3,19 @@
 Each subcommand reads one JSON configuration file, validates it against a
 strict schema (unknown keys are rejected so typos fail loudly rather
 than silently falling back to defaults; sections that mirror a dataclass
-take exactly its fields), runs the corresponding toolkit
-routine, and writes deterministic artifacts: CSV numbers carry 12
-significant digits, JSON objects are key-sorted, and every file embeds
-the SHA-256 of the config it came from together with the artifact format
-version.  Identical configs therefore produce byte-identical outputs.
+take exactly its fields), runs the corresponding toolkit routine and
+returns its artifacts by file-name suffix.  `main` alone writes them, and
+only once every one has rendered without a NaN or infinity.  Artifacts
+are deterministic: CSV numbers carry 12 significant digits, JSON objects
+are key-sorted, and every file embeds the SHA-256 of the config it came
+from together with the artifact format version.  Identical configs
+therefore produce byte-identical outputs.
 
 All frequencies and rates in configs are in units of gamma, times in
 units of 1/gamma, matching the library convention.
 
-Exit codes: 0 success, 1 configuration or validation failure, 2 numeric
+Exit codes: 0 success, 1 configuration or validation failure (a config
+value that takes a result past the float range among them), 2 numeric
 failure (non-convergence, degenerate contrast).
 """
 
@@ -282,22 +285,42 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
     if isinstance(x, (complex, np.complexfloating)):
+        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+            raise ValueError(f"non-finite value {x}")
         return f"{x.real:.12g}{x.imag:+.12g}j"
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x}")
     return f"{float(x):.12g}"
 
 
-def _write_csv(path: Path, meta: dict, comments, header, rows):
+# the renderers; bench/tracer.py wraps them by name, so _render calls them
+# through the module globals.  A non-finite number raises ValueError
+def _write_csv(meta: dict, comments, header, rows) -> str:
+    """The text of a CSV artifact: meta and comment lines, then an
+    optional header and the rows."""
     lines = [f"# {k} = {v}" for k, v in meta.items()]
     lines.extend(f"# {c}" for c in comments)
     if header:
         lines.append(",".join(header))
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, meta: dict, payload: dict):
-    path.write_text(json.dumps({**meta, **payload}, sort_keys=True, indent=2)
-                    + "\n")
+def _write_json(meta: dict, payload: dict) -> str:
+    """The text of a JSON artifact: meta and payload, key-sorted."""
+    return json.dumps({**meta, **payload}, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def _render(name, meta, art) -> str:
+    """The text of artifact `name`; a config error if a number in it is
+    not finite."""
+    try:
+        return (_write_json(meta, art) if isinstance(art, dict)
+                else _write_csv(meta, *art))
+    except ValueError:
+        raise ConfigError(f"{name}: non-finite value; a config value takes "
+                          "a result past the float range") from None
 
 
 def _grid_comment(name: str, g: FrequencyGrid) -> str:
@@ -313,10 +336,12 @@ def _warned(fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the config section left after main's keys and
+# returns (exit status, {artifact suffix: artifact}), in writing order.  A
+# CSV artifact is (comments, header, rows), a JSON artifact its payload.
 # ---------------------------------------------------------------------------
 
-def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
+def _cmd_jsa(sec):
     params = _parse_fields(sec.subsection("params"), PhysicalParams, "params")
     spec = _parse_spectrum(sec, params)
     grid_s, grid_i = _parse_grids(sec)
@@ -328,29 +353,21 @@ def _cmd_jsa(sec, meta, outdir: Path, label: str) -> int:
                             grid_i.omegas[None, :])
         surface = np.abs(f) ** 2
         total = float(grid_s.weights @ surface @ grid_i.weights)
-    # an inf or nan sample of |f|^2 makes the total inf or nan as well
-    if not math.isfinite(total):
-        raise ConfigError("jsa: |f|^2 is not finite; the pair weights or "
-                          "the coupling prefactor are too large")
     peak = np.unravel_index(int(np.argmax(surface)), surface.shape)
 
-    _write_csv(outdir / f"{label}_surface.csv", meta,
-               [_grid_comment("signal_grid", grid_s),
-                _grid_comment("idler_grid", grid_i),
-                "rows = signal detuning, columns = idler detuning, "
-                "values = |f|^2"],
-               None, surface)
-    _write_json(outdir / f"{label}_meta.json", meta, {
-        "n_pairs": spec.n_pairs,
-        "peak_value": float(surface[peak]),
-        "peak_signal_detuning": float(grid_s.omegas[peak[0]]),
-        "peak_idler_detuning": float(grid_i.omegas[peak[1]]),
-        "total_intensity": total,
-    })
-    return 0
+    return 0, {
+        "surface.csv": ([_grid_comment("signal_grid", grid_s),
+                         _grid_comment("idler_grid", grid_i),
+                         "rows = signal detuning, columns = idler detuning, "
+                         "values = |f|^2"], None, surface),
+        "meta.json": {"n_pairs": spec.n_pairs,
+                      "peak_value": float(surface[peak]),
+                      "peak_signal_detuning": float(grid_s.omegas[peak[0]]),
+                      "peak_idler_detuning": float(grid_i.omegas[peak[1]]),
+                      "total_intensity": total}}
 
 
-def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
+def _cmd_schmidt(sec):
     params = _parse_fields(sec.subsection("params"), PhysicalParams, "params")
     spec = _parse_spectrum(sec, params)
     grid_s, grid_i = _parse_grids(sec)
@@ -362,21 +379,17 @@ def _cmd_schmidt(sec, meta, outdir: Path, label: str) -> int:
         # the command writes no mode function, so LAPACK builds no U or Vh
         d, caught = _warned(decompose, spec, grid_s, grid_i, modes=False)
 
-    _write_csv(outdir / f"{label}_lambdas.csv", meta, [],
-               ["index", "lambda"],
-               [(k, float(lam)) for k, lam in enumerate(d.lambdas)])
-    _write_json(outdir / f"{label}_report.json", meta, {
-        "entropy": entropy(d),
-        "norm": d.norm,
-        "n_modes": d.n_modes,
-        "lambda_sum": float(np.sum(d.lambdas)),
-        "lambdas_top": [float(x) for x in d.lambdas[:8]],
-        "warnings": caught,
-    })
-    return 0
+    return 0, {
+        "lambdas.csv": ([], ["index", "lambda"],
+                        [(k, float(lam)) for k, lam in enumerate(d.lambdas)]),
+        "report.json": {"entropy": entropy(d), "norm": d.norm,
+                        "n_modes": d.n_modes,
+                        "lambda_sum": float(np.sum(d.lambdas)),
+                        "lambdas_top": [float(x) for x in d.lambdas[:8]],
+                        "warnings": caught}}
 
 
-def _cmd_codes(sec, meta, outdir: Path, label: str) -> int:
+def _cmd_codes(sec):
     kind, kw, code = _parse_code(sec.subsection("code", required=True))
     sec.close()
 
@@ -389,21 +402,15 @@ def _cmd_codes(sec, meta, outdir: Path, label: str) -> int:
     orthogonal_pairs = int(np.sum(np.abs(g[off]) <= tol)) // 2
     report = contrasts_from_levels(level_summary(code, 1), 1)
 
-    _write_csv(outdir / f"{label}_code.csv", meta,
-               ["columns are codewords"], None, code)
-    _write_csv(outdir / f"{label}_gram.csv", meta,
-               ["entry (i, j) = <codeword_i, codeword_j>"], None, g)
-    _write_json(outdir / f"{label}_report.json", meta, {
-        "kind": kind,
-        "n": n,
-        "h": kw.get("h"),
-        "orthogonal_column_pairs": orthogonal_pairs,
-        "ideal_contrast": report,
-    })
-    return 0
+    return 0, {
+        "code.csv": (["columns are codewords"], None, code),
+        "gram.csv": (["entry (i, j) = <codeword_i, codeword_j>"], None, g),
+        "report.json": {"kind": kind, "n": n, "h": kw.get("h"),
+                        "orthogonal_column_pairs": orthogonal_pairs,
+                        "ideal_contrast": report}}
 
 
-def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
+def _cmd_single_channel(sec):
     *_, code = _parse_code(sec.subsection("code", required=True))
     mode = sec.take("mode", _choice("ideal", "numeric"), "ideal")
 
@@ -445,17 +452,14 @@ def _cmd_single_channel(sec, meta, outdir: Path, label: str) -> int:
     # exactly what was written
     report = contrasts(matrix)
 
-    _write_csv(outdir / f"{label}_g2.csv", meta,
-               comments + ["rows = encode index, columns = decode index"],
-               None, matrix)
-    _write_json(outdir / f"{label}_contrast.json", meta, {
-        "mode": mode, "n": len(code),
-        "contrast": report,
-    })
-    return 0
+    return 0, {
+        "g2.csv": (comments + ["rows = encode index, columns = decode index"],
+                   None, matrix),
+        "contrast.json": {"mode": mode, "n": len(code), "contrast": report},
+    }
 
 
-def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
+def _cmd_sweep(sec):
     variable = sec.take("variable", _choice("h", "delta"))
 
     # every delta sizes grids and bins, so it must be positive
@@ -487,13 +491,12 @@ def _cmd_sweep(sec, meta, outdir: Path, label: str) -> int:
                                   acceptance_scale=acceptance)
 
     reports = [contrasts(matrix_at(v)) for v in values]
-    _write_csv(outdir / f"{label}_sweep.csv", meta,
-               [f"n = {n}"], [variable, "v", "c_od"],
-               [(v, r["v"], r["c_od"]) for v, r in zip(values, reports)])
-    return 0
+    return 0, {"sweep.csv": (
+        [f"n = {n}"], [variable, "v", "c_od"],
+        [(v, r["v"], r["c_od"]) for v, r in zip(values, reports)])}
 
 
-def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
+def _cmd_multi_channel(sec):
     r = sec.take("r", _int)
     m = sec.take("m", _int)
     h = sec.take("h", _float, 2.0)
@@ -513,30 +516,24 @@ def _cmd_multi_channel(sec, meta, outdir: Path, label: str) -> int:
         levels = level_summary(code, r, prefactor, normalization)
     report = contrasts_from_levels(levels, r)
 
-    _write_csv(outdir / f"{label}_levels.csv", meta,
-               [f"r = {r}, m = {m}, h = {h:.12g}, "
-                f"normalization = {normalization}"],
-               ["matched_channels", "value", "multiplicity"], levels)
+    artifacts = {
+        "levels.csv": ([f"r = {r}, m = {m}, h = {h:.12g}, "
+                        f"normalization = {normalization}"],
+                       ["matched_channels", "value", "multiplicity"], levels),
+        "contrast.json": {"r": r, "m": m, "dimension": d,
+                          "normalization": normalization, "layout": info,
+                          "n_levels": len(levels),
+                          "matrix_emitted": d <= LEVEL_THRESHOLD,
+                          "contrast": report, "warnings": caught}}
     if d <= LEVEL_THRESHOLD:
         matrix = g2_matrix_ideal_multi(code, r, prefactor, normalization)
-        _write_csv(outdir / f"{label}_g2.csv", meta,
-                   ["rows = encode index, columns = decode index, "
-                    "mixed-radix digits give per-channel codewords"],
-                   None, matrix)
-
-    _write_json(outdir / f"{label}_contrast.json", meta, {
-        "r": r, "m": m, "dimension": d,
-        "normalization": normalization,
-        "layout": info,
-        "n_levels": len(levels),
-        "matrix_emitted": d <= LEVEL_THRESHOLD,
-        "contrast": report,
-        "warnings": caught,
-    })
-    return 0
+        artifacts["g2.csv"] = (["rows = encode index, columns = decode "
+                                "index, mixed-radix digits give "
+                                "per-channel codewords"], None, matrix)
+    return 0, artifacts
 
 
-def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
+def _cmd_validate_layout(sec):
     stair = sec.subsection("staircase")
     placed = sec.subsection("placement")
     # only a staircase spaces its channels, so only it has a crosstalk check
@@ -569,23 +566,21 @@ def _cmd_validate_layout(sec, meta, outdir: Path, label: str) -> int:
             layout = ChannelLayout(r=r, m=m, placement=placement)
             dimension(layout)
 
-    path = outdir / f"{label}_layout.json"
     try:
         info, caught = _warned(validate, layout, tau=tau)
     except CycleDetected as exc:
-        _write_json(path, meta, {"valid": False, "error": str(exc),
-                                 "cycle": [f"{a}{k}" for a, k in exc.cycle]})
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_json(path, meta, {
+        return 1, {"layout.json": {
+            "valid": False, "error": str(exc),
+            "cycle": [f"{a}{k}" for a, k in exc.cycle]}}
+    return 0, {"layout.json": {
         **info,
         "dimension": dimension(layout),
         "warnings": caught,
-    })
-    return 0
+    }}
 
 
-def _cmd_dynamics_check(sec, meta, outdir: Path, label: str) -> int:
+def _cmd_dynamics_check(sec):
     drive = _parse_fields(sec.subsection("drive"), DriveParams, "drive")
     grid_s, grid_i = _parse_grids(sec)
     t_final = sec.take("t_final", _float, None)
@@ -596,14 +591,13 @@ def _cmd_dynamics_check(sec, meta, outdir: Path, label: str) -> int:
         report, caught = _warned(compare_dynamics, drive, grid_s, grid_i,
                                  t_final=t_final)
 
-    _write_json(outdir / f"{label}_dynamics.json", meta, {
+    return 0, {"dynamics.json": {
         **report,
         "drive": dataclasses.asdict(drive),
         "signal_grid": [grid_s.min, grid_s.max, grid_s.points],
         "idler_grid": [grid_i.min, grid_i.max, grid_i.points],
         "warnings": caught,
-    })
-    return 0
+    }}
 
 
 _COMMANDS = {
@@ -651,8 +645,14 @@ def main(argv=None) -> int:
                 "tool": f"biphoton-coding {args.command}",
                 "units": UNITS}
         outdir.mkdir(parents=True, exist_ok=True)
-        handler = _COMMANDS[args.command][0]
-        return handler(sec, meta, outdir, label)
+        status, artifacts = _COMMANDS[args.command][0](sec)
+        # render every artifact before writing the first, so a run that
+        # holds a non-finite number writes nothing
+        texts = {f"{label}_{suffix}": _render(f"{label}_{suffix}", meta, art)
+                 for suffix, art in artifacts.items()}
+        for name, text in texts.items():
+            (outdir / name).write_text(text)
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

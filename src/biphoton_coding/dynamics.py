@@ -68,7 +68,13 @@ def solve_ivp(hamiltonian, t, y0) -> Solution:
     gaps = np.diff(t)
     norm = max(np.abs(np.linalg.eigvalsh(hamiltonian(t[i:i + _BLOCK]))).max()
                for i in range(0, len(t), _BLOCK))
-    s = max(1, math.ceil(np.abs(gaps).max(initial=0.0) * norm / _THETA))
+    steps = np.abs(gaps).max(initial=0.0) * norm / _THETA
+    # a block holds about max(s, _BLOCK) steps of 3 x 3 complex matrices:
+    # GridTooLarge before any is built when a drive far stronger than its
+    # detunings needs more than the budget holds
+    require_grid_memory(9 * max(steps, _BLOCK),
+                        f"the Magnus steps of this drive ({steps:.3g} a gap)")
+    s = max(1, math.ceil(steps))
     y = np.empty((len(t), len(y0)), dtype=complex)
     y[0] = y0
     per = max(1, _BLOCK // s)
@@ -168,8 +174,8 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     and one `solve_ivp` call steps (eps, A, B) through those very nodes,
     so nothing is interpolated.  Raises GridTooLarge, before reading
     either grid, when the D grids it holds (one per time plus Bhat) would
-    pass spectra.MAX_GRID_BYTES, and before building a node when the
-    nodes would.
+    pass spectra.MAX_GRID_BYTES, before building a node when the nodes
+    would, and before stepping when the drive's Magnus steps would.
     """
     drive.check_weak_drive()
     t_start = drive.pulse_center - 6.0 * drive.tau

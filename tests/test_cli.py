@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biphoton_coding import correlation, spectra
+from biphoton_coding import cli, correlation, spectra
 from biphoton_coding.cli import main
 from biphoton_coding.dynamics import DriveParams
 from biphoton_coding.spectra import PairShift, PhysicalParams
@@ -411,8 +411,12 @@ SCHMIDT_GRIDS = {"signal_grid": {"min": -10.0, "max": 10.0, "points": 21},
 PLACEMENT = {"r": 1, "m": 2, "cells": [[1, 1, 0, 0], [1, 2, 1, 1]]}
 
 
-def _case(id_, command, body, prefix):
-    return pytest.param(command, body, prefix, id=id_)
+def _case(id_, command, body, prefix, marks=()):
+    return pytest.param(command, body, prefix, id=id_, marks=marks)
+
+
+# numpy warns as the values overflow; the run is refused all the same
+OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 @pytest.mark.parametrize("command, body, prefix", [
@@ -466,13 +470,40 @@ def _case(id_, command, body, prefix):
           {"signal_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6},
            "idler_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6}},
           "config error: schmidt: the joint spectral amplitude would take"),
-    # |f|^2 passes the float range, so the intensities would be Infinity
+    # |f|^2 passes the float range, so the intensities would be Infinity;
+    # no artifact is written unless every number in every one is finite
     _case("jsa-weight-1e160", "jsa",
           {**SCHMIDT_GRIDS, "pairs": [{"weight": [1e160, 0.0]}]},
-          "config error: jsa: |f|^2 is not finite"),
+          "config error: bad_surface.csv: non-finite value"),
     _case("jsa-weight-1e200", "jsa",
           {**SCHMIDT_GRIDS, "pairs": [{"weight": [1e200, 0.0]}]},
-          "config error: jsa: |f|^2 is not finite"),
+          "config error: bad_surface.csv: non-finite value"),
+    # code entries, Gram entries or g2 values past the float range: the
+    # first artifact holding a NaN or infinity is named
+    _case("codes-h-1e80", "codes", {"code": {"kind": "linear-h", "n": 4,
+                                             "h": 1e80}},
+          "config error: bad_report.json: non-finite value", OVERFLOW),
+    _case("codes-geometric-1e200", "codes",
+          {"code": {"kind": "geometric", "n": 4, "a": 1e200, "r": 1e100}},
+          "config error: bad_code.csv: non-finite value", OVERFLOW),
+    _case("ideal-prefactor-1e300", "single-channel",
+          {"code": {"n": 4, "h": 1e10}, "prefactor": 1e300},
+          "config error: bad_g2.csv: non-finite value", OVERFLOW),
+    _case("multi-channel-prefactor-1e307", "multi-channel",
+          {"r": 2, "m": 4, "h": 10.0, "prefactor": 1e307},
+          "config error: bad_levels.csv: non-finite value", OVERFLOW),
+    _case("sweep-h-1e80", "sweep", {"variable": "h", "values": [1e80, 2.0]},
+          "config error: bad_sweep.csv: non-finite value", OVERFLOW),
+    # a drive this strong needs ~1e10 Magnus steps a gap (1e12) or more
+    # than numpy can index (1e160): refused from the step count
+    _case("dynamics-omega-1e12", "dynamics-check",
+          {"drive": {"omega_a_tilde": 1e12}, **SCHMIDT_GRIDS},
+          "config error: grids: the Magnus steps of this drive (4.66e+10 a "
+          "gap) would take"),
+    _case("dynamics-omega-1e160", "dynamics-check",
+          {"drive": {"omega_a_tilde": 1e160}, **SCHMIDT_GRIDS},
+          "config error: grids: the Magnus steps of this drive (4.66e+158 a "
+          "gap) would take"),
     # the samples themselves overflow: weight times prefactor is 1e600
     _case("schmidt-sample-overflow", "schmidt",
           {**SCHMIDT_GRIDS, "params": {"coupling_prefactor": 1e300},
@@ -646,6 +677,63 @@ def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
     assert main([command, cfg]) == 1
     assert capsys.readouterr().err.startswith(prefix)
     assert list(out.iterdir()) == []
+
+
+def _times_nan(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) * np.nan
+
+
+def _returns(value):
+    return lambda real: lambda *args, **kwargs: value
+
+
+@pytest.mark.parametrize("command, body, name, fake, artifact", [
+    ("jsa", SCHMIDT_GRIDS, "jsa_multiplexed", _times_nan, "surface.csv"),
+    ("schmidt", SCHMIDT_GRIDS, "entropy", _returns(math.nan), "report.json"),
+    ("codes", {"code": {"n": 4}}, "gram", _times_nan, "gram.csv"),
+    ("single-channel", {"code": {"n": 4}}, "g2_matrix_ideal", _times_nan,
+     "g2.csv"),
+    ("sweep", {"variable": "h", "values": [1.0, 2.0]}, "contrasts",
+     _returns({"v": math.nan, "c_od": 1.0}), "sweep.csv"),
+    ("multi-channel", {"r": 2, "m": 4}, "contrasts_from_levels",
+     _returns({"v": math.inf}), "contrast.json"),
+    ("validate-layout", {"staircase": {"r": 2, "m": 4}}, "validate",
+     _returns({"valid": True, "margin": math.nan}), "layout.json"),
+    ("dynamics-check", TINY_GRIDS, "compare_dynamics",
+     _returns({"max_deviation": math.nan}), "dynamics.json"),
+], ids=["jsa", "schmidt", "codes", "single-channel", "sweep", "multi-channel",
+        "validate-layout", "dynamics-check"])
+def test_non_finite_result_writes_nothing(tmp_path, capsys, monkeypatch,
+                                          command, body, name, fake,
+                                          artifact):
+    # whatever library call yields it, a NaN or infinity in any artifact
+    # refuses the whole run before its first file is written
+    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "nan.json",
+                    {"output_dir": str(out), "label": "bad", **body})
+    assert main([command, cfg]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: bad_{artifact}: non-finite value")
+    assert list(out.iterdir()) == []
+
+
+def test_handlers_name_the_benchmark_artifacts(monkeypatch):
+    # bench/checks.py keeps its own table of the files each command writes;
+    # the suffixes a handler returns, in order, must match it
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "bench"))
+    import checks
+    import workloads
+    for make in workloads.WORKLOADS.values():
+        for inv in make(0):
+            body = {k: v for k, v in inv.config.items()
+                    if k not in ("config_version", "label")}
+            handler = cli._COMMANDS[inv.command][0]
+            status, artifacts = handler(cli._Section(body, "config"))
+            assert status == 0
+            assert tuple(artifacts) == checks.expected_artifacts(
+                inv.command, inv.config), inv.label
 
 
 @pytest.mark.parametrize("label", ["x/y", "dir/", "nul\0byte"],
