@@ -35,8 +35,7 @@ import math
 import numpy as np
 
 from .codes import gram
-from .errors import (BinOverlap, CodeSpaceOverflow, DegenerateMatrix,
-                     UnderResolvedGrid)
+from .errors import BinOverlap, DegenerateMatrix, UnderResolvedGrid
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PhysicalParams,
                       gaussian_envelope, lorentzian_factor,
                       marginal_idler_mode, marginal_signal_mode,
@@ -168,35 +167,25 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
 
     Returns (matched_channels, value, multiplicity) tuples sorted by
     descending matched channels, then value.  The per-channel value
-    distribution is convolved R times; the multiplicities are exact Python
-    ints.  Raises CodeSpaceOverflow as soon as the table passes a million
-    levels.
+    distribution is convolved R times.  Each sum is rounded to 12
+    significant digits, float(f"{v:.12g}"), and grouped on an exact
+    integer key (matched count, decimal exponent, mantissa); the sums of
+    a step are merged into the running table in blocks of about 2**16.
+    The multiplicities are exact Python ints.  Raises CodeSpaceOverflow
+    as soon as the table passes a million levels.
     """
-    m = len(code)
-    lam = _lambda_norm(r_channels, m, normalization)
-    p = np.abs(gram(code)) ** 2
-    base = {}
-    for i in range(m):
-        for j in range(m):
-            key = (1 if i == j else 0, float(f"{p[j, i]:.12g}"))
-            base[key] = base.get(key, 0) + 1
+    # compiled on the first table, so that the commands that build none
+    # do not pay its compile time and heap
+    from ._levels import convolve_levels
 
-    acc = {(0, 0.0): 1}
-    for _ in range(r_channels):
-        nxt = {}
-        for (k1, v1), c1 in acc.items():
-            for (k2, v2), c2 in base.items():
-                key = (k1 + k2, float(f"{v1 + v2:.12g}"))
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-            if len(nxt) > _MAX_LEVELS:
-                raise CodeSpaceOverflow(
-                    f"more than {_MAX_LEVELS} distinct levels at "
-                    f"M = {m}, R = {r_channels}; the level table cannot be "
-                    "enumerated")
-        acc = nxt
-
-    return sorted(((k, prefactor * lam * v, c) for (k, v), c in acc.items()),
-                  key=lambda row: (-row[0], -row[1]))
+    lam = _lambda_norm(r_channels, len(code), normalization)
+    matched, values, counts = convolve_levels(np.abs(gram(code)) ** 2,
+                                              r_channels, _MAX_LEVELS)
+    with np.errstate(over="ignore"):   # inf, as Python floats give
+        values = prefactor * lam * values
+    order = np.lexsort((-values, -matched))
+    return list(zip(matched[order].tolist(), values[order].tolist(),
+                    counts[order].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_coding import correlation, spectra
+from biphoton_coding import _levels, correlation, spectra
 from biphoton_coding.codes import alamouti_n, gram, make_c
 from biphoton_coding.correlation import (
     acceptance_gate,
@@ -231,6 +231,125 @@ def test_level_contrasts_match_matrix_contrasts(r, h):
         assert rep_l["c_non"] == pytest.approx(rep_m["c_non"], rel=1e-9)
         # Alamouti zeros leave (R-1) matched levels at (R-1)/R of the top
         assert rep_l["c_non"] == pytest.approx(1.0 / (2 * r - 1), abs=1e-9)
+
+
+def _level_summary_reference(code, r_channels, prefactor=1.0,
+                             normalization="global"):
+    """level_summary as a dict convolved R times: each sum is keyed on
+    float(f"{v:.12g}") in Python, one cell at a time.  The oracle of the
+    vectorized table."""
+    m = len(code)
+    lam = 1.0 / (r_channels * m) if normalization == "global" else 1.0 / m
+    p = np.abs(gram(code)) ** 2
+    base = {}
+    for i in range(m):
+        for j in range(m):
+            key = (1 if i == j else 0, float(f"{p[j, i]:.12g}"))
+            base[key] = base.get(key, 0) + 1
+    acc = {(0, 0.0): 1}
+    for _ in range(r_channels):
+        nxt = {}
+        for (k1, v1), c1 in acc.items():
+            for (k2, v2), c2 in base.items():
+                key = (k1 + k2, float(f"{v1 + v2:.12g}"))
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        acc = nxt
+    return sorted(((k, prefactor * lam * v, c) for (k, v), c in acc.items()),
+                  key=lambda row: (-row[0], -row[1]))
+
+
+# every table stays under ~50k levels (about 25k at n = 8, R = 5)
+_LEVEL_SIZES = ([(n, r) for n in (2, 4) for r in range(1, 9)]
+                + [(8, r) for r in range(1, 6)] + [(16, 1), (16, 2)])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(vector=_code_vectors(), n_r=st.sampled_from(_LEVEL_SIZES),
+       normalization=st.sampled_from(["global", "per_channel"]),
+       prefactor=st.floats(1e-3, 1e3))
+def test_level_summary_equals_dict_reference(vector, n_r, normalization,
+                                             prefactor):
+    (kind, kw), (n, r) = vector, n_r
+    code = alamouti_n(make_c(kind, n, **kw))
+    levels = level_summary(code, r, prefactor, normalization)
+    assert levels == _level_summary_reference(code, r, prefactor,
+                                              normalization)
+    assert all(type(k) is int and type(v) is float and type(c) is int
+               for k, v, c in levels)
+
+
+def test_level_keys_past_int64_match_dict_reference(monkeypatch):
+    # the matched count moves to exact Python-int keys once it no longer
+    # fits above the value bits; a wider shift takes that path at R = 4
+    monkeypatch.setattr(_levels, "_K_SHIFT", 61)
+    code = alamouti_n(make_c("geometric", 4, a=1.3 + 0.2j, r=0.7 - 0.5j))
+    assert (level_summary(code, 6, 0.7)
+            == _level_summary_reference(code, 6, 0.7))
+
+
+def test_level_multiplicities_are_exact_past_int64():
+    # 4**40 cells in all: int64 multiplicities would wrap
+    code = alamouti_n(make_c("linear-h", 2, h=2.0))
+    levels = level_summary(code, 40)
+    assert sum(count for _, _, count in levels) == 4 ** 40
+    assert levels == _level_summary_reference(code, 40)
+
+
+def test_level_sums_past_the_float_range_are_inf_without_warning():
+    # |G|^2 near 1.5e308: sums overflow to inf silently, as Python floats do
+    code = np.diag([1.1e77, 1.12e77]).astype(complex)
+    levels = level_summary(code, 3)
+    assert levels == _level_summary_reference(code, 3)
+    assert levels[0][1] == math.inf
+
+
+def _rounded(values):
+    """correlation's 12-digit rounding of each value, as floats."""
+    return _levels._key_values(_levels._decimal_keys(values))
+
+
+def _assert_rounds_like_python(values):
+    """Each value's key reads back as float(f"{v:.12g}"), and it is the
+    key of that rounded value too, so equal levels share one key."""
+    want = [float(f"{v:.12g}") for v in values]
+    got = _rounded(values).tolist()
+    for v, g, w in zip(values, got, want):
+        assert g == w or (math.isnan(g) and math.isnan(w)), v
+    np.testing.assert_array_equal(_levels._decimal_keys(values),
+                                  _levels._decimal_keys(want))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(values=st.lists(st.floats(min_value=0.0), min_size=1, max_size=40))
+def test_decimal_rounding_matches_python_everywhere(values):
+    # the whole exponent range, subnormals and infinity included
+    _assert_rounds_like_python(values)
+
+
+def test_decimal_rounding_edge_values():
+    tiny = np.finfo(float).tiny
+    _assert_rounds_like_python([
+        0.0, 5e-324, tiny, tiny * (1 - 2 ** -52), np.finfo(float).max,
+        math.inf, math.nan, 1e-33, np.nextafter(1e-33, 0), 1e12,
+        np.nextafter(1e12, 0), 999999999999.5, 999999999999.7, 123456789012.5,
+        123456789013.5, 0.5, 1.0, 9.999999999995, 9.999999999994999])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mantissa=st.integers(10 ** 11, 10 ** 12 - 1),
+       exponent=st.integers(-45, 11), offset=st.integers(-10 ** 6, 10 ** 6),
+       drop=st.integers(1, 16), noise=st.integers(10 ** 11, 10 ** 12 - 1))
+def test_decimal_rounding_near_ties(mantissa, exponent, offset, drop, noise):
+    # sums of two 12-digit decimals of different magnitude: a plus about
+    # half a unit of its last digit lands next to a tie; a plus a decimal
+    # `drop` decades down, or plus one near 1e-30 (the size of a code's
+    # structural zeros squared), lands anywhere in between
+    a = float(f"{mantissa}e{exponent - 11}")
+    half = float(f"{5 * 10 ** 11 + offset}e{exponent - 23}")
+    lower = float(f"{noise}e{exponent - 11 - drop}")
+    zero = float(f"{noise}e-41")
+    _assert_rounds_like_python([a + half, a + lower, a + zero, zero + half,
+                                zero + zero, a + half + zero])
 
 
 def _antidiagonal_sum(f, spacing):
