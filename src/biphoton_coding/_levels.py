@@ -7,7 +7,9 @@ one integer: the matched-channel count k from bit 50 up, then a
 the exponent field e + 400 (bits 40-49) and N (bits 0-39).  Distinct value
 keys are exactly the distinct float(f"{v:.12g}"), so grouping on keys
 merges exactly the sums a dict keyed on that rounding merges.  Zero is key
-0; infinity and NaN take exponent fields no double reaches.
+0; infinity and NaN take exponent fields no double reaches.  Keys sort as
+their levels do: by matched count, then by value, with infinity and then
+NaN above every finite value.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ def _two_product(a, b):
 def _decimal_keys(values) -> np.ndarray:
     """Value keys of float(f"{v:.12g}") for v >= 0, infinity or NaN.
 
-    With s = 11 - floor(log10 v), the mantissa N rounds q = v * 10**s half
-    to even.  q is the exact sum hi + lo of one error-free product when
-    s <= 22 (10**s is an exact double) and, within a bound far below the
-    spacing of hi, of two chained ones when s <= 44.  Only the sign of
-    frac(hi) - 1/2 + lo decides, and an exact tie rounds to even.  What
-    this cannot certify (s outside [0, 44], subnormals, a misjudged
-    exponent, a chained near-tie) goes through Python's own formatting.
+    With s = 11 - floor(log10 v), the mantissa N rounds q = v * 10**s to
+    nearest.  q is taken as hi + lo from two chained error-free products,
+    by 10**min(s, 22) and then by 10**max(s - 22, 0) (exactly 1.0 for
+    s <= 22); the error of lo is far below the spacing of hi, so the sign
+    of frac(hi) - 1/2 + lo decides.  Near-ties, exact ties included, and
+    what this cannot certify (s outside [0, 44], subnormals, a misjudged
+    exponent) go through Python's own formatting.
     """
     v = np.asarray(values, dtype=float)
     shape, v = v.shape, v.ravel()
@@ -67,18 +69,14 @@ def _decimal_keys(values) -> np.ndarray:
     e = np.floor(np.log10(x)).astype(np.int64)
     s = np.clip(11 - e, 0, 44)
     hi, lo = _two_product(x, _POW10[np.minimum(s, 22)])
-    chained = s > 22
-    if chained.any():
-        p10 = _POW10[s[chained] - 22]
-        hi2, lo2 = _two_product(hi[chained], p10)
-        lo[chained] = lo2 + lo[chained] * p10
-        hi[chained] = hi2
+    p10 = _POW10[np.maximum(s - 22, 0)]
+    hi, lo2 = _two_product(hi, p10)
+    lo = lo2 + lo * p10
     whole = np.floor(hi)
     d = (hi - whole - 0.5) + lo
     ok = ((11 - e == s) & (hi >= 1e11) & (hi < 1e12)
-          & ~(chained & (np.abs(d) <= 2.0 ** -40 * np.spacing(hi))))
-    n = whole[ok].astype(np.int64)
-    n += (d[ok] > 0) | ((d[ok] == 0) & (n % 2 == 1))
+          & (np.abs(d) > 2.0 ** -40 * np.spacing(hi)))
+    n = whole[ok].astype(np.int64) + (d[ok] > 0)
     e = e[ok]
     carry = n == 10 ** 12
     n[carry] = 10 ** 11
@@ -138,21 +136,20 @@ def _level_keys(matched, values, key_type) -> np.ndarray:
             | _decimal_keys(values).astype(key_type))
 
 
-def _grouped(keys, counts, first):
-    """Distinct keys in ascending order, each with its summed count and
-    the first position (in input order) at which it occurs."""
-    order = np.argsort(keys, kind="stable")
-    keys, counts, first = keys[order], counts[order], first[order]
+def _grouped(keys, counts):
+    """Distinct keys in ascending order, each with its summed count."""
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order]
     start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[start], np.add.reduceat(counts, start), first[start]
+    return keys[start], np.add.reduceat(counts, start)
 
 
 def _merged(table, block):
     """A grouped table with a grouped block merged in: the counts of shared
     keys add up (in the table's own array), and new keys go in at their
-    sorted places with their first positions."""
-    keys, counts, _ = table
-    block_keys, block_counts, _ = block
+    sorted places."""
+    keys, counts = table
+    block_keys, block_counts = block
     at = np.searchsorted(keys, block_keys)
     shared = np.zeros(len(at), dtype=bool)
     inside = at < len(keys)
@@ -162,27 +159,21 @@ def _merged(table, block):
     return tuple(np.insert(a, at[new], b[new]) for a, b in zip(table, block))
 
 
-def _in_first_order(keys, counts, first):
-    order = np.argsort(first)
-    return keys[order], counts[order]
-
-
-
 def convolve_levels(p: np.ndarray, r_channels: int, max_levels: int):
     """The per-channel levels p[j, i] (matched when i == j) convolved
     r_channels times, every sum rounded to 12 significant digits.
 
-    Returns (matched counts, values, multiplicities) in the order a dict
-    over the same loops would first see each level.  The sums of a step
-    are rounded in blocks of about 2**16 and each block is merged into the
-    running table; CodeSpaceOverflow is raised as soon as that table
-    passes max_levels.
+    Returns (matched counts, values, multiplicities) by descending key:
+    descending matched count, then descending value, NaN first and
+    infinity next within a count.  The running table is kept in ascending
+    key order; the sums of a step are rounded in blocks of about 2**16
+    and each block is merged into it.  CodeSpaceOverflow is raised as
+    soon as that table passes max_levels.
     """
     m = len(p)
-    # the per-channel table over (i, j), i outer, holding p[j, i]
-    base, base_counts = _in_first_order(*_grouped(
-        _level_keys(np.eye(m, dtype=np.int64), p.T, np.int64).ravel(),
-        np.ones(m * m, dtype=np.int64), np.arange(m * m)))
+    base, base_counts = _grouped(
+        _level_keys(np.eye(m, dtype=np.int64), p, np.int64).ravel(),
+        np.ones(m * m, dtype=np.int64))
     base_k = base >> _K_SHIFT
     base_v = _key_values(base & _VALUE_MASK)
     rows = max(1, _BLOCK_SUMS // len(base))
@@ -199,21 +190,21 @@ def convolve_levels(p: np.ndarray, r_channels: int, max_levels: int):
             base_counts = base_counts.astype(object)
         acc_k = (keys >> _K_SHIFT).astype(np.int64)
         acc_v = _key_values(keys & _VALUE_MASK)
-        table = keys[:0], counts[:0], np.zeros(0, dtype=np.int64)
+        table = keys[:0], counts[:0]
         for a in range(0, len(keys), rows):
             b = slice(a, a + rows)
             with np.errstate(over="ignore"):   # inf, as Python floats give
                 sums = acc_v[b, None] + base_v
             table = _merged(table, _grouped(
                 _level_keys(acc_k[b, None] + base_k, sums, keys.dtype).ravel(),
-                (counts[b, None] * base_counts).ravel(),
-                a * len(base) + np.arange(len(acc_k[b]) * len(base))))
+                (counts[b, None] * base_counts).ravel()))
             if len(table[0]) > max_levels:
                 raise CodeSpaceOverflow(
                     f"more than {max_levels} distinct levels at "
                     f"M = {m}, R = {r_channels}; the level table cannot be "
                     "enumerated")
-        keys, counts = _in_first_order(*table)
+        keys, counts = table
 
+    keys, counts = keys[::-1], counts[::-1]
     return ((keys >> _K_SHIFT).astype(np.int64),
             _key_values(keys & _VALUE_MASK), counts)

@@ -347,8 +347,7 @@ def _cmd_jsa(sec):
     grid_s, grid_i = _parse_grids(sec)
     sec.close()
 
-    with _config_errors("grids", GridTooLarge), \
-            np.errstate(over="ignore", invalid="ignore"):
+    with _config_errors("grids", GridTooLarge):
         f = jsa_multiplexed(spec, grid_s.omegas[:, None],
                             grid_i.omegas[None, :])
         surface = np.abs(f) ** 2
@@ -645,7 +644,10 @@ def main(argv=None) -> int:
                 "tool": f"biphoton-coding {args.command}",
                 "units": UNITS}
         outdir.mkdir(parents=True, exist_ok=True)
-        status, artifacts = _COMMANDS[args.command][0](sec)
+        # numbers past the float range become inf or NaN silently: the
+        # render below refuses any of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            status, artifacts = _COMMANDS[args.command][0](sec)
         # render every artifact before writing the first, so a run that
         # holds a non-finite number writes nothing
         texts = {f"{label}_{suffix}": _render(f"{label}_{suffix}", meta, art)

@@ -170,9 +170,12 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
     distribution is convolved R times.  Each sum is rounded to 12
     significant digits, float(f"{v:.12g}"), and grouped on an exact
     integer key (matched count, decimal exponent, mantissa); the sums of
-    a step are merged into the running table in blocks of about 2**16.
-    The multiplicities are exact Python ints.  Raises CodeSpaceOverflow
-    as soon as the table passes a million levels.
+    a step are merged into the running table, kept in key order, in
+    blocks of about 2**16.  The rows come out in reversed key order and
+    are then scaled by prefactor times the normalization, so rows whose
+    scaled values coincide (a subnormal, zero or infinite product) follow
+    descending unscaled value.  The multiplicities are exact Python ints.
+    Raises CodeSpaceOverflow as soon as the table passes a million levels.
     """
     # compiled on the first table, so that the commands that build none
     # do not pay its compile time and heap
@@ -183,9 +186,7 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
                                               r_channels, _MAX_LEVELS)
     with np.errstate(over="ignore"):   # inf, as Python floats give
         values = prefactor * lam * values
-    order = np.lexsort((-values, -matched))
-    return list(zip(matched[order].tolist(), values[order].tolist(),
-                    counts[order].tolist()))
+    return list(zip(matched.tolist(), values.tolist(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +290,6 @@ def acceptance_gate(grid_out: FrequencyGrid, spec: MultiplexedSpectrum,
     """
     if not scale > 0:
         raise ValueError("acceptance scale must be positive")
-    if math.isinf(scale):
-        return np.ones(grid_out.points)
     tau = spec.params.tau
     acc = np.zeros(grid_out.points)
     for dq in sorted({p.delta_q for p in spec.pairs}):

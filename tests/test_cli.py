@@ -411,12 +411,8 @@ SCHMIDT_GRIDS = {"signal_grid": {"min": -10.0, "max": 10.0, "points": 21},
 PLACEMENT = {"r": 1, "m": 2, "cells": [[1, 1, 0, 0], [1, 2, 1, 1]]}
 
 
-def _case(id_, command, body, prefix, marks=()):
-    return pytest.param(command, body, prefix, id=id_, marks=marks)
-
-
-# numpy warns as the values overflow; the run is refused all the same
-OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _case(id_, command, body, prefix):
+    return pytest.param(command, body, prefix, id=id_)
 
 
 @pytest.mark.parametrize("command, body, prefix", [
@@ -482,18 +478,18 @@ OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
     # first artifact holding a NaN or infinity is named
     _case("codes-h-1e80", "codes", {"code": {"kind": "linear-h", "n": 4,
                                              "h": 1e80}},
-          "config error: bad_report.json: non-finite value", OVERFLOW),
+          "config error: bad_report.json: non-finite value"),
     _case("codes-geometric-1e200", "codes",
           {"code": {"kind": "geometric", "n": 4, "a": 1e200, "r": 1e100}},
-          "config error: bad_code.csv: non-finite value", OVERFLOW),
+          "config error: bad_code.csv: non-finite value"),
     _case("ideal-prefactor-1e300", "single-channel",
           {"code": {"n": 4, "h": 1e10}, "prefactor": 1e300},
-          "config error: bad_g2.csv: non-finite value", OVERFLOW),
+          "config error: bad_g2.csv: non-finite value"),
     _case("multi-channel-prefactor-1e307", "multi-channel",
           {"r": 2, "m": 4, "h": 10.0, "prefactor": 1e307},
-          "config error: bad_levels.csv: non-finite value", OVERFLOW),
+          "config error: bad_levels.csv: non-finite value"),
     _case("sweep-h-1e80", "sweep", {"variable": "h", "values": [1e80, 2.0]},
-          "config error: bad_sweep.csv: non-finite value", OVERFLOW),
+          "config error: bad_sweep.csv: non-finite value"),
     # a drive this strong needs ~1e10 Magnus steps a gap (1e12) or more
     # than numpy can index (1e160): refused from the step count
     _case("dynamics-omega-1e12", "dynamics-check",
@@ -675,8 +671,15 @@ def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
     cfg = write_cfg(tmp_path, "bad.json",
                     {"output_dir": str(out), "label": "bad", **body})
     assert main([command, cfg]) == 1
-    assert capsys.readouterr().err.startswith(prefix)
+    _assert_one_line(capsys.readouterr().err, prefix)
     assert list(out.iterdir()) == []
+
+
+def _assert_one_line(err, prefix):
+    """stderr is the one error line and nothing else: no numpy warning
+    (pytest turns any warning into an error) and no traceback."""
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def _times_nan(real):
@@ -713,8 +716,8 @@ def test_non_finite_result_writes_nothing(tmp_path, capsys, monkeypatch,
     cfg = write_cfg(tmp_path, "nan.json",
                     {"output_dir": str(out), "label": "bad", **body})
     assert main([command, cfg]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"config error: bad_{artifact}: non-finite value")
+    _assert_one_line(capsys.readouterr().err,
+                     f"config error: bad_{artifact}: non-finite value")
     assert list(out.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
 """Correlation matrices: closed-form path, level summaries, numeric path."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -236,8 +237,9 @@ def test_level_contrasts_match_matrix_contrasts(r, h):
 def _level_summary_reference(code, r_channels, prefactor=1.0,
                              normalization="global"):
     """level_summary as a dict convolved R times: each sum is keyed on
-    float(f"{v:.12g}") in Python, one cell at a time.  The oracle of the
-    vectorized table."""
+    float(f"{v:.12g}") in Python, one cell at a time, and the rows are
+    sorted by descending matched count, then descending unscaled value,
+    before they are scaled.  The oracle of the vectorized table."""
     m = len(code)
     lam = 1.0 / (r_channels * m) if normalization == "global" else 1.0 / m
     p = np.abs(gram(code)) ** 2
@@ -254,8 +256,8 @@ def _level_summary_reference(code, r_channels, prefactor=1.0,
                 key = (k1 + k2, float(f"{v1 + v2:.12g}"))
                 nxt[key] = nxt.get(key, 0) + c1 * c2
         acc = nxt
-    return sorted(((k, prefactor * lam * v, c) for (k, v), c in acc.items()),
-                  key=lambda row: (-row[0], -row[1]))
+    rows = sorted(acc.items(), key=lambda item: (-item[0][0], -item[0][1]))
+    return [(k, prefactor * lam * v, c) for (k, v), c in rows]
 
 
 # every table stays under ~50k levels (about 25k at n = 8, R = 5)
@@ -276,6 +278,58 @@ def test_level_summary_equals_dict_reference(vector, n_r, normalization,
                                               normalization)
     assert all(type(k) is int and type(v) is float and type(c) is int
                for k, v, c in levels)
+
+
+def test_level_rows_tied_by_scaling_follow_unscaled_value():
+    # prefactor * lambda near 1e-301 maps the 500 distinct levels onto 38
+    # subnormal or zero floats: tied rows keep descending unscaled value
+    code = alamouti_n(make_c("linear-h", 8, h=2.0))
+    levels = level_summary(code, 3, 1e-300)
+    rows = Counter((k, v) for k, v, _ in levels)
+    assert (len(levels), len(rows)) == (500, 38)
+    assert levels == _level_summary_reference(code, 3, 1e-300)
+
+
+# every size with a table under ~60k levels; n = 16 at R = 4 passes the
+# million-level bound for some codes
+_EXTREMA_SIZES = [(n, r) for n in (2, 4, 8, 16) for r in range(1, 5)
+                  if n ** r < 16 ** 4]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(vector=_code_vectors(), n_r=st.sampled_from(_EXTREMA_SIZES),
+       normalization=st.sampled_from(["global", "per_channel"]),
+       prefactor=st.floats(1e-3, 1e3))
+def test_level_class_extrema_match_closed_form(vector, n_r, normalization,
+                                               prefactor):
+    """Class k's largest (smallest) level is k times the largest
+    (smallest) matched p plus R - k times the largest (smallest)
+    unmatched p, times prefactor * lambda.  Each of the R roundings to 12
+    digits moves a sum by at most half a unit of its 12th digit, 5e-12
+    relative; the contrast report's g2 extrema meet the same bound."""
+    (kind, kw), (n, r) = vector, n_r
+    code = alamouti_n(make_c(kind, n, **kw))
+    p = np.abs(gram(code)) ** 2
+    diag, off = np.diag(p), p[~np.eye(n, dtype=bool)]
+    scale = prefactor * correlation._lambda_norm(r, n, normalization)
+    hi = {k: scale * (k * diag.max() + (r - k) * off.max())
+          for k in range(r + 1)}
+    lo = {k: scale * (k * diag.min() + (r - k) * off.min())
+          for k in range(r + 1)}
+    rtol = r * 5e-12
+
+    def close(got, want):
+        return abs(got - want) <= rtol * abs(want)
+
+    levels = level_summary(code, r, prefactor, normalization)
+    for k in range(r + 1):
+        values = [v for kk, v, _ in levels if kk == k]
+        assert close(max(values), hi[k]), (k, max(values), hi[k])
+        assert close(min(values), lo[k]), (k, min(values), lo[k])
+    report = contrasts_from_levels(levels, r)
+    assert close(report["g2_max"], max(hi.values()))
+    assert close(report["g2_min"], min(lo.values()))
+    assert close(report["g2_od"], max(hi[k] for k in range(r)))
 
 
 def test_level_keys_past_int64_match_dict_reference(monkeypatch):
