@@ -347,7 +347,8 @@ def _cmd_jsa(sec):
     grid_s, grid_i = _parse_grids(sec)
     sec.close()
 
-    with _config_errors("grids", GridTooLarge):
+    # a grid past the memory budget, or samples past the float range
+    with _config_errors("grids", GridTooLarge), _config_errors("jsa"):
         f = jsa_multiplexed(spec, grid_s.omegas[:, None],
                             grid_i.omegas[None, :])
         surface = np.abs(f) ** 2

@@ -173,9 +173,18 @@ def gaussian_envelope(params: PhysicalParams, sum_detuning, delta_q=0.0):
     """Joint Gaussian ridge exp(-(domega_s + domega_i + delta_q)^2 tau^2 / 8).
 
     Depends on the detunings only through their sum; delta_q may be complex.
+    Returns an array (0-d for a scalar sum): float64 for a real delta_q,
+    complex128 for a complex one.
     """
-    s = np.asarray(sum_detuning, dtype=complex) + delta_q
-    return np.exp(-(s * params.tau) ** 2 / 8.0)
+    kind = complex if np.iscomplexobj(delta_q) else float
+    s = np.asarray(sum_detuning, dtype=kind) + delta_q
+    # exp is taken in complex128 for both kinds: numpy's float64 exp (an
+    # AVX-512 kernel where the CPU has one) differs from its complex exp in
+    # the last bit of about one sample in twenty, and the complex one keeps
+    # a real ridge bit-equal to the real part of a complex ridge
+    g = np.asarray(-(s * params.tau) ** 2 / 8.0, dtype=complex)
+    np.exp(g, out=g)
+    return g if kind is complex else g.real
 
 
 def lorentzian_factor(params: PhysicalParams, domega_i, delta_p=0.0):
@@ -201,7 +210,8 @@ def jsa_multiplexed(spec: MultiplexedSpectrum, domega_s, domega_i):
 
     sum_n H_n exp(-(ds+di+delta_qn)^2 tau^2/8) / (gamma3n/2 - i(di - delta_pn)).
     Reduces to jsa_single for one unshifted unit-weight pair.  Raises
-    GridTooLarge, before sampling, past MAX_GRID_BYTES.
+    GridTooLarge, before sampling, past MAX_GRID_BYTES, and ValueError
+    when a sample passes the float range.
     """
     p = spec.params
     ds = np.asarray(domega_s, dtype=float)
@@ -210,12 +220,18 @@ def jsa_multiplexed(spec: MultiplexedSpectrum, domega_s, domega_i):
     require_grid_memory(math.prod(shape), "the joint spectral amplitude")
     out = np.zeros(shape, dtype=complex)
     ridges = {}     # pairs on one ridge (same delta_q) share its samples
-    for pair in spec.pairs:
-        if pair.delta_q not in ridges:
-            ridges[pair.delta_q] = gaussian_envelope(p, ds + di, pair.delta_q)
-        out += pair.weight * ridges[pair.delta_q] \
-            * lorentzian_factor(p, di, pair.delta_p)
-    return p.coupling_prefactor * out
+    # an overflowing sample becomes inf or nan here and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pair in spec.pairs:
+            if pair.delta_q not in ridges:
+                ridges[pair.delta_q] = gaussian_envelope(p, ds + di,
+                                                         pair.delta_q)
+            out += pair.weight * ridges[pair.delta_q] \
+                * lorentzian_factor(p, di, pair.delta_p)
+        out = p.coupling_prefactor * out
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the sampled amplitude is not finite")
+    return out
 
 
 def _require_resolution(grid: FrequencyGrid, params: PhysicalParams):

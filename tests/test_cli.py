@@ -505,6 +505,10 @@ def _case(id_, command, body, prefix):
           {**SCHMIDT_GRIDS, "params": {"coupling_prefactor": 1e300},
            "pairs": [{"weight": [1e300, 0.0]}]},
           "config error: schmidt: the sampled amplitude is not finite"),
+    _case("jsa-sample-overflow", "jsa",
+          {**SCHMIDT_GRIDS, "params": {"coupling_prefactor": 1e300},
+           "pairs": [{"weight": [1e300, 0.0]}]},
+          "config error: jsa: the sampled amplitude is not finite"),
     _case("jsa-huge-grid", "jsa",
           {**JSA_BODY,
            "signal_grid": {"min": -10.0, "max": 10.0, "points": 10 ** 6},

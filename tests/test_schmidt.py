@@ -1,12 +1,14 @@
 """Schmidt decomposition on quadrature-weighted sample matrices."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton_coding import schmidt
 from biphoton_coding.errors import DegenerateSpectrum, UnderResolvedGrid
 from biphoton_coding.schmidt import decompose, entropy, reconstruct
 from biphoton_coding.spectra import (
@@ -171,22 +173,33 @@ def test_double_gaussian_matches_closed_form(a, b, points, span):
         assert k == pytest.approx((a * a + b * b) / (2 * a * b), rel=1e-13)
 
 
+def polar(m, ph):
+    return m * complex(math.cos(ph), math.sin(ph))
+
+
+def coarsest_grid(params, points):
+    # just inside the coarsest spacing _check_grids allows
+    spacing = 0.49 * min(1.0 / params.tau, params.gamma3n)
+    half = 0.5 * (points - 1) * spacing
+    return FrequencyGrid(-half, half, points)
+
+
 @settings(max_examples=20, deadline=None)
 @given(pairs=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
                                 st.floats(-60.0, 60.0), st.floats(-20.0, 20.0)),
                       min_size=2, max_size=5),
-       tau=st.floats(0.3, 2.0), points=st.integers(120, 240))
-def test_weights_only_matches_full_decomposition(pairs, tau, points):
-    """The values-only SVD gives the full path's weights and norm."""
+       tau=st.floats(0.3, 2.0), points=st.integers(120, 240),
+       shared_ridge=st.booleans())
+def test_weights_only_matches_full_decomposition(pairs, tau, points,
+                                                 shared_ridge):
+    """The values-only SVD gives the full path's weights and norm, on the
+    complex SVD and, with one shared ridge, on the real one."""
     spec = MultiplexedSpectrum(
         params=PhysicalParams(tau=tau),
-        pairs=tuple(PairShift(weight=m * complex(math.cos(ph), math.sin(ph)),
-                              delta_p=dp, delta_q=dq)
+        pairs=tuple(PairShift(weight=polar(m, ph), delta_p=dp,
+                              delta_q=pairs[0][3] if shared_ridge else dq)
                     for m, ph, dp, dq in pairs))
-    # just inside the coarsest spacing _check_grids allows
-    spacing = 0.49 * min(1.0 / tau, spec.params.gamma3n)
-    half = 0.5 * (points - 1) * spacing
-    grid = FrequencyGrid(-half, half, points)
+    grid = coarsest_grid(spec.params, points)
     full = decompose(spec, grid, grid)
     only = decompose(spec, grid, grid, modes=False)
     assert only.signal_modes is None and only.idler_modes is None
@@ -224,3 +237,59 @@ def test_non_finite_sample_or_norm_rejected():
             decompose(f, GRID, GRID, modes=modes)
         with pytest.raises(ValueError, match="passes the float range"):
             decompose(huge, grid, grid, modes=modes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
+                                st.floats(-60.0, 60.0)),
+                      min_size=1, max_size=6),
+       delta_q=st.floats(-20.0, 20.0),
+       coupling=st.tuples(st.floats(0.01, 100.0), st.floats(0.0, 2 * math.pi)),
+       tau=st.floats(0.3, 2.0), points=st.integers(120, 240))
+def test_one_ridge_real_svd_matches_complex_svd(pairs, delta_q, coupling, tau,
+                                                points):
+    """Pairs on one real ridge take the real SVD of W_s^1/2 G W_i^1/2 |h|
+    without sampling the complex amplitude.  The oracle is the complex SVD
+    of the same pairs' sample matrix.  Both SVDs are backward stable, so
+    weights and norm agree to a few n eps (n <= 240): 1e-13 bounds them,
+    and the full reconstruction of the normalized input to 1e-12."""
+    spec = MultiplexedSpectrum(
+        params=PhysicalParams(tau=tau, coupling_prefactor=polar(*coupling)),
+        pairs=tuple(PairShift(weight=polar(m, ph), delta_p=dp, delta_q=delta_q)
+                    for m, ph, dp in pairs))
+    grid = coarsest_grid(spec.params, points)
+    f = jsa_multiplexed(spec, grid.omegas[:, None], grid.omegas[None, :])
+    for modes in (True, False):
+        with mock.patch.object(schmidt, "jsa_multiplexed",
+                               side_effect=AssertionError("complex JSA sampled")):
+            d = decompose(spec, grid, grid, n_modes=points, modes=modes)
+        oracle = decompose(f, grid, grid, n_modes=points, modes=modes)
+        np.testing.assert_allclose(d.lambdas, oracle.lambdas, rtol=0, atol=1e-13)
+        assert d.norm == pytest.approx(oracle.norm, rel=1e-13)
+        if modes:
+            # f / norm has unit weighted norm, so this error is relative
+            err = weighted_frobenius(grid, grid, reconstruct(d) - f / d.norm)
+            assert err <= 1e-12
+
+
+def test_two_ridges_or_complex_delta_q_take_the_complex_svd():
+    """Pairs on two ridges, or on a complex one, are sampled as the complex
+    amplitude: the decomposition is that of its sample matrix, bit for bit."""
+    params = PhysicalParams(tau=0.5)
+    grid = FrequencyGrid(-60.0, 60.0, 161)
+    two = (PairShift(weight=0.6 + 0.8j, delta_p=-20.0),
+           PairShift(weight=1.0, delta_p=20.0, delta_q=30.0))
+    shifted = (PairShift(weight=1.0 - 0.5j, delta_p=10.0, delta_q=5.0 + 1.0j),)
+    for pairs in (two, shifted):
+        spec = MultiplexedSpectrum(params=params, pairs=pairs)
+        f = jsa_multiplexed(spec, grid.omegas[:, None], grid.omegas[None, :])
+        for modes in (True, False):
+            d = decompose(spec, grid, grid, n_modes=8, modes=modes)
+            oracle = decompose(f, grid, grid, n_modes=8, modes=modes)
+            np.testing.assert_array_equal(d.lambdas, oracle.lambdas)
+            assert d.norm == oracle.norm
+            if modes:
+                np.testing.assert_array_equal(d.signal_modes,
+                                              oracle.signal_modes)
+                np.testing.assert_array_equal(d.idler_modes,
+                                              oracle.idler_modes)

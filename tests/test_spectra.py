@@ -83,6 +83,26 @@ def test_multiplexed_is_linear_in_pairs():
     np.testing.assert_array_equal(fabc, fa + fb + fc)
 
 
+def test_overflowing_samples_rejected():
+    # weight times prefactor is 1e600: every sample passes the float range
+    spec = MultiplexedSpectrum(params=PhysicalParams(coupling_prefactor=1e300),
+                               pairs=(PairShift(weight=1e300),))
+    w = np.linspace(-10.0, 10.0, 11)
+    with pytest.raises(ValueError, match="not finite"):
+        jsa_multiplexed(spec, w[:, None], w[None, :])
+
+
+def test_real_ridge_is_the_real_part_of_the_complex_one():
+    # a real delta_q gives float64 samples bit-equal to the real part of
+    # the complex ridge, so a product with a complex factor is unchanged
+    s = np.linspace(-300.0, 300.0, 20001)
+    for dq in (0.0, -3.0):
+        real = gaussian_envelope(P, s, dq)
+        ridge = gaussian_envelope(P, s, complex(dq))
+        assert real.dtype == np.float64 and ridge.dtype == np.complex128
+        np.testing.assert_array_equal(real, ridge.real)
+
+
 def test_pair_peak_location():
     # |f|^2 factorizes in (sum, idler), so the peak sits at
     # idler = delta_p on the ridge sum = -delta_q
