@@ -18,8 +18,6 @@ import math
 
 import numpy as np
 
-from .errors import CodeSpaceOverflow
-
 _E_BIAS, _N_BITS, _K_SHIFT = 400, 40, 50
 _N_MASK = (1 << _N_BITS) - 1
 _VALUE_MASK = (1 << _K_SHIFT) - 1
@@ -167,7 +165,7 @@ def convolve_levels(p: np.ndarray, r_channels: int, max_levels: int):
     descending matched count, then descending value, NaN first and
     infinity next within a count.  The running table is kept in ascending
     key order; the sums of a step are rounded in blocks of about 2**16
-    and each block is merged into it.  CodeSpaceOverflow is raised as
+    and each block is merged into it.  ValueError is raised as
     soon as that table passes max_levels.
     """
     m = len(p)
@@ -199,7 +197,7 @@ def convolve_levels(p: np.ndarray, r_channels: int, max_levels: int):
                 _level_keys(acc_k[b, None] + base_k, sums, keys.dtype).ravel(),
                 (counts[b, None] * base_counts).ravel()))
             if len(table[0]) > max_levels:
-                raise CodeSpaceOverflow(
+                raise ValueError(
                     f"more than {max_levels} distinct levels at "
                     f"M = {m}, R = {r_channels}; the level table cannot be "
                     "enumerated")

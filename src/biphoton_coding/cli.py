@@ -42,9 +42,9 @@ from .correlation import (contrasts, contrasts_from_levels, g2_matrix_ideal,
                           g2_matrix_ideal_multi, g2_numeric, level_summary,
                           matched_decode)
 from .dynamics import DriveParams, compare_dynamics
-from .errors import (BinOverlap, BiphotonCodingError, CodeSpaceOverflow,
-                     ConfigError, CycleDetected, DegenerateMatrix,
-                     GridTooLarge, NotConverged, UnderResolvedGrid)
+from .errors import (BiphotonCodingError, ConfigError, CycleDetected,
+                     DegenerateMatrix, GridTooLarge, NotConverged,
+                     UnderResolvedGrid)
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
@@ -260,7 +260,7 @@ def _code(kind, n, **kw):
 
 
 def _staircase(r, m, bin_width):
-    with _config_errors("staircase", (ValueError, CodeSpaceOverflow)):
+    with _config_errors("staircase"):
         return staircase(r, m, bin_width)
 
 
@@ -400,7 +400,9 @@ def _cmd_codes(sec):
     # is rounding noise against the largest Gram entry
     tol = 64 * n * np.finfo(float).eps * np.max(np.abs(g))
     orthogonal_pairs = int(np.sum(np.abs(g[off]) <= tol)) // 2
-    report = contrasts_from_levels(level_summary(code, 1), 1)
+    with _config_errors("levels"):
+        levels = level_summary(code, 1)
+    report = contrasts_from_levels(levels, 1)
 
     return 0, {
         "code.csv": (["columns are codewords"], None, code),
@@ -438,7 +440,7 @@ def _cmd_single_channel(sec):
             grid_i = _parse_fields(isec, FrequencyGrid, "idler_grid")
         spec = MultiplexedSpectrum.comb(len(code), delta, params)
         with _config_errors("grids", (UnderResolvedGrid, GridTooLarge)), \
-                _config_errors("bin_width", BinOverlap):
+                _config_errors("bin_width"):
             matrix = g2_numeric(spec, bin_width, grid_s, grid_i, code.T,
                                 matched_decode(code.T),
                                 acceptance_scale=acceptance)
@@ -512,7 +514,7 @@ def _cmd_multi_channel(sec):
     d = dimension(layout)
     code = _code("linear-h", m, h=h)
 
-    with _config_errors("levels", CodeSpaceOverflow):
+    with _config_errors("levels"):
         levels = level_summary(code, r, prefactor, normalization)
     report = contrasts_from_levels(levels, r)
 
@@ -562,7 +564,7 @@ def _cmd_validate_layout(sec):
         if len(placement) != len(cells):
             raise ConfigError("placement.cells: a (r, m) slot is given twice")
         # a staircase refuses a code space past int64 itself
-        with _config_errors("placement", (ValueError, CodeSpaceOverflow)):
+        with _config_errors("placement"):
             layout = ChannelLayout(r=r, m=m, placement=placement)
             dimension(layout)
 
@@ -644,15 +646,15 @@ def main(argv=None) -> int:
                 "config_sha256": digest,
                 "tool": f"biphoton-coding {args.command}",
                 "units": UNITS}
-        outdir.mkdir(parents=True, exist_ok=True)
         # numbers past the float range become inf or NaN silently: the
         # render below refuses any of them
         with np.errstate(over="ignore", invalid="ignore"):
             status, artifacts = _COMMANDS[args.command][0](sec)
-        # render every artifact before writing the first, so a run that
-        # holds a non-finite number writes nothing
+        # render every artifact before making the directory or writing
+        # the first file, so a refused run leaves nothing behind
         texts = {f"{label}_{suffix}": _render(f"{label}_{suffix}", meta, art)
                  for suffix, art in artifacts.items()}
+        outdir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             (outdir / name).write_text(text)
         return status

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .codes import gram
-from .errors import BinOverlap, DegenerateMatrix, UnderResolvedGrid
+from .errors import DegenerateMatrix, UnderResolvedGrid
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PhysicalParams,
                       gaussian_envelope, lorentzian_factor,
                       marginal_idler_mode, marginal_signal_mode,
@@ -175,7 +175,7 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
     are then scaled by prefactor times the normalization, so rows whose
     scaled values coincide (a subnormal, zero or infinite product) follow
     descending unscaled value.  The multiplicities are exact Python ints.
-    Raises CodeSpaceOverflow as soon as the table passes a million levels.
+    Raises ValueError as soon as the table passes a million levels.
     """
     # compiled on the first table, so that the commands that build none
     # do not pay its compile time and heap
@@ -247,10 +247,10 @@ def contrasts_from_levels(levels, r_channels: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _require_disjoint_bins(centers, bin_width: float):
-    """Raise BinOverlap when bins of width bin_width about centers overlap."""
+    """Raise ValueError when bins of width bin_width about centers overlap."""
     gaps = np.diff(np.sort(np.asarray(centers, dtype=float)))
     if gaps.size and gaps.min() < bin_width * (1.0 - 1e-9):
-        raise BinOverlap(
+        raise ValueError(
             f"coding bins of width {bin_width:.4g} overlap at center "
             f"spacing {gaps.min():.4g}")
 
@@ -303,8 +303,8 @@ def _next_fast_len(n: int) -> int:
     sizes pocketfft transforms fastest, as scipy.fft.next_fast_len picks
     them for complex input.  Each odd 11-smooth f up to a power of two
     >= n gets the least power of two that lifts it to n, so the work grows
-    with the count of such f (a few thousand near 1e14, ~50 ms), not with
-    the gap to the answer, and a budget check can follow at any size."""
+    with the count of such f, like (log n)**4 (~35 ms near 1e14, ~1 s near
+    1e30), not with the gap to the answer."""
     top = 1 << (n - 1).bit_length()
     odd = [1]
     for p in (3, 5, 7, 11):
@@ -358,7 +358,10 @@ def _numeric_cells(spec: MultiplexedSpectrum, bins_s, amps, bins_i,
     for centers, _, width in (bins_s, bins_i):
         _require_disjoint_bins(centers, width)
     n_masks = len(bins_s[1]) + len(bins_i[1]) + 2
-    nfft = _next_fast_len(grid_s.points + grid_i.points - 1)
+    n_out = grid_s.points + grid_i.points - 1
+    # the padded length is never shorter, and its search slows like
+    # (log n)**4: a convolution no budget admits is checked unpadded
+    nfft = _next_fast_len(n_out) if n_out < 2 ** 53 else n_out
     require_grid_memory(n_masks * n * nfft, "the numeric g2 FFTs")
     masks_s = _bin_masks(*bins_s, grid_s)
     masks_i = _bin_masks(*bins_i, grid_i)

@@ -127,13 +127,6 @@ class DriveParams:
         x = (t - self.pulse_center) / self.tau
         return np.exp(-x * x) / (math.sqrt(math.pi) * self.tau)
 
-    def pulse_a(self, t: float) -> float:
-        """Omega_a(t) = omega_a_tilde * envelope(t)."""
-        return self.omega_a_tilde * self.envelope(t)
-
-    def pulse_b(self, t: float) -> float:
-        return self.omega_b_tilde * self.envelope(t)
-
     def check_weak_drive(self):
         peak = 1.0 / (math.sqrt(math.pi) * self.tau)
         if abs(self.omega_a_tilde) * peak > 0.1 * abs(self.delta1) or \
@@ -204,8 +197,9 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
                                     / (2.0 * spacing)))
     # three amplitudes, the time and the weight: 64 bytes a node
     n_nodes = 1.0 + m.sum()
-    require_grid_memory(4 * n_nodes, f"the cascade state at "
-                        f"{n_nodes:,.0f} quadrature nodes")
+    count = f"{n_nodes:,.0f}" if n_nodes < 1e15 else f"{n_nodes:.3g}"
+    require_grid_memory(4 * n_nodes,
+                        f"the cascade state at {count} quadrature nodes")
     m = m.astype(int)
     ends = np.cumsum(m)
     nodes = np.concatenate([[t_start]] + [
@@ -309,10 +303,16 @@ def compare_dynamics(drive: DriveParams, grid_s: FrequencyGrid,
     integrated surface to far less than that.  Integrates to t_final
     (default: default_t_final) and reads D there and one time unit
     earlier; raises NotConverged when |D|^2 drifted by more than 1e-4 of
-    its peak over that last unit.
+    its peak over that last unit, and ValueError when t_final is too large
+    for that earlier time to differ from it.
     """
-    if t_final is None:
+    default = t_final is None
+    if default:
         t_final = default_t_final(drive)
+    if not t_final - 1.0 < t_final:
+        whose = " (the drive's default)" if default else ""
+        raise ValueError(f"t_final {t_final:.4g}{whose} is too large to "
+                         "read D one time unit earlier")
     _, d = integrate_eom(drive, grid_s, grid_i, [t_final - 1.0, t_final])
     d_before, d_after = np.abs(d) ** 2
     peak = float(d_after.max())

@@ -1,9 +1,10 @@
 """Exception and warning types shared across the toolkit.
 
 A class exists only where a caller handles it apart from ValueError: the
-CLI names a config key for UnderResolvedGrid, GridTooLarge, BinOverlap and
-CodeSpaceOverflow, reports CycleDetected's cycle, and exits 2 on
-NotConverged and DegenerateMatrix.  Other bad arguments raise ValueError.
+CLI names the grids for UnderResolvedGrid and GridTooLarge, apart from a
+ValueError of the same call, reports CycleDetected's cycle, and exits 2 on
+NotConverged and DegenerateMatrix.  Other rejections, overlapping coding
+bins and code spaces too large to enumerate among them, raise ValueError.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ class GridTooLarge(BiphotonCodingError):
     the g2 FFTs, a code matrix) would exceed the memory budget."""
 
 
-class BinOverlap(BiphotonCodingError):
-    """Frequency coding bins overlap; decode weights would be ambiguous."""
-
-
 class DegenerateMatrix(BiphotonCodingError):
     """All correlation entries are equal; contrast ratios are undefined."""
 
@@ -36,10 +33,6 @@ class CycleDetected(BiphotonCodingError):
     def __init__(self, message: str, cycle: list | None = None):
         super().__init__(message)
         self.cycle = cycle or []
-
-
-class CodeSpaceOverflow(BiphotonCodingError):
-    """Codeword-space dimension M**R exceeds the representable range."""
 
 
 class NotConverged(BiphotonCodingError):

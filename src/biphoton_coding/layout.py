@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CodeSpaceOverflow, CycleDetected, ValidityWarning
+from .errors import CycleDetected, ValidityWarning
 from .spectra import PairShift
 
 _INT_LIMIT = 2 ** 63 - 1
@@ -180,7 +180,7 @@ def _require_dimension(r: int, m: int):
     # m >= 2 makes m**r at least 2**r, so a large r is refused without
     # computing the power
     if m > 1 and (r >= _INT_LIMIT.bit_length() or m ** r > _INT_LIMIT):
-        raise CodeSpaceOverflow(f"{m}**{r} exceeds the representable range")
+        raise ValueError(f"{m}**{r} exceeds the representable range")
 
 
 def dimension(layout: ChannelLayout) -> int:

@@ -33,8 +33,12 @@ def require_grid_memory(n_values: int, what: str):
     """Raise GridTooLarge if n_values complex numbers exceed MAX_GRID_BYTES."""
     nbytes = 16 * n_values
     if nbytes > MAX_GRID_BYTES:
+        try:
+            mib = nbytes / 2 ** 20
+        except OverflowError:   # an integer count past the float range
+            mib = math.inf
         raise GridTooLarge(
-            f"{what} would take {nbytes / 2 ** 20:.4g} MiB, past the "
+            f"{what} would take {mib:.4g} MiB, past the "
             f"{MAX_GRID_BYTES / 2 ** 20:g} MiB budget")
 
 
@@ -147,9 +151,6 @@ class FrequencyGrid:
         w[-1] *= 0.5
         return w
 
-    def covers(self, lo: float, hi: float) -> bool:
-        return self.min <= lo and self.max >= hi
-
 
 def comb_grids(n_pairs: int, delta: float, params: PhysicalParams):
     """Equal-spacing signal/idler grids sized for an n-pair comb.
@@ -193,25 +194,14 @@ def lorentzian_factor(params: PhysicalParams, domega_i, delta_p=0.0):
     return 1.0 / (params.half_linewidth - 1j * u)
 
 
-def jsa_single(params: PhysicalParams, domega_s, domega_i):
-    """Single-pair joint spectral amplitude.
-
-    coupling_prefactor * exp(-(ds+di)^2 tau^2/8) / (gamma3n/2 - i di).
-    At gamma3n = 5, tau = 0.5 the on-resonance value is 0.4 (real).
-    """
-    ds = np.asarray(domega_s, dtype=float)
-    di = np.asarray(domega_i, dtype=float)
-    out = gaussian_envelope(params, ds + di) * lorentzian_factor(params, di)
-    return params.coupling_prefactor * out
-
-
 def jsa_multiplexed(spec: MultiplexedSpectrum, domega_s, domega_i):
     """Weighted sum of shifted single-pair amplitudes.
 
-    sum_n H_n exp(-(ds+di+delta_qn)^2 tau^2/8) / (gamma3n/2 - i(di - delta_pn)).
-    Reduces to jsa_single for one unshifted unit-weight pair.  Raises
-    GridTooLarge, before sampling, past MAX_GRID_BYTES, and ValueError
-    when a sample passes the float range.
+    coupling_prefactor * sum_n H_n exp(-(ds+di+delta_qn)^2 tau^2/8)
+    / (gamma3n/2 - i(di - delta_pn)); one default pair at gamma3n = 5,
+    tau = 0.5 gives 0.4 (real) on resonance.  Raises GridTooLarge, before
+    sampling, past MAX_GRID_BYTES, and ValueError when a sample passes the
+    float range.
     """
     p = spec.params
     ds = np.asarray(domega_s, dtype=float)
@@ -270,7 +260,7 @@ def marginal_idler_mode(pair: PairShift, params: PhysicalParams,
     """
     _require_resolution(grid, params)
     span = _IDLER_SPAN * params.gamma3n
-    if not grid.covers(pair.delta_p - span, pair.delta_p + span):
+    if grid.min > pair.delta_p - span or grid.max < pair.delta_p + span:
         raise UnderResolvedGrid(
             f"idler grid must span +-{_IDLER_SPAN:g}*gamma3n around delta_p "
             f"(need [{pair.delta_p - span:.4g}, {pair.delta_p + span:.4g}], "

@@ -283,7 +283,8 @@ def test_criterion_10_dynamics_against_closed_form():
     y, _ = integrate_eom(drive, tiny, tiny, window)
     dev_a = dev_b = 0.0
     for t, a_amp, b_amp in zip(window, y[:, 1], y[:, 2]):
-        om_a, om_b = drive.pulse_a(t), drive.pulse_b(t)
+        om_a, om_b = (w * drive.envelope(t)
+                      for w in (drive.omega_a_tilde, drive.omega_b_tilde))
         a_ref = -om_a / (2.0 * drive.delta1)
         b_ref = om_a * om_b / (4.0 * drive.delta1 * drive.delta2)
         dev_a = max(dev_a, abs(a_amp - a_ref) / abs(a_ref))

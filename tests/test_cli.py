@@ -662,6 +662,50 @@ def _case(id_, command, body, prefix):
     _case("placement-tau", "validate-layout",
           {"placement": PLACEMENT, "tau": 0.001},
           "config error: config: unknown keys: tau"),
+    # the drive's default t_final so large that t_final - 1 rounds to it
+    _case("dynamics-default-t-final-gamma3n", "dynamics-check",
+          {"drive": {"gamma3n": 1e-300}, **TINY_GRIDS},
+          "config error: t_final: t_final 1e+301 (the drive's default) is "
+          "too large to read D one time unit earlier"),
+    _case("dynamics-default-t-final-tau", "dynamics-check",
+          {"drive": {"tau": 1e300}, **TINY_GRIDS},
+          "config error: t_final: t_final 8e+300 (the drive's default)"),
+    _case("dynamics-default-t-final-center", "dynamics-check",
+          {"drive": {"pulse_center": 1e300}, **TINY_GRIDS},
+          "config error: t_final: t_final 1e+300 (the drive's default)"),
+    _case("dynamics-given-t-final-1e300", "dynamics-check",
+          {"t_final": 1e300, **TINY_GRIDS},
+          "config error: t_final: t_final 1e+300 is too large"),
+    # a node count past 1e15 in three digits, not three hundred
+    _case("dynamics-tau-1e-300", "dynamics-check",
+          {"drive": {"tau": 1e-300}, **TINY_GRIDS},
+          "config error: grids: the cascade state at 2.55e+301 quadrature "
+          "nodes would take"),
+    _case("dynamics-lamb-shift-1e300", "dynamics-check",
+          {"drive": {"lamb_shift": 1e300}, **TINY_GRIDS},
+          "config error: grids: the cascade state at 1.15e+301 quadrature "
+          "nodes would take"),
+    # a grid whose byte count passes the float range
+    _case("dynamics-signal-points-10**400", "dynamics-check",
+          {"signal_grid": {"min": -4.0, "max": 4.0, "points": 10 ** 400},
+           "idler_grid": {"min": -4.0, "max": 4.0, "points": 3}},
+          "config error: grids: the pair amplitudes D would take inf MiB"),
+    # the schema casters and sections
+    _case("n-true", "codes", {"code": {"n": True}},
+          "config error: config.code.n: expected an integer, got True"),
+    _case("delta-string", "single-channel", {**NUMERIC, "delta": "x"},
+          "config error: config.delta: expected a number, got 'x'"),
+    _case("delta-400-digits", "single-channel", {**NUMERIC, "delta": 10 ** 399},
+          "config error: config.delta: expected a finite number"),
+    _case("weight-three-parts", "jsa",
+          {"pairs": [{"weight": [1, 2, 3]}], **SCHMIDT_GRIDS},
+          "config error: pairs[0].weight: expected a number or [re, im], "
+          "got [1, 2, 3]"),
+    _case("params-list", "jsa", {"params": [], **SCHMIDT_GRIDS},
+          "config error: config.params: expected an object"),
+    _case("numeric-one-grid", "single-channel",
+          {**NUMERIC, "signal_grid": SCHMIDT_GRIDS["signal_grid"]},
+          "config error: give both grids or neither"),
 ])
 def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
                            prefix):
@@ -676,7 +720,7 @@ def test_bad_input_exits_1(tmp_path, capsys, monkeypatch, command, body,
                     {"output_dir": str(out), "label": "bad", **body})
     assert main([command, cfg]) == 1
     _assert_one_line(capsys.readouterr().err, prefix)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def _assert_one_line(err, prefix):
@@ -722,7 +766,7 @@ def test_non_finite_result_writes_nothing(tmp_path, capsys, monkeypatch,
     assert main([command, cfg]) == 1
     _assert_one_line(capsys.readouterr().err,
                      f"config error: bad_{artifact}: non-finite value")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_handlers_name_the_benchmark_artifacts(monkeypatch):
@@ -752,6 +796,58 @@ def test_label_must_be_a_file_name_stem(tmp_path, capsys, label):
         "output_dir": str(out), "label": label, "code": {"n": 4}})
     assert main(["codes", cfg]) == 1
     assert capsys.readouterr().err.startswith("config error: config.label: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("code, status, prefix", [
+    ({"kind": "linear-h", "n": 3}, 1, "config error: code: order 3"),
+    ({"kind": "geometric", "n": 4, "a": 0.0}, 2, "numeric failure: "),
+], ids=["order-3", "degenerate"])
+def test_refused_run_makes_no_output_directory(tmp_path, capsys, code,
+                                               status, prefix):
+    out = tmp_path / "a" / "b"
+    cfg = write_cfg(tmp_path, "codes.json", {"label": "c", "code": code})
+    assert main(["codes", cfg, "--out", str(out)]) == status
+    _assert_one_line(capsys.readouterr().err, prefix)
+    assert not (tmp_path / "a").exists()
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    assert main(["codes", str(tmp_path / "absent.json")]) == 1
+    _assert_one_line(capsys.readouterr().err, "config error: cannot read "
+                     "config")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["codes", str(listed)]) == 1
+    _assert_one_line(capsys.readouterr().err,
+                     f"config error: {listed}: top level must be an object")
+
+
+def _run_cli(*args):
+    """Run the CLI in a new interpreter; a hang fails the test rather
+    than stalling the suite."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run([sys.executable, "-m", "biphoton_coding.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=15)
+
+
+@pytest.mark.parametrize("command, body", [
+    ("single-channel", {**NUMERIC, "delta": 1e300}),
+    ("single-channel", {**NUMERIC, "params": {"tau": 1e-300}}),
+    ("single-channel", {**NUMERIC, "params": {"gamma3n": 1e300}}),
+    ("sweep", {"variable": "delta", "values": [1e-60]}),
+], ids=["delta-1e300", "tau-1e-300", "gamma3n-1e300", "sweep-delta-1e-60"])
+def test_numeric_convolution_past_any_budget_is_refused_fast(
+        tmp_path, command, body):
+    # the padded FFT length is never searched for a convolution whose
+    # unpadded length already passes every budget
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "huge.json", body)
+    proc = _run_cli(command, cfg, "--out", str(out))
+    assert proc.returncode == 1
+    _assert_one_line(proc.stderr, "config error: grids: the numeric g2 FFTs "
+                     "would take")
     assert not out.exists()
 
 

@@ -17,6 +17,8 @@ def test_linear_h_vector():
     np.testing.assert_array_equal(make_c("linear-h", 4, h=1.0), np.ones(4))
     c = make_c("linear-h", 4, h=0.5)
     assert np.all(np.diff(c.real) < 0) and c[0] == 1.0 and c[-1] == 0.5
+    # one entry spans nothing: it is the start 1, whatever h is
+    np.testing.assert_array_equal(make_c("linear-h", 1, h=3.0), [1.0 + 0j])
 
 
 def test_geometric_vector():

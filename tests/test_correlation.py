@@ -26,7 +26,6 @@ from biphoton_coding.correlation import (
     pair_correlation_kernel,
 )
 from biphoton_coding.errors import (
-    BinOverlap,
     DegenerateMatrix,
     GridTooLarge,
     UnderResolvedGrid,
@@ -485,7 +484,7 @@ def test_bin_mask_tiling_and_edges():
     assert at[0.0] == 3.0          # shared edge averages the neighbors
     assert at[-1.0] == 1.0 and at[1.0] == 2.0  # outer edges take half
     assert at[-1.5] == 0.0 and at[1.5] == 0.0  # hard zero out of band
-    with pytest.raises(BinOverlap):
+    with pytest.raises(ValueError, match="overlap"):
         coding_bin_mask([0.0, 0.9], [1.0, 1.0], 1.0, grid)
 
 
@@ -539,7 +538,7 @@ def test_numeric_argument_checks():
         g2_numeric(spec, 0.0, gs, gi, code.T, matched_decode(code.T))
     with pytest.raises(ValueError, match="encode length must match"):
         g2_numeric(spec, 60.0, gs, gi, CODE4.T, matched_decode(CODE4.T))
-    with pytest.raises(BinOverlap):
+    with pytest.raises(ValueError, match="overlap"):
         g2_numeric(spec, 70.0, gs, gi, code.T, matched_decode(code.T))
     with pytest.raises(UnderResolvedGrid):   # unequal signal/idler spacing
         g2_numeric(spec, 60.0, gs,

@@ -143,6 +143,12 @@ def test_sample_matrix_shape_checked():
         decompose(np.ones((10, 10)), GRID, GRID)
 
 
+def test_n_modes_must_be_positive():
+    ws, wi = GRID.omegas[:, None], GRID.omegas[None, :]
+    with pytest.raises(ValueError, match="n_modes must be at least 1"):
+        decompose(blob(ws, wi, 0.0), GRID, GRID, n_modes=0)
+
+
 def test_zero_amplitude_rejected():
     with pytest.raises(ValueError):
         decompose(np.zeros((512, 512)), GRID, GRID)
