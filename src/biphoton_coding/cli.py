@@ -376,8 +376,7 @@ def _cmd_schmidt(sec):
     # an all-zero or non-finite spectrum, or a grid too coarse or too large
     with _config_errors("schmidt",
                         (ValueError, UnderResolvedGrid, GridTooLarge)):
-        # the command writes no mode function, so LAPACK builds no U or Vh
-        d, caught = _warned(decompose, spec, grid_s, grid_i, modes=False)
+        d, caught = _warned(decompose, spec, grid_s, grid_i)
 
     return 0, {
         "lambdas.csv": ([], ["index", "lambda"],
@@ -434,11 +433,15 @@ def _cmd_single_channel(sec):
         if (gsec is None) != (isec is None):
             raise ConfigError("give both grids or neither")
         if gsec is None:
-            grid_s, grid_i = comb_grids(len(code), delta, params)
+            with _config_errors("grids", GridTooLarge):
+                grid_s, grid_i = comb_grids(len(code), delta, params)
         else:
             grid_s = _parse_fields(gsec, FrequencyGrid, "signal_grid")
             grid_i = _parse_fields(isec, FrequencyGrid, "idler_grid")
-        spec = MultiplexedSpectrum.comb(len(code), delta, params)
+        # outer pair centers past the float range (the automatic grids
+        # refuse such a delta first)
+        with _config_errors("delta"):
+            spec = MultiplexedSpectrum.comb(len(code), delta, params)
         with _config_errors("grids", (UnderResolvedGrid, GridTooLarge)), \
                 _config_errors("bin_width"):
             matrix = g2_numeric(spec, bin_width, grid_s, grid_i, code.T,
@@ -485,9 +488,9 @@ def _cmd_sweep(sec):
         code = _code("linear-h", n, h=h)
 
         def matrix_at(delta):
-            grid_s, grid_i = comb_grids(n, delta, params)
-            spec = MultiplexedSpectrum.comb(n, delta, params)
             with _config_errors("grids", GridTooLarge):
+                grid_s, grid_i = comb_grids(n, delta, params)
+                spec = MultiplexedSpectrum.comb(n, delta, params)
                 return g2_numeric(spec, delta, grid_s, grid_i, code.T,
                                   matched_decode(code.T),
                                   acceptance_scale=acceptance)

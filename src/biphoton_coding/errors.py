@@ -44,7 +44,7 @@ class ConfigError(BiphotonCodingError):
 
 
 class DegenerateSpectrum(UserWarning):
-    """Adjacent Schmidt weights are numerically degenerate; mode phases are arbitrary."""
+    """Adjacent leading Schmidt weights are numerically degenerate."""
 
 
 class ValidityWarning(UserWarning):

@@ -246,11 +246,11 @@ def test_criterion_09_schmidt_weights():
     ws, wi = grid.omegas[:, None], grid.omegas[None, :]
 
     separable = np.exp(-ws ** 2 / 50.0) * np.exp(-wi ** 2 / 18.0)
-    s_sep = entropy(decompose(separable, grid, grid, n_modes=8))
+    s_sep = entropy(decompose(separable, grid, grid))
 
     f = sum(np.exp(-((ws - c) ** 2 + (wi - c) ** 2) / 128.0)
             for c in (-300.0, -100.0, 100.0, 300.0))
-    d = decompose(f, grid, grid, n_modes=8)
+    d = decompose(f, grid, grid)
     lam_dev = float(np.max(np.abs(d.lambdas[:4] - 0.25))) / 0.25
     sum_dev = abs(float(np.sum(d.lambdas)) - 1.0)
     elapsed = time.time() - t0

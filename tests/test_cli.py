@@ -345,7 +345,7 @@ def test_schmidt_command(tmp_path, monkeypatch):
     assert rep["n_modes"] == 64
 
     # two mirror-image pairs: the leading two weights are equal, and the
-    # weights-only path still reports it
+    # report says so
     cfg = write_cfg(tmp_path, "deg.json", {
         "output_dir": str(tmp_path), "label": "deg",
         "params": {"tau": 0.5},
@@ -359,7 +359,16 @@ def test_schmidt_command(tmp_path, monkeypatch):
     assert rep["warnings"] == [
         "adjacent Schmidt weights nearly degenerate; modes within the "
         "degenerate subspace are an arbitrary mix"]
-    assert svd_kwargs == [{"compute_uv": False}] * 2
+
+    # below 64 samples on the shorter grid the window is the whole rank
+    cfg = write_cfg(tmp_path, "small.json", {
+        "output_dir": str(tmp_path), "label": "small",
+        "signal_grid": {"min": -10.0, "max": 10.0, "points": 21},
+        "idler_grid": {"min": -15.0, "max": 15.0, "points": 31}})
+    assert main(["schmidt", cfg]) == 0
+    rep = json.loads((tmp_path / "small_report.json").read_text())
+    assert rep["n_modes"] == 21
+    assert svd_kwargs == [{"compute_uv": False}] * 3
 
 
 @pytest.mark.parametrize("weight", [1e160, 1e200])
@@ -848,6 +857,36 @@ def test_numeric_convolution_past_any_budget_is_refused_fast(
     assert proc.returncode == 1
     _assert_one_line(proc.stderr, "config error: grids: the numeric g2 FFTs "
                      "would take")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body, prefix", [
+    _case("delta-1e-320", "single-channel", {**NUMERIC, "delta": 1e-320},
+          "config error: grids: the automatic grids for delta = 1e-320"),
+    # delta / 2 underflows to 0
+    _case("delta-5e-324", "single-channel", {**NUMERIC, "delta": 5e-324},
+          "config error: grids: the automatic grids for delta = 4.941e-324"),
+    _case("delta-1.7e308", "single-channel", {**NUMERIC, "delta": 1.7e308},
+          "config error: grids: the automatic grids for delta = 1.7e+308"),
+    _case("sweep-delta-1e306", "sweep",
+          {"variable": "delta", "values": [1e306], "n": 256},
+          "config error: grids: the automatic grids for delta = 1e+306"),
+    # on grids from the config, the outer pair centers pass the float range
+    _case("centers-past-float-range", "single-channel",
+          {**NUMERIC, "code": {"kind": "linear-h", "n": 4}, "delta": 1.7e308,
+           **TINY_GRIDS},
+          "config error: delta: pair shift fields must be finite"),
+])
+def test_bad_input_exits_1_at_float_range_delta(tmp_path, command, body,
+                                                prefix):
+    # automatic grids whose point counts pass the float range are refused
+    # before int() of them.  Run at the real memory budget, which admits
+    # the order-256 code that test_bad_input_exits_1's lowered one refuses
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "huge.json", body)
+    proc = _run_cli(command, cfg, "--out", str(out))
+    assert proc.returncode == 1
+    _assert_one_line(proc.stderr, prefix)
     assert not out.exists()
 
 

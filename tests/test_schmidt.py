@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from biphoton_coding import schmidt
 from biphoton_coding.errors import DegenerateSpectrum, UnderResolvedGrid
-from biphoton_coding.schmidt import decompose, entropy, reconstruct
+from biphoton_coding.schmidt import decompose, entropy
 from biphoton_coding.spectra import (
     FrequencyGrid,
     MultiplexedSpectrum,
@@ -31,15 +31,10 @@ def blob(ws, wi, center, sigma=8.0):
     return np.exp(-((ws - center) ** 2 + (wi - center) ** 2) / (2 * sigma ** 2))
 
 
-def weighted_frobenius(grid_s, grid_i, m):
-    w = grid_s.weights[:, None] * grid_i.weights[None, :]
-    return math.sqrt(float(np.sum(w * np.abs(m) ** 2)))
-
-
 def test_separable_input_is_rank_one():
     ws, wi = GRID.omegas[:, None], GRID.omegas[None, :]
     f = np.exp(-ws ** 2 / 50.0) * np.exp(-wi ** 2 / 18.0)
-    d = decompose(f, GRID, GRID, n_modes=8)
+    d = decompose(f, GRID, GRID)
     assert d.lambdas[0] == pytest.approx(1.0, abs=1e-6)
     assert entropy(d) < 1e-4
 
@@ -48,7 +43,7 @@ def test_four_component_uniform_weights():
     ws, wi = GRID.omegas[:, None], GRID.omegas[None, :]
     f = sum(blob(ws, wi, c) for c in (-300.0, -100.0, 100.0, 300.0))
     with pytest.warns(DegenerateSpectrum):
-        d = decompose(f, GRID, GRID, n_modes=8)
+        d = decompose(f, GRID, GRID)
     np.testing.assert_allclose(d.lambdas[:4], 0.25, rtol=1e-10)
     assert float(np.sum(d.lambdas)) == pytest.approx(1.0, abs=1e-8)
     assert entropy(d) == pytest.approx(math.log(4.0), abs=1e-8)
@@ -73,45 +68,11 @@ def test_single_pair_regression():
     assert np.all(np.diff(d.lambdas) <= 1e-15)
 
 
-def test_modes_orthonormal_under_quadrature():
-    spec, gs, gi = single_pair_quarter_tau()
-    d = decompose(spec, gs, gi, n_modes=12)
-    gs_overlap = (d.signal_modes.conj() * gs.weights[:, None]).T @ d.signal_modes
-    gi_overlap = (d.idler_modes * gi.weights[None, :]) @ d.idler_modes.conj().T
-    np.testing.assert_allclose(gs_overlap, np.eye(12), atol=1e-6)
-    np.testing.assert_allclose(gi_overlap, np.eye(12), atol=1e-6)
-
-
 def test_phase_gauge_and_determinism():
     spec, gs, gi = single_pair_quarter_tau()
-    d1 = decompose(spec, gs, gi, n_modes=6)
-    d2 = decompose(spec, gs, gi, n_modes=6)
-    for k in range(d1.n_modes):
-        peak = d1.signal_modes[int(np.argmax(np.abs(d1.signal_modes[:, k]))), k]
-        assert abs(peak.imag) < 1e-12 * abs(peak)
-        assert peak.real > 0.0
-    np.testing.assert_array_equal(d1.signal_modes, d2.signal_modes)
+    d1 = decompose(spec, gs, gi)
+    d2 = decompose(spec, gs, gi)
     np.testing.assert_array_equal(d1.lambdas, d2.lambdas)
-
-
-def test_full_reconstruction_matches_normalized_input():
-    spec, gs, gi = single_pair_quarter_tau()
-    d = decompose(spec, gs, gi)
-    f = jsa_multiplexed(spec, gs.omegas[:, None], gi.omegas[None, :]) / d.norm
-    err = weighted_frobenius(gs, gi, reconstruct(d) - f)
-    assert err / weighted_frobenius(gs, gi, f) < 1e-10
-
-
-def test_truncation_error_monotone():
-    spec, gs, gi = single_pair_quarter_tau()
-    f = jsa_multiplexed(spec, gs.omegas[:, None], gi.omegas[None, :])
-    full = decompose(spec, gs, gi)
-    f = f / full.norm
-    errs = []
-    for n in (1, 2, 4, 8, 16):
-        dn = decompose(spec, gs, gi, n_modes=n)
-        errs.append(weighted_frobenius(gs, gi, reconstruct(dn) - f))
-    assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
 
 def test_well_separated_pairs_nearly_degenerate():
@@ -123,7 +84,7 @@ def test_well_separated_pairs_nearly_degenerate():
     spec = MultiplexedSpectrum(params=params, pairs=pairs)
     gs = FrequencyGrid(-700.0, 700.0, 561)
     gi = FrequencyGrid(-400.0, 400.0, 321)
-    d = decompose(spec, gs, gi, n_modes=12)
+    d = decompose(spec, gs, gi)
     top = d.lambdas[:4]
     assert float(np.sum(top)) > 0.95
     assert np.max(np.abs(top - 0.25)) / 0.25 < 0.07
@@ -143,12 +104,6 @@ def test_sample_matrix_shape_checked():
         decompose(np.ones((10, 10)), GRID, GRID)
 
 
-def test_n_modes_must_be_positive():
-    ws, wi = GRID.omegas[:, None], GRID.omegas[None, :]
-    with pytest.raises(ValueError, match="n_modes must be at least 1"):
-        decompose(blob(ws, wi, 0.0), GRID, GRID, n_modes=0)
-
-
 def test_zero_amplitude_rejected():
     with pytest.raises(ValueError):
         decompose(np.zeros((512, 512)), GRID, GRID)
@@ -162,21 +117,19 @@ def test_double_gaussian_matches_closed_form(a, b, points, span):
     (1 - mu^2) mu^(2n), mu = (b - a) / (b + a), and Schmidt number
     K = (a^2 + b^2) / 2ab (Law, Walmsley & Eberly, PRL 84, 5304, 2000).
     A sweep of 39 (a, b) pairs on 300-600-point grids met 8.9e-16 in
-    lambda and 1.8e-15 relative in K.  Both the full SVD and the
-    weights-only path are held to it."""
+    lambda and 1.8e-15 relative in K."""
     grid = FrequencyGrid(-span * max(a, b), span * max(a, b), points)
     ws, wi = grid.omegas[:, None], grid.omegas[None, :]
     f = np.exp(-(ws + wi) ** 2 / (2 * a * a) - (ws - wi) ** 2 / (2 * b * b))
     mu = (b - a) / (b + a)
     want = (1 - mu ** 2) * mu ** (2 * np.arange(points))
-    for modes in (True, False):
-        # the geometric tail falls below the 1e-10 gap within the first 64
-        # weights, so the degeneracy warning always fires there
-        with pytest.warns(DegenerateSpectrum):
-            d = decompose(f, grid, grid, modes=modes)
-        assert np.max(np.abs(d.lambdas - want)) <= 1e-13
-        k = 1.0 / float(np.sum(d.lambdas ** 2))
-        assert k == pytest.approx((a * a + b * b) / (2 * a * b), rel=1e-13)
+    # the geometric tail falls below the 1e-10 gap within the first 64
+    # weights, so the degeneracy warning always fires there
+    with pytest.warns(DegenerateSpectrum):
+        d = decompose(f, grid, grid)
+    assert np.max(np.abs(d.lambdas - want)) <= 1e-13
+    k = 1.0 / float(np.sum(d.lambdas ** 2))
+    assert k == pytest.approx((a * a + b * b) / (2 * a * b), rel=1e-13)
 
 
 def polar(m, ph):
@@ -190,46 +143,15 @@ def coarsest_grid(params, points):
     return FrequencyGrid(-half, half, points)
 
 
-@settings(max_examples=20, deadline=None)
-@given(pairs=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
-                                st.floats(-60.0, 60.0), st.floats(-20.0, 20.0)),
-                      min_size=2, max_size=5),
-       tau=st.floats(0.3, 2.0), points=st.integers(120, 240),
-       shared_ridge=st.booleans())
-def test_weights_only_matches_full_decomposition(pairs, tau, points,
-                                                 shared_ridge):
-    """The values-only SVD gives the full path's weights and norm, on the
-    complex SVD and, with one shared ridge, on the real one."""
-    spec = MultiplexedSpectrum(
-        params=PhysicalParams(tau=tau),
-        pairs=tuple(PairShift(weight=polar(m, ph), delta_p=dp,
-                              delta_q=pairs[0][3] if shared_ridge else dq)
-                    for m, ph, dp, dq in pairs))
-    grid = coarsest_grid(spec.params, points)
-    full = decompose(spec, grid, grid)
-    only = decompose(spec, grid, grid, modes=False)
-    assert only.signal_modes is None and only.idler_modes is None
-    assert only.n_modes == full.n_modes == min(64, points)
-    np.testing.assert_allclose(only.lambdas, full.lambdas, rtol=0, atol=1e-13)
-    assert only.norm == pytest.approx(full.norm, rel=1e-13)
-
-
-def test_weights_only_cannot_reconstruct():
-    spec, gs, gi = single_pair_quarter_tau()
-    with pytest.raises(ValueError, match="weights-only"):
-        reconstruct(decompose(spec, gs, gi, modes=False))
-
-
 def test_scaled_sample_matrix_has_the_same_weights():
     # sigma^2 of a 1e200-scale matrix passes the float range; the weights
     # are scale-free and the norm scales with it
     ws, wi = GRID.omegas[:, None], GRID.omegas[None, :]
     f = sum(blob(ws, wi, c, sigma=s) for c, s in ((-100.0, 8.0), (150.0, 20.0)))
-    for modes in (True, False):
-        d = decompose(f, GRID, GRID, modes=modes)
-        big = decompose(1e200 * f, GRID, GRID, modes=modes)
-        np.testing.assert_allclose(big.lambdas, d.lambdas, rtol=0, atol=1e-13)
-        assert big.norm == pytest.approx(1e200 * d.norm, rel=1e-13)
+    d = decompose(f, GRID, GRID)
+    big = decompose(1e200 * f, GRID, GRID)
+    np.testing.assert_allclose(big.lambdas, d.lambdas, rtol=0, atol=1e-13)
+    assert big.norm == pytest.approx(1e200 * d.norm, rel=1e-13)
 
 
 def test_non_finite_sample_or_norm_rejected():
@@ -238,11 +160,10 @@ def test_non_finite_sample_or_norm_rejected():
     # finite samples whose largest singular value is inf
     grid = FrequencyGrid(-400.0, 400.0, 64)
     huge = np.full((64, 64), 1e307)
-    for modes in (True, False):
-        with pytest.raises(ValueError, match="not finite"):
-            decompose(f, GRID, GRID, modes=modes)
-        with pytest.raises(ValueError, match="passes the float range"):
-            decompose(huge, grid, grid, modes=modes)
+    with pytest.raises(ValueError, match="not finite"):
+        decompose(f, GRID, GRID)
+    with pytest.raises(ValueError, match="passes the float range"):
+        decompose(huge, grid, grid)
 
 
 @settings(max_examples=20, deadline=None)
@@ -257,25 +178,19 @@ def test_one_ridge_real_svd_matches_complex_svd(pairs, delta_q, coupling, tau,
     """Pairs on one real ridge take the real SVD of W_s^1/2 G W_i^1/2 |h|
     without sampling the complex amplitude.  The oracle is the complex SVD
     of the same pairs' sample matrix.  Both SVDs are backward stable, so
-    weights and norm agree to a few n eps (n <= 240): 1e-13 bounds them,
-    and the full reconstruction of the normalized input to 1e-12."""
+    weights and norm agree to a few n eps (n <= 240): 1e-13 bounds them."""
     spec = MultiplexedSpectrum(
         params=PhysicalParams(tau=tau, coupling_prefactor=polar(*coupling)),
         pairs=tuple(PairShift(weight=polar(m, ph), delta_p=dp, delta_q=delta_q)
                     for m, ph, dp in pairs))
     grid = coarsest_grid(spec.params, points)
     f = jsa_multiplexed(spec, grid.omegas[:, None], grid.omegas[None, :])
-    for modes in (True, False):
-        with mock.patch.object(schmidt, "jsa_multiplexed",
-                               side_effect=AssertionError("complex JSA sampled")):
-            d = decompose(spec, grid, grid, n_modes=points, modes=modes)
-        oracle = decompose(f, grid, grid, n_modes=points, modes=modes)
-        np.testing.assert_allclose(d.lambdas, oracle.lambdas, rtol=0, atol=1e-13)
-        assert d.norm == pytest.approx(oracle.norm, rel=1e-13)
-        if modes:
-            # f / norm has unit weighted norm, so this error is relative
-            err = weighted_frobenius(grid, grid, reconstruct(d) - f / d.norm)
-            assert err <= 1e-12
+    with mock.patch.object(schmidt, "jsa_multiplexed",
+                           side_effect=AssertionError("complex JSA sampled")):
+        d = decompose(spec, grid, grid)
+    oracle = decompose(f, grid, grid)
+    np.testing.assert_allclose(d.lambdas, oracle.lambdas, rtol=0, atol=1e-13)
+    assert d.norm == pytest.approx(oracle.norm, rel=1e-13)
 
 
 def test_two_ridges_or_complex_delta_q_take_the_complex_svd():
@@ -289,13 +204,7 @@ def test_two_ridges_or_complex_delta_q_take_the_complex_svd():
     for pairs in (two, shifted):
         spec = MultiplexedSpectrum(params=params, pairs=pairs)
         f = jsa_multiplexed(spec, grid.omegas[:, None], grid.omegas[None, :])
-        for modes in (True, False):
-            d = decompose(spec, grid, grid, n_modes=8, modes=modes)
-            oracle = decompose(f, grid, grid, n_modes=8, modes=modes)
-            np.testing.assert_array_equal(d.lambdas, oracle.lambdas)
-            assert d.norm == oracle.norm
-            if modes:
-                np.testing.assert_array_equal(d.signal_modes,
-                                              oracle.signal_modes)
-                np.testing.assert_array_equal(d.idler_modes,
-                                              oracle.idler_modes)
+        d = decompose(spec, grid, grid)
+        oracle = decompose(f, grid, grid)
+        np.testing.assert_array_equal(d.lambdas, oracle.lambdas)
+        assert d.norm == oracle.norm
