@@ -415,10 +415,18 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
     bins absent from a dict are blocked.  Each encode row then stays an
     exact per-pair amplitude row (applied at the source, before
     multiplexing).  The scale is calibrated against the all-ones cell so
-    the result is directly comparable to the ideal path.
+    the result is directly comparable to the ideal path.  A bin_width
+    below either grid's spacing raises UnderResolvedGrid.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
+    # a narrower bin holds one sample or none, and its g2 reads as a
+    # contrast the grid cannot resolve
+    spacing = max(grid_s.spacing, grid_i.spacing)
+    if bin_width < spacing:
+        raise UnderResolvedGrid(
+            f"coding bins of width {bin_width:.4g} are narrower than the "
+            f"grid spacing {spacing:.4g}")
     n = spec.n_pairs
     encode = _weight_rows(encode, n, "encode")
     if channel_map is not None:

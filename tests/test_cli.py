@@ -317,15 +317,20 @@ def _refuse_constant(name):
 
 
 def test_schmidt_command(tmp_path, monkeypatch):
-    # the command writes weights only, so LAPACK is never asked for U or Vh
-    svd_kwargs = []
-    svd = np.linalg.svd
+    # every config is one real ridge: its weights come from the symmetric
+    # eigensolver of a Gram matrix, and no SVD runs
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def spy(*args, **kwargs):
-        svd_kwargs.append(kwargs)
-        return svd(*args, **kwargs)
+    def spy(gram):
+        solved.append(gram.shape)
+        return eigvalsh(gram)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD on the real path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     cfg = write_cfg(tmp_path, "sch.json", {
         "output_dir": str(tmp_path), "label": "one",
         "params": {"tau": 0.25},
@@ -357,8 +362,8 @@ def test_schmidt_command(tmp_path, monkeypatch):
     assert rep["lambdas_top"][0] == pytest.approx(rep["lambdas_top"][1],
                                                   abs=1e-10)
     assert rep["warnings"] == [
-        "adjacent Schmidt weights nearly degenerate; modes within the "
-        "degenerate subspace are an arbitrary mix"]
+        "adjacent Schmidt weights nearly degenerate: two of the leading 64 "
+        "differ by less than 1e-10"]
 
     # below 64 samples on the shorter grid the window is the whole rank
     cfg = write_cfg(tmp_path, "small.json", {
@@ -368,7 +373,8 @@ def test_schmidt_command(tmp_path, monkeypatch):
     assert main(["schmidt", cfg]) == 0
     rep = json.loads((tmp_path / "small_report.json").read_text())
     assert rep["n_modes"] == 21
-    assert svd_kwargs == [{"compute_uv": False}] * 3
+    # the Gram matrix of the shorter grid each time
+    assert solved == [(601, 601), (401, 401), (21, 21)]
 
 
 @pytest.mark.parametrize("weight", [1e160, 1e200])
@@ -436,6 +442,19 @@ def _case(id_, command, body, prefix):
           {**NUMERIC, "delta": 100.0, "bin_width": 150.0},
           "config error: bin_width: coding bins of width 150 overlap at "
           "center spacing 100"),
+    # a bin narrower than the grid spacing holds one sample or none: both
+    # pairs' bins on one sample of the config grids, and a bin of 1e-300
+    # on the automatic grids, used to read as a contrast
+    _case("numeric-delta-below-spacing", "single-channel",
+          {**NUMERIC, "delta": 1e-320,
+           "signal_grid": {"min": -100.0, "max": 100.0, "points": 801},
+           "idler_grid": {"min": -150.0, "max": 150.0, "points": 1201}},
+          "config error: grids: coding bins of width 1e-320 are "
+          "narrower than the grid spacing 0.25"),
+    _case("numeric-bin-width-below-spacing", "single-channel",
+          {**NUMERIC, "bin_width": 1e-300},
+          "config error: grids: coding bins of width 1e-300 are narrower "
+          "than the grid spacing"),
     _case("numeric-acceptance-0", "single-channel",
           {**NUMERIC, "acceptance_scale": 0.0},
           "config error: config.acceptance_scale"),

@@ -543,6 +543,8 @@ def test_numeric_argument_checks():
         g2_numeric(spec, 60.0, gs,
                    FrequencyGrid(gi.min, gi.max, gi.points + 1),
                    code.T, matched_decode(code.T))
+    with pytest.raises(UnderResolvedGrid, match="narrower than the grid"):
+        g2_numeric(spec, 0.2, gs, gi)   # spacing 0.25
     coarse = FrequencyGrid(gs.min, gs.max, 41)
     with pytest.raises(UnderResolvedGrid):   # marginals need (1/tau)/8
         g2_numeric(spec, 60.0, coarse,

@@ -1,6 +1,7 @@
 """Schmidt decomposition on quadrature-weighted sample matrices."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,9 @@ from biphoton_coding.spectra import (
     MultiplexedSpectrum,
     PairShift,
     PhysicalParams,
+    gaussian_envelope,
     jsa_multiplexed,
+    lorentzian_factor,
 )
 
 # trailing near-zero weights are always mutually degenerate, so most
@@ -175,10 +178,11 @@ def test_non_finite_sample_or_norm_rejected():
        tau=st.floats(0.3, 2.0), points=st.integers(120, 240))
 def test_one_ridge_real_svd_matches_complex_svd(pairs, delta_q, coupling, tau,
                                                 points):
-    """Pairs on one real ridge take the real SVD of W_s^1/2 G W_i^1/2 |h|
-    without sampling the complex amplitude.  The oracle is the complex SVD
-    of the same pairs' sample matrix.  Both SVDs are backward stable, so
-    weights and norm agree to a few n eps (n <= 240): 1e-13 bounds them."""
+    """Pairs on one real ridge are decomposed from the real
+    W_s^1/2 G W_i^1/2 |h| without sampling the complex amplitude.  The
+    oracle is the complex SVD of the same pairs' sample matrix.  Both
+    solvers are backward stable, so weights and norm agree to a few n eps
+    (n <= 240): 1e-13 bounds them."""
     spec = MultiplexedSpectrum(
         params=PhysicalParams(tau=tau, coupling_prefactor=polar(*coupling)),
         pairs=tuple(PairShift(weight=polar(m, ph), delta_p=dp, delta_q=delta_q)
@@ -208,3 +212,77 @@ def test_two_ridges_or_complex_delta_q_take_the_complex_svd():
         oracle = decompose(f, grid, grid)
         np.testing.assert_array_equal(d.lambdas, oracle.lambdas)
         assert d.norm == oracle.norm
+
+
+def one_ridge_spectrum(pairs, delta_q, coupling, tau):
+    return MultiplexedSpectrum(
+        params=PhysicalParams(tau=tau, coupling_prefactor=polar(*coupling)),
+        pairs=tuple(PairShift(weight=polar(m, ph), delta_p=dp, delta_q=delta_q)
+                    for m, ph, dp in pairs))
+
+
+@pytest.mark.parametrize("signal_longer", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
+                                st.floats(-60.0, 60.0)),
+                      min_size=1, max_size=4),
+       delta_q=st.floats(-20.0, 20.0),
+       coupling=st.tuples(st.floats(0.01, 100.0), st.floats(0.0, 2 * math.pi)),
+       tau=st.floats(0.3, 2.0),
+       sizes=st.lists(st.integers(2, 250).filter(lambda n: n % 64),
+                      min_size=2, max_size=2, unique=True).map(sorted))
+def test_gram_weights_match_svd_of_the_same_r(signal_longer, pairs, delta_q,
+                                              coupling, tau, sizes):
+    """The one-ridge weights are eigenvalues of the Gram matrix of R's
+    shorter side; the oracle is the values-only SVD of the same R, on
+    non-square grids of either orientation whose sizes are not multiples
+    of the 64-row sampling block.
+
+    Forming G = R R^T in floating point adds E with
+    |E| <= n eps |R| |R|^T entrywise, n the longer side (the inner
+    dimension), so ||E||_2 <= n eps ||R||_F^2; eigvalsh is backward stable
+    and adds c k eps ||G||_2, k the shorter side.  By Weyl each eigenvalue
+    moves by at most the norm of the perturbation, and after division by
+    trace G = ||R||_F^2 >= ||G||_2 each weight moves by (n + c k) eps at
+    most, as does the SVD's own.  64 n eps bounds both, and the norm's
+    relative error likewise."""
+    short, long = sizes
+    n_s, n_i = (long, short) if signal_longer else (short, long)
+    spec = one_ridge_spectrum(pairs, delta_q, coupling, tau)
+    gs, gi = coarsest_grid(spec.params, n_s), coarsest_grid(spec.params, n_i)
+    sigma = np.linalg.svd(schmidt._weighted_samples(spec, gs, gi),
+                          compute_uv=False)
+    want = (sigma / sigma[0]) ** 2
+    want /= np.sum(want)
+    d = decompose(spec, gs, gi)
+    tol = 64 * long * np.finfo(float).eps
+    assert d.lambdas.shape == (short,)
+    np.testing.assert_allclose(d.lambdas, want, rtol=0, atol=tol)
+    assert d.norm == pytest.approx(math.hypot(*sigma), rel=tol)
+
+
+def signal_axis(rows):
+    """A signal axis of `rows` samples at spacing 0.8.  A FrequencyGrid
+    needs two points, so a single row is a stand-in with the attributes
+    _weighted_samples reads."""
+    if rows == 1:
+        return SimpleNamespace(points=1, omegas=np.array([0.7]),
+                               weights=np.array([0.8]), spacing=0.8)
+    half = 0.4 * (rows - 1)
+    return FrequencyGrid(-half, half, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+def test_blocked_ridge_equals_the_whole_matrix_expression(rows):
+    spec = one_ridge_spectrum([(1.0, 0.3, -20.0), (0.7, 2.0, 15.0)], 4.0,
+                              (2.0, 1.0), 0.5)
+    p = spec.params
+    gs, gi = signal_axis(rows), FrequencyGrid(-40.0, 40.0, 97)
+    h = p.coupling_prefactor * sum(
+        pair.weight * lorentzian_factor(p, gi.omegas, pair.delta_p)
+        for pair in spec.pairs)
+    want = gaussian_envelope(p, gs.omegas[:, None] + gi.omegas[None, :],
+                             4.0) * np.sqrt(gs.weights)[:, None]
+    want *= np.sqrt(gi.weights)[None, :] * np.abs(h)
+    np.testing.assert_array_equal(schmidt._weighted_samples(spec, gs, gi),
+                                  want)
