@@ -411,6 +411,27 @@ def _cmd_codes(sec):
                         "ideal_contrast": report}}
 
 
+def _numeric_g2(code, delta, params, bin_width, acceptance, grids=None):
+    """The numeric g2 matrix of `code` and its matched decode on an
+    n-pair comb of pitch delta, and the (signal, idler) grids it ran on:
+    the automatic comb grids unless `grids` are given.  g2_numeric and
+    matched_decode are called through the module globals, which
+    bench/tracer.py wraps."""
+    n = len(code)
+    if grids is None:
+        with _config_errors("grids", GridTooLarge):
+            grids = comb_grids(n, delta, params)
+    # outer pair centers past the float range (the automatic grids refuse
+    # such a delta first)
+    with _config_errors("delta"):
+        spec = MultiplexedSpectrum.comb(n, delta, params)
+    with _config_errors("grids", (UnderResolvedGrid, GridTooLarge)), \
+            _config_errors("bin_width"):
+        return g2_numeric(spec, bin_width, *grids, code.T,
+                          matched_decode(code.T),
+                          acceptance_scale=acceptance), grids
+
+
 def _cmd_single_channel(sec):
     *_, code = _parse_code(sec.subsection("code", required=True))
     mode = sec.take("mode", _choice("ideal", "numeric"), "ideal")
@@ -432,21 +453,11 @@ def _cmd_single_channel(sec):
         sec.close()
         if (gsec is None) != (isec is None):
             raise ConfigError("give both grids or neither")
-        if gsec is None:
-            with _config_errors("grids", GridTooLarge):
-                grid_s, grid_i = comb_grids(len(code), delta, params)
-        else:
-            grid_s = _parse_fields(gsec, FrequencyGrid, "signal_grid")
-            grid_i = _parse_fields(isec, FrequencyGrid, "idler_grid")
-        # outer pair centers past the float range (the automatic grids
-        # refuse such a delta first)
-        with _config_errors("delta"):
-            spec = MultiplexedSpectrum.comb(len(code), delta, params)
-        with _config_errors("grids", (UnderResolvedGrid, GridTooLarge)), \
-                _config_errors("bin_width"):
-            matrix = g2_numeric(spec, bin_width, grid_s, grid_i, code.T,
-                                matched_decode(code.T),
-                                acceptance_scale=acceptance)
+        grids = None if gsec is None else (
+            _parse_fields(gsec, FrequencyGrid, "signal_grid"),
+            _parse_fields(isec, FrequencyGrid, "idler_grid"))
+        matrix, (grid_s, grid_i) = _numeric_g2(code, delta, params, bin_width,
+                                               acceptance, grids)
         comments = [f"numeric path, delta = {delta:.12g}, "
                     f"bin_width = {bin_width:.12g}, "
                     f"acceptance_scale = {acceptance:.12g}",
@@ -488,12 +499,7 @@ def _cmd_sweep(sec):
         code = _code("linear-h", n, h=h)
 
         def matrix_at(delta):
-            with _config_errors("grids", GridTooLarge):
-                grid_s, grid_i = comb_grids(n, delta, params)
-                spec = MultiplexedSpectrum.comb(n, delta, params)
-                return g2_numeric(spec, delta, grid_s, grid_i, code.T,
-                                  matched_decode(code.T),
-                                  acceptance_scale=acceptance)
+            return _numeric_g2(code, delta, params, delta, acceptance)[0]
 
     reports = [contrasts(matrix_at(v)) for v in values]
     return 0, {"sweep.csv": (

@@ -313,19 +313,18 @@ def _next_fast_len(n: int) -> int:
     return min(f << (-(-n // f) - 1).bit_length() for f in odd)
 
 
-def _gated_power(amps, masks_s, masks_i, psi, phi, gate,
-                 spacing: float) -> np.ndarray:
+def _gated_power(amps, masks_s, masks_i, psi, phi, gate, spacing: float,
+                 nfft: int) -> np.ndarray:
     """Gated integral of |F_ab|^2 for every signal mask a and idler mask b.
 
     F_ab = sum_p amps[a, p] convolution(masks_s[a] psi_p, masks_i[b] phi_p)
     with psi_p / phi_p the pair marginals (rows of psi / phi).  Each masked
-    marginal (signal ones times their amplitudes) takes one zero-padded
-    FFT, the pair sum is one contraction per signal mask, and one signal
-    row of F is transformed back at a time, so memory stays
-    O(masks * pairs * fft length), the size `_numeric_cells` checks.
+    marginal (signal ones times their amplitudes) takes one FFT
+    zero-padded to nfft, the pair sum is one contraction per signal mask,
+    and one signal row of F is transformed back at a time, so memory
+    stays O(masks * pairs * nfft), the size `_numeric_cells` checks.
     """
     n_out = psi.shape[1] + phi.shape[1] - 1
-    nfft = _next_fast_len(n_out)
     sig = np.fft.fft(amps[:, :, None] * masks_s[:, None, :] * psi, nfft)
     idl = np.fft.fft(masks_i[:, None, :] * phi, nfft)
     rows = (np.fft.ifft(np.einsum("pk,bpk->bk", s, idl))[:, :n_out]
@@ -372,7 +371,8 @@ def _numeric_cells(spec: MultiplexedSpectrum, bins_s, amps, bins_i,
     phi, n_i = zip(*(marginal_idler_mode(pr, p, grid_i) for pr in spec.pairs))
     lam_root = math.sqrt(1.0 / n) * np.array([pr.weight for pr in spec.pairs])
     power = _gated_power(lam_root * np.vstack([amps, np.ones(n)]), masks_s,
-                         masks_i, np.array(psi), np.array(phi), gate, spacing)
+                         masks_i, np.array(psi), np.array(phi), gate, spacing,
+                         nfft)
     # all-ones reference in closed form: prefactor * M per ridge, summed
     # over ridges and divided by the global 1/(R M) weight -> pref * n / R
     ridges = len({pr.delta_q for pr in spec.pairs})

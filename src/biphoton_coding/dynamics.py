@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotConverged, ValidityWarning
+from .errors import GridTooLarge, NotConverged, ValidityWarning
 from .spectra import MAX_GRID_BYTES, FrequencyGrid, require_grid_memory
 
 
@@ -44,6 +44,10 @@ _GAUSS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _THETA = 0.1
 # steps exponentiated per batched eigh
 _BLOCK = 4096
+# largest Magnus scan, in steps over all gaps: 2**21 steps take about
+# 8-13 s at the 0.16-0.25M steps/s measured on a 2-core VM, and t_final
+# 2000 on a 96 x 96 grid needs about 1.19M
+_MAX_STEPS = 2 ** 21
 
 
 class Solution(NamedTuple):
@@ -63,6 +67,9 @@ def solve_ivp(hamiltonian, t, y0) -> Solution:
     exp(i K), K = h/2 (H1 + H2) + i sqrt(3)/12 h^2 [H2, H1] with H1 and H2
     at its two Gauss points, exponentiated through `np.linalg.eigh`, so
     every step is unitary and a gap of length zero is the identity.
+    Raises GridTooLarge before any step is built when a block of steps
+    would pass spectra.MAX_GRID_BYTES or the scan would take more than
+    _MAX_STEPS steps.
     """
     t = np.asarray(t, dtype=float)
     gaps = np.diff(t)
@@ -75,6 +82,10 @@ def solve_ivp(hamiltonian, t, y0) -> Solution:
     require_grid_memory(9 * max(steps, _BLOCK),
                         f"the Magnus steps of this drive ({steps:.3g} a gap)")
     s = max(1, math.ceil(steps))
+    if s * len(gaps) > _MAX_STEPS:
+        raise GridTooLarge(
+            f"the Magnus scan of this drive ({s * len(gaps):,} steps) "
+            f"passes the {_MAX_STEPS:,}-step bound")
     y = np.empty((len(t), len(y0)), dtype=complex)
     y[0] = y0
     per = max(1, _BLOCK // s)
@@ -168,7 +179,8 @@ def integrate_eom(drive: DriveParams, grid_s: FrequencyGrid,
     so nothing is interpolated.  Raises GridTooLarge, before reading
     either grid, when the D grids it holds (one per time plus Bhat) would
     pass spectra.MAX_GRID_BYTES, before building a node when the nodes
-    would, and before stepping when the drive's Magnus steps would.
+    would, and before stepping when the drive's Magnus steps would or
+    would number more than _MAX_STEPS.
     """
     drive.check_weak_drive()
     t_start = drive.pulse_center - 6.0 * drive.tau

@@ -909,6 +909,28 @@ def test_bad_input_exits_1_at_float_range_delta(tmp_path, command, body,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, body, prefix", [
+    # past the real 10**6-level bound that test_bad_input_exits_1 lowers:
+    # refused in about 2 s, not after hours of enumeration
+    _case("levels-r8-m16", "multi-channel", {"r": 8, "m": 16},
+          "config error: levels: more than 1000000 distinct levels"),
+    # fits the memory budget, but its 50.8M Magnus steps would scan for
+    # minutes
+    _case("dynamics-omega-1e6", "dynamics-check",
+          {"drive": {"omega_a_tilde": 1e6}, **SCHMIDT_GRIDS},
+          "config error: grids: the Magnus scan of this drive (50,826,700 "
+          "steps) passes the 2,097,152-step bound"),
+])
+def test_bad_input_exits_1_at_the_real_bounds(tmp_path, command, body,
+                                              prefix):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "huge.json", body)
+    proc = _run_cli(command, cfg, "--out", str(out))
+    assert proc.returncode == 1
+    _assert_one_line(proc.stderr, prefix)
+    assert not out.exists()
+
+
 def test_output_the_os_refuses_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "codes.json", {"label": "c", "code": {"n": 4}})
     # --out names an existing file

@@ -459,3 +459,25 @@ def test_solve_ivp_matches_dop853_on_a_driven_three_level_system():
     got = solve_ivp(hamiltonian, t, y0).y
     assert abs(got[-1, 2]) ** 2 > 0.3
     assert float(np.max(np.abs(got - ref.y.T))) < 1e-8
+
+
+def test_solve_ivp_refuses_a_scan_past_the_step_bound(monkeypatch):
+    # ||H|| = 0.25 and unit gaps take ceil(2.5) = 3 steps each, so eight
+    # gaps scan 24 steps: run at a bound of 24, refused at 23 with only
+    # the norm read at the 9 times evaluated
+    evaluated = []
+
+    def hamiltonian(t):
+        evaluated.append(len(t))
+        return np.broadcast_to(np.diag([0.25, 0.0, -0.25]), (len(t), 3, 3))
+
+    t = np.arange(9.0)
+    y0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 24)
+    assert solve_ivp(hamiltonian, t, y0).nfev == 9 + 2 * 24
+    evaluated.clear()
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 23)
+    with pytest.raises(GridTooLarge, match=r"\(24 steps\) passes the "
+                       "23-step bound"):
+        solve_ivp(hamiltonian, t, y0)
+    assert evaluated == [9]
