@@ -48,7 +48,8 @@ from .errors import (BiphotonCodingError, ConfigError, CycleDetected,
 from .layout import ChannelLayout, dimension, staircase, validate
 from .schmidt import decompose, entropy
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PairShift,
-                      PhysicalParams, comb_grids, jsa_multiplexed)
+                      PhysicalParams, comb_grids, jsa_multiplexed,
+                      require_grid_memory)
 
 ARTIFACT_VERSION = 1
 CONFIG_VERSION = 1
@@ -347,8 +348,11 @@ def _cmd_jsa(sec):
     grid_s, grid_i = _parse_grids(sec)
     sec.close()
 
-    # a grid past the memory budget, or samples past the float range
+    # a grid past the memory budget, before its axes are built, or
+    # samples past the float range
     with _config_errors("grids", GridTooLarge), _config_errors("jsa"):
+        require_grid_memory(grid_s.points * grid_i.points,
+                            "the joint spectral amplitude")
         f = jsa_multiplexed(spec, grid_s.omegas[:, None],
                             grid_i.omegas[None, :])
         surface = np.abs(f) ** 2

@@ -60,18 +60,14 @@ def g2_prefactor(n_s: float, n_i: float, tau: float) -> float:
 # convolution and the pair kernel
 # ---------------------------------------------------------------------------
 
-def _matched_spacing(grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> float:
+def convolution_grid(grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> FrequencyGrid:
+    """Sum-frequency axis carrying the discrete convolution output; grids
+    of unequal spacing raise UnderResolvedGrid."""
     ds, di = grid_s.spacing, grid_i.spacing
     if abs(ds - di) > 1e-9 * ds:
         raise UnderResolvedGrid(
             f"signal/idler grids need equal spacing for convolution "
             f"({ds:.6g} vs {di:.6g})")
-    return ds
-
-
-def convolution_grid(grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> FrequencyGrid:
-    """Sum-frequency axis carrying the discrete convolution output."""
-    _matched_spacing(grid_s, grid_i)
     return FrequencyGrid(grid_s.min + grid_i.min, grid_s.max + grid_i.max,
                          grid_s.points + grid_i.points - 1)
 
@@ -97,10 +93,10 @@ def pair_correlation_kernel(pair, params: PhysicalParams,
 
     Returns (grid_out, kernel).
     """
-    spacing = _matched_spacing(grid_s, grid_i)
+    grid_out = convolution_grid(grid_s, grid_i)
+    spacing = grid_s.spacing
     _, n_s = marginal_signal_mode(pair, params, grid_s)
     _, n_i = marginal_idler_mode(pair, params, grid_i)
-    grid_out = convolution_grid(grid_s, grid_i)
     lor = lorentzian_factor(params, grid_i.omegas, pair.delta_p)
     line_integral = spacing * np.sum(lor)
     kernel = pair.weight \
@@ -319,16 +315,17 @@ def _gated_power(amps, masks_s, masks_i, psi, phi, gate, spacing: float,
 
     F_ab = sum_p amps[a, p] convolution(masks_s[a] psi_p, masks_i[b] phi_p)
     with psi_p / phi_p the pair marginals (rows of psi / phi).  Each masked
-    marginal (signal ones times their amplitudes) takes one FFT
-    zero-padded to nfft, the pair sum is one contraction per signal mask,
-    and one signal row of F is transformed back at a time, so memory
-    stays O(masks * pairs * nfft), the size `_numeric_cells` checks.
+    marginal takes one FFT zero-padded to nfft: the idler ones at once,
+    the signal ones (times their amplitudes) one signal mask at a time,
+    each with its pair contraction and inverse transform, so memory stays
+    O(masks * pairs * nfft), the size `g2_numeric` checks.
     """
     n_out = psi.shape[1] + phi.shape[1] - 1
-    sig = np.fft.fft(amps[:, :, None] * masks_s[:, None, :] * psi, nfft)
     idl = np.fft.fft(masks_i[:, None, :] * phi, nfft)
-    rows = (np.fft.ifft(np.einsum("pk,bpk->bk", s, idl))[:, :n_out]
-            for s in sig)
+    rows = (np.fft.ifft(np.einsum("pk,bpk->bk",
+                                  np.fft.fft(a[:, None] * m * psi, nfft),
+                                  idl))[:, :n_out]
+            for a, m in zip(amps, masks_s))
     return spacing ** 3 * np.array([np.abs(f) ** 2 @ gate for f in rows])
 
 
@@ -338,46 +335,6 @@ def _bin_masks(centers, weight_rows, bin_width: float,
     rows = [*weight_rows, np.ones(len(centers))]
     return np.array([coding_bin_mask(centers, w, bin_width, grid)
                      for w in rows])
-
-
-def _numeric_cells(spec: MultiplexedSpectrum, bins_s, amps, bins_i,
-                   grid_s: FrequencyGrid, grid_i: FrequencyGrid,
-                   acceptance_scale: float) -> np.ndarray:
-    """Calibrated g2 of every (signal mask, idler mask) cell.
-
-    bins_s and bins_i are each (centers, weight rows, bin width): every
-    weight row becomes a coding mask, and an all-ones reference mask,
-    whose cell fixes the scale, follows them; amps holds the per-pair
-    encode weights of the signal rows.  Bin overlap and the FFT budget are
-    checked from these sizes before any mask or marginal is built
-    (GridTooLarge past spectra.MAX_GRID_BYTES); marginals are built once
-    for all cells.
-    """
-    p, n = spec.params, spec.n_pairs
-    for centers, _, width in (bins_s, bins_i):
-        _require_disjoint_bins(centers, width)
-    n_masks = len(bins_s[1]) + len(bins_i[1]) + 2
-    n_out = grid_s.points + grid_i.points - 1
-    # the padded length is never shorter, and its search slows like
-    # (log n)**4: a convolution no budget admits is checked unpadded
-    nfft = _next_fast_len(n_out) if n_out < 2 ** 53 else n_out
-    require_grid_memory(n_masks * n * nfft, "the numeric g2 FFTs")
-    masks_s = _bin_masks(*bins_s, grid_s)
-    masks_i = _bin_masks(*bins_i, grid_i)
-    spacing = _matched_spacing(grid_s, grid_i)
-    gate = acceptance_gate(convolution_grid(grid_s, grid_i), spec,
-                           acceptance_scale)
-    psi, n_s = zip(*(marginal_signal_mode(pr, p, grid_s) for pr in spec.pairs))
-    phi, n_i = zip(*(marginal_idler_mode(pr, p, grid_i) for pr in spec.pairs))
-    lam_root = math.sqrt(1.0 / n) * np.array([pr.weight for pr in spec.pairs])
-    power = _gated_power(lam_root * np.vstack([amps, np.ones(n)]), masks_s,
-                         masks_i, np.array(psi), np.array(phi), gate, spacing,
-                         nfft)
-    # all-ones reference in closed form: prefactor * M per ridge, summed
-    # over ridges and divided by the global 1/(R M) weight -> pref * n / R
-    ridges = len({pr.delta_q for pr in spec.pairs})
-    ideal_ref = g2_prefactor(n_s[0], n_i[0], p.tau) * n / ridges
-    return ideal_ref * power[:-1, :-1] / power[-1, -1]
 
 
 def _weight_rows(weights, n: int, what: str) -> np.ndarray:
@@ -416,7 +373,10 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
     exact per-pair amplitude row (applied at the source, before
     multiplexing).  The scale is calibrated against the all-ones cell so
     the result is directly comparable to the ideal path.  A bin_width
-    below either grid's spacing raises UnderResolvedGrid.
+    below either grid's spacing, or unequal grid spacings, raise
+    UnderResolvedGrid.  Every refusal, the FFT budget (GridTooLarge past
+    spectra.MAX_GRID_BYTES) included, comes before the first coding mask
+    is built; the marginals are built once for all cells.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
@@ -427,7 +387,7 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
         raise UnderResolvedGrid(
             f"coding bins of width {bin_width:.4g} are narrower than the "
             f"grid spacing {spacing:.4g}")
-    n = spec.n_pairs
+    p, n = spec.params, spec.n_pairs
     encode = _weight_rows(encode, n, "encode")
     if channel_map is not None:
         if decode is not None:
@@ -435,13 +395,32 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
         (sig, sig_w), (idl, idl_w) = (
             ([k * bin_width for k in sorted(w)], [w[k] for k in sorted(w)])
             for w in channel_map)
-        bins_s = (sig, [sig_w] * len(encode), bin_width)
-        bins_i = (idl, [idl_w], bin_width)
-        amps = encode
+        rows_s, rows_i, amps = [sig_w] * len(encode), [idl_w], encode
     else:
-        bins_s = ([p.signal_center for p in spec.pairs], encode, bin_width)
-        bins_i = ([p.delta_p for p in spec.pairs],
-                  _weight_rows(decode, n, "decode"), bin_width)
+        sig = [pr.signal_center for pr in spec.pairs]
+        idl = [pr.delta_p for pr in spec.pairs]
+        rows_s, rows_i = encode, _weight_rows(decode, n, "decode")
         amps = np.ones(encode.shape)   # weights already live in the signal mask
-    return _numeric_cells(spec, bins_s, amps, bins_i, grid_s, grid_i,
-                          acceptance_scale)
+    _require_disjoint_bins(sig, bin_width)
+    _require_disjoint_bins(idl, bin_width)
+    grid_out = convolution_grid(grid_s, grid_i)
+    # the padded length is never shorter, and its search slows like
+    # (log n)**4: a convolution no budget admits is checked unpadded
+    nfft = (_next_fast_len(grid_out.points) if grid_out.points < 2 ** 53
+            else grid_out.points)
+    require_grid_memory((len(rows_s) + len(rows_i) + 2) * n * nfft,
+                        "the numeric g2 FFTs")
+    psi, n_s = zip(*(marginal_signal_mode(pr, p, grid_s) for pr in spec.pairs))
+    phi, n_i = zip(*(marginal_idler_mode(pr, p, grid_i) for pr in spec.pairs))
+    gate = acceptance_gate(grid_out, spec, acceptance_scale)
+    masks_s = _bin_masks(sig, rows_s, bin_width, grid_s)
+    masks_i = _bin_masks(idl, rows_i, bin_width, grid_i)
+    lam_root = math.sqrt(1.0 / n) * np.array([pr.weight for pr in spec.pairs])
+    power = _gated_power(lam_root * np.vstack([amps, np.ones(n)]), masks_s,
+                         masks_i, np.array(psi), np.array(phi), gate,
+                         grid_s.spacing, nfft)
+    # all-ones reference in closed form: prefactor * M per ridge, summed
+    # over ridges and divided by the global 1/(R M) weight -> pref * n / R
+    ridges = len({pr.delta_q for pr in spec.pairs})
+    ideal_ref = g2_prefactor(n_s[0], n_i[0], p.tau) * n / ridges
+    return ideal_ref * power[:-1, :-1] / power[-1, -1]

@@ -6,7 +6,7 @@ values of that matrix, normalized to unit sum, are the Schmidt weights
 lambda_n; with the entropy and the norm they are all the `schmidt`
 command writes, so no singular vector is ever computed.
 
-When the pairs of a spectrum all share one real delta_q (every CLI
+When the pairs of a spectrum all share one real delta_q (every bench
 config does) the weighted amplitude is a real matrix R times a
 unit-modulus phase per idler sample, the phase of the idler factor
 h = c sum_p w_p L(w_i - delta_p).  A diagonal unitary leaves the singular
@@ -78,18 +78,22 @@ def _weighted_samples(spec, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
     to one call on the full grid while the ridge's complex exp buffer and
     temporaries stay the size of a block.  Otherwise A itself is
     returned: real for a real sample matrix, complex for any other
-    spectrum.
+    spectrum.  The grids, the budget and a sample matrix's shape are
+    checked before any array is built, the grid axes included.
     """
+    if isinstance(spec, MultiplexedSpectrum):
+        _check_grids(spec, grid_s, grid_i)
+        require_grid_memory(grid_s.points * grid_i.points,
+                            "the joint spectral amplitude")
+    elif np.shape(spec) != (grid_s.points, grid_i.points):
+        raise ValueError("sample matrix shape does not match the grids")
     root_s = np.sqrt(grid_s.weights)[:, None]
     root_i = np.sqrt(grid_i.weights)[None, :]
     if isinstance(spec, MultiplexedSpectrum):
-        _check_grids(spec, grid_s, grid_i)
         ridges = {pair.delta_q for pair in spec.pairs}
         delta_q = ridges.pop()
         if not ridges and not np.iscomplexobj(delta_q):
             p = spec.params
-            require_grid_memory(grid_s.points * grid_i.points,
-                                "the joint spectral amplitude")
             w_s, w_i = grid_s.omegas[:, None], grid_i.omegas[None, :]
             h = p.coupling_prefactor * sum(
                 pair.weight * lorentzian_factor(p, grid_i.omegas, pair.delta_p)
@@ -107,8 +111,6 @@ def _weighted_samples(spec, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
     else:
         f = np.asarray(spec)
         f = f.astype(np.result_type(f, float), copy=False)
-        if f.shape != (grid_s.points, grid_i.points):
-            raise ValueError("sample matrix shape does not match the grids")
     return root_s * f * root_i
 
 
@@ -118,7 +120,7 @@ def decompose(spec, grid_s: FrequencyGrid,
     matrix of shape (grid_s.points, grid_i.points)).
 
     A real sample matrix, or a spectrum whose pairs all share one real
-    delta_q (every CLI config), yields a real matrix R with the weighted
+    delta_q (every bench config), yields a real matrix R with the weighted
     amplitude's singular values (see _weighted_samples).  R is scaled by
     max|R|, so no Gram entry can overflow, and the weights are the
     eigenvalues of the Gram matrix of its shorter side (eigvalsh), with

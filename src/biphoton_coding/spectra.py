@@ -134,6 +134,8 @@ class FrequencyGrid:
             raise ValueError("grid needs at least two points")
         if not self.min < self.max:
             raise ValueError("grid min must be below max")
+        if not math.isfinite(self.max - self.min):
+            raise ValueError("grid span max - min passes the float range")
 
     @property
     def spacing(self) -> float:
@@ -159,24 +161,25 @@ def comb_grids(n_pairs: int, delta: float, params: PhysicalParams):
     divide delta/2 so that coding-bin edges land exactly on samples; the
     signal span covers every coding bin plus ~7 sigma of Gaussian tail,
     the idler span the +-20*gamma3n window each Lorentzian norm needs.
-    Raises GridTooLarge when a point count passes the float range or a
-    spacing underflows to 0.
+    Raises GridTooLarge when a point count or a span passes the float
+    range or a spacing underflows to 0.
     """
     s0 = min(0.98 / (_RESOLUTION * params.tau), params.gamma3n / 4.0)
     half_s = 0.5 * n_pairs * delta + 10.0 / params.tau
     half_i = 0.5 * (n_pairs - 1) * delta + (_IDLER_SPAN + 0.5) * params.gamma3n
     # near either end of the float range: math.ceil raises OverflowError
-    # on an infinite count, and a spacing of 0 is a ZeroDivisionError
+    # on an infinite count, a spacing of 0 is a ZeroDivisionError, and
+    # FrequencyGrid a ValueError on an infinite span
     try:
         s = (delta / 2.0) / math.ceil((delta / 2.0) / s0)
         ks = math.ceil(half_s / s)
         ki = math.ceil(half_i / s)
-    except (OverflowError, ZeroDivisionError):
+        return (FrequencyGrid(-ks * s, ks * s, 2 * ks + 1),
+                FrequencyGrid(-ki * s, ki * s, 2 * ki + 1))
+    except (OverflowError, ZeroDivisionError, ValueError):
         raise GridTooLarge(
             f"the automatic grids for delta = {delta:.4g} would need a point "
-            f"count past the float range") from None
-    return (FrequencyGrid(-ks * s, ks * s, 2 * ks + 1),
-            FrequencyGrid(-ki * s, ki * s, 2 * ki + 1))
+            f"count or span past the float range") from None
 
 
 def gaussian_envelope(params: PhysicalParams, sum_detuning, delta_q=0.0):

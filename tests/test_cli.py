@@ -570,6 +570,16 @@ def _case(id_, command, body, prefix):
           {"signal_grid": {"min": -4.0, "max": 4.0, "points": 2 ** 40},
            "idler_grid": {"min": -4.0, "max": 4.0, "points": 3}},
           "config error: grids: the pair amplitudes D would take"),
+    # the 2**40-point signal axis itself would take 8 TiB: refused from
+    # the grid sizes before that axis or its quadrature weights are built
+    _case("jsa-signal-points-2**40", "jsa",
+          {**JSA_BODY,
+           "signal_grid": {"min": -10.0, "max": 10.0, "points": 2 ** 40}},
+          "config error: grids: the joint spectral amplitude would take"),
+    _case("schmidt-signal-points-2**40", "schmidt",
+          {**SCHMIDT_GRIDS,
+           "signal_grid": {"min": -10.0, "max": 10.0, "points": 2 ** 40}},
+          "config error: schmidt: the joint spectral amplitude would take"),
     _case("sweep-delta-1e-12", "sweep",
           {"variable": "delta", "values": [1e-12], "n": 4},
           "config error: grids: the numeric g2 FFTs would take"),
@@ -664,6 +674,12 @@ def _case(id_, command, body, prefix):
     _case("idler-grid-inverted", "jsa",
           {**JSA_BODY, "idler_grid": {"min": 1.0, "max": 0.0, "points": 3}},
           "config error: idler_grid: grid min must be below max"),
+    # max - min overflows, so the spacing would be inf and the samples NaN
+    _case("signal-grid-span-past-float-range", "dynamics-check",
+          {**TINY_GRIDS,
+           "signal_grid": {"min": -1e308, "max": 1e308, "points": 8}},
+          "config error: signal_grid: grid span max - min passes the float "
+          "range"),
     _case("multi-channel-odd-m", "multi-channel", {"r": 2, "m": 3},
           "config error: staircase: pairs per channel must be even, got 3"),
     _case("codes-n-not-power-of-two", "codes", {"code": {"n": 3}},
@@ -887,6 +903,11 @@ def test_numeric_convolution_past_any_budget_is_refused_fast(
           "config error: grids: the automatic grids for delta = 4.941e-324"),
     _case("delta-1.7e308", "single-channel", {**NUMERIC, "delta": 1.7e308},
           "config error: grids: the automatic grids for delta = 1.7e+308"),
+    # the signal span 2 * (10 / tau) passes the float range
+    _case("tau-1e-307", "single-channel",
+          {**NUMERIC, "params": {"tau": 1e-307}},
+          "config error: grids: the automatic grids for delta = 60 would need "
+          "a point count or span past the float range"),
     _case("sweep-delta-1e306", "sweep",
           {"variable": "delta", "values": [1e306], "n": 256},
           "config error: grids: the automatic grids for delta = 1e+306"),

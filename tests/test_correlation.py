@@ -830,3 +830,23 @@ def test_numeric_engine_refuses_before_building_masks(monkeypatch):
         g2_numeric(spec, 100.0, gs, gi, CODE4.T, matched_decode(CODE4.T))
     with pytest.raises(GridTooLarge, match="numeric g2 FFTs"):
         g2_numeric(spec, 100.0, gs, gi)
+
+
+@pytest.mark.parametrize("gs, gi, match", [
+    # the spacing check of the convolution axis
+    (FrequencyGrid(-60.0, 60.0, 481), FrequencyGrid(-122.5, 122.5, 491),
+     "equal spacing"),
+    # the marginals' resolution check: spacing 5 at tau = 0.5
+    (FrequencyGrid(-100.0, 100.0, 41), FrequencyGrid(-200.0, 200.0, 81),
+     "grid spacing 5 exceeds"),
+], ids=["unequal-spacing", "too-coarse"])
+def test_numeric_engine_refuses_grids_before_building_masks(monkeypatch, gs,
+                                                            gi, match):
+    # grid refusals come before any coding mask, at the real budget
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a mask was built before the grid check")
+
+    monkeypatch.setattr(correlation, "coding_bin_mask", unreachable)
+    spec = MultiplexedSpectrum.comb(2, 40.0, P)
+    with pytest.raises(UnderResolvedGrid, match=match):
+        g2_numeric(spec, 40.0, gs, gi, np.eye(2), np.eye(2))
