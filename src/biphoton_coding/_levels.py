@@ -27,7 +27,7 @@ _INF_KEY, _NAN_KEY = 1000 << _N_BITS, 1001 << _N_BITS
 _POW10 = np.array([float(10 ** t) for t in range(45)])
 _POW10_LO = np.array([float(10 ** t - int(float(10 ** t))) for t in range(45)])
 _SPLIT = 2.0 ** 27 + 1.0                                  # Veltkamp split
-# sums rounded per block: bounds the temporaries of the table merge
+# sums rounded per block: bounds the temporaries of each regrouping
 _BLOCK_SUMS = 2 ** 16
 
 
@@ -142,31 +142,17 @@ def _grouped(keys, counts):
     return keys[start], np.add.reduceat(counts, start)
 
 
-def _merged(table, block):
-    """A grouped table with a grouped block merged in: the counts of shared
-    keys add up (in the table's own array), and new keys go in at their
-    sorted places."""
-    keys, counts = table
-    block_keys, block_counts = block
-    at = np.searchsorted(keys, block_keys)
-    shared = np.zeros(len(at), dtype=bool)
-    inside = at < len(keys)
-    shared[inside] = keys[at[inside]] == block_keys[inside]
-    counts[at[shared]] += block_counts[shared]
-    new = ~shared
-    return tuple(np.insert(a, at[new], b[new]) for a, b in zip(table, block))
-
-
 def convolve_levels(p: np.ndarray, r_channels: int, max_levels: int):
     """The per-channel levels p[j, i] (matched when i == j) convolved
     r_channels times, every sum rounded to 12 significant digits.
 
     Returns (matched counts, values, multiplicities) by descending key:
     descending matched count, then descending value, NaN first and
-    infinity next within a count.  The running table is kept in ascending
-    key order; the sums of a step are rounded in blocks of about 2**16
-    and each block is merged into it.  ValueError is raised as
-    soon as that table passes max_levels.
+    infinity next within a count.  The sums of a step are rounded in
+    blocks of about 2**16; each block's keys and counts are appended to
+    the step's running table, which _grouped then sums by key in
+    ascending key order.  ValueError is raised as soon as that table
+    passes max_levels.
     """
     m = len(p)
     base, base_counts = _grouped(
@@ -193,9 +179,10 @@ def convolve_levels(p: np.ndarray, r_channels: int, max_levels: int):
             b = slice(a, a + rows)
             with np.errstate(over="ignore"):   # inf, as Python floats give
                 sums = acc_v[b, None] + base_v
-            table = _merged(table, _grouped(
+            block = (
                 _level_keys(acc_k[b, None] + base_k, sums, keys.dtype).ravel(),
-                (counts[b, None] * base_counts).ravel()))
+                (counts[b, None] * base_counts).ravel())
+            table = _grouped(*map(np.concatenate, zip(table, block)))
             if len(table[0]) > max_levels:
                 raise ValueError(
                     f"more than {max_levels} distinct levels at "

@@ -523,7 +523,8 @@ def _cmd_multi_channel(sec):
     sec.close()
 
     layout = _staircase(r, m, bin_width)
-    info, caught = _warned(validate, layout, tau=tau)
+    with _config_errors("staircase"):   # a pair shift past the float range
+        info, caught = _warned(validate, layout, tau=tau)
     d = dimension(layout)
     code = _code("linear-h", m, h=h)
 
@@ -551,7 +552,8 @@ def _cmd_multi_channel(sec):
 def _cmd_validate_layout(sec):
     stair = sec.subsection("staircase")
     placed = sec.subsection("placement")
-    # only a staircase spaces its channels, so only it has a crosstalk check
+    # validate checks the ridge spacing of any layout, but the config
+    # takes tau only beside a staircase
     tau = None if stair is None else sec.take("tau", _positive, None)
     sec.close()
     if (stair is None) == (placed is None):
@@ -582,7 +584,8 @@ def _cmd_validate_layout(sec):
             dimension(layout)
 
     try:
-        info, caught = _warned(validate, layout, tau=tau)
+        with _config_errors("staircase"):   # a pair shift past the float range
+            info, caught = _warned(validate, layout, tau=tau)
     except CycleDetected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, {"layout.json": {

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .codes import gram
-from .errors import DegenerateMatrix, UnderResolvedGrid
+from .errors import DegenerateMatrix, GridTooLarge, UnderResolvedGrid
 from .spectra import (FrequencyGrid, MultiplexedSpectrum, PhysicalParams,
                       gaussian_envelope, lorentzian_factor,
                       marginal_idler_mode, marginal_signal_mode,
@@ -62,14 +62,19 @@ def g2_prefactor(n_s: float, n_i: float, tau: float) -> float:
 
 def convolution_grid(grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> FrequencyGrid:
     """Sum-frequency axis carrying the discrete convolution output; grids
-    of unequal spacing raise UnderResolvedGrid."""
+    of unequal spacing raise UnderResolvedGrid, and a sum axis past the
+    float range GridTooLarge."""
     ds, di = grid_s.spacing, grid_i.spacing
     if abs(ds - di) > 1e-9 * ds:
         raise UnderResolvedGrid(
             f"signal/idler grids need equal spacing for convolution "
             f"({ds:.6g} vs {di:.6g})")
-    return FrequencyGrid(grid_s.min + grid_i.min, grid_s.max + grid_i.max,
-                         grid_s.points + grid_i.points - 1)
+    try:
+        return FrequencyGrid(grid_s.min + grid_i.min, grid_s.max + grid_i.max,
+                             grid_s.points + grid_i.points - 1)
+    except ValueError:
+        raise GridTooLarge("the sum-frequency axis of these grids passes "
+                           "the float range") from None
 
 
 def convolution(signal_mode, idler_mode, spacing: float) -> np.ndarray:
@@ -166,12 +171,13 @@ def level_summary(code: np.ndarray, r_channels: int, prefactor: float = 1.0,
     distribution is convolved R times.  Each sum is rounded to 12
     significant digits, float(f"{v:.12g}"), and grouped on an exact
     integer key (matched count, decimal exponent, mantissa); the sums of
-    a step are merged into the running table, kept in key order, in
-    blocks of about 2**16.  The rows come out in reversed key order and
-    are then scaled by prefactor times the normalization, so rows whose
-    scaled values coincide (a subnormal, zero or infinite product) follow
-    descending unscaled value.  The multiplicities are exact Python ints.
-    Raises ValueError as soon as the table passes a million levels.
+    a step are appended to the running table in blocks of about 2**16,
+    and the table is regrouped by key after each block.  The rows come
+    out in reversed key order and are then scaled by prefactor times the
+    normalization, so rows whose scaled values coincide (a subnormal,
+    zero or infinite product) follow descending unscaled value.  The
+    multiplicities are exact Python ints.  Raises ValueError as soon as
+    the table passes a million levels.
     """
     # compiled on the first table, so that the commands that build none
     # do not pay its compile time and heap
@@ -317,8 +323,9 @@ def _gated_power(amps, masks_s, masks_i, psi, phi, gate, spacing: float,
     with psi_p / phi_p the pair marginals (rows of psi / phi).  Each masked
     marginal takes one FFT zero-padded to nfft: the idler ones at once,
     the signal ones (times their amplitudes) one signal mask at a time,
-    each with its pair contraction and inverse transform, so memory stays
-    O(masks * pairs * nfft), the size `g2_numeric` checks.
+    each with its pair contraction and inverse transform.  It holds about
+    (idler masks + 1) * pairs * nfft complex values, about half of what
+    `g2_numeric`'s budget counts (every mask's) for a square code.
     """
     n_out = psi.shape[1] + phi.shape[1] - 1
     idl = np.fft.fft(masks_i[:, None, :] * phi, nfft)
@@ -410,15 +417,16 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
             else grid_out.points)
     require_grid_memory((len(rows_s) + len(rows_i) + 2) * n * nfft,
                         "the numeric g2 FFTs")
-    psi, n_s = zip(*(marginal_signal_mode(pr, p, grid_s) for pr in spec.pairs))
-    phi, n_i = zip(*(marginal_idler_mode(pr, p, grid_i) for pr in spec.pairs))
+    psi, n_s = map(np.array, zip(*(marginal_signal_mode(pr, p, grid_s)
+                                   for pr in spec.pairs)))
+    phi, n_i = map(np.array, zip(*(marginal_idler_mode(pr, p, grid_i)
+                                   for pr in spec.pairs)))
     gate = acceptance_gate(grid_out, spec, acceptance_scale)
     masks_s = _bin_masks(sig, rows_s, bin_width, grid_s)
     masks_i = _bin_masks(idl, rows_i, bin_width, grid_i)
     lam_root = math.sqrt(1.0 / n) * np.array([pr.weight for pr in spec.pairs])
     power = _gated_power(lam_root * np.vstack([amps, np.ones(n)]), masks_s,
-                         masks_i, np.array(psi), np.array(phi), gate,
-                         grid_s.spacing, nfft)
+                         masks_i, psi, phi, gate, grid_s.spacing, nfft)
     # all-ones reference in closed form: prefactor * M per ridge, summed
     # over ridges and divided by the global 1/(R M) weight -> pref * n / R
     ridges = len({pr.delta_q for pr in spec.pairs})

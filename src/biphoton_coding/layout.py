@@ -28,17 +28,15 @@ _INT_LIMIT = 2 ** 63 - 1
 class ChannelLayout:
     """R channels of M pairs placed on integer frequency bins.
 
-    placement maps (r, m), both 1-based, to a cell (signal_bin, idler_bin).
-    bin_width is the physical bin pitch (units of gamma); delta_r holds the
-    per-channel joint shifts, i.e. channel r's pairs share the
-    anti-diagonal signal_bin + idler_bin = -delta_r[r-1] / bin_width.
+    placement maps (r, m), both 1-based, to a cell (signal_bin, idler_bin)
+    of bins bin_width apart (units of gamma); pair_shift gives a pair's
+    physical shifts, so one anti-diagonal is one sum-frequency ridge.
     """
 
     r: int
     m: int
     placement: dict
     bin_width: float = 100.0
-    delta_r: tuple = ()
 
     def __post_init__(self):
         if self.r < 1 or self.m < 1:
@@ -73,16 +71,13 @@ def staircase(r: int, m: int, bin_width: float = 100.0) -> ChannelLayout:
         raise ValueError(f"pairs per channel must be even, got {m}")
     _require_dimension(r, m)
     placement = {}
-    delta_r = []
     for c in range(1, r + 1):
         block = (c + 1) // 2
         anti = (block - 1) * 2 * m + ((c - 1) % 2)
-        delta_r.append(-anti * bin_width)
         for slot in range(1, m + 1):
             k = (block - 1) * m + slot
             placement[(c, slot)] = (k, anti - k)
-    return ChannelLayout(r=r, m=m, placement=placement,
-                         bin_width=bin_width, delta_r=tuple(delta_r))
+    return ChannelLayout(r=r, m=m, placement=placement, bin_width=bin_width)
 
 
 def _graph(layout: ChannelLayout):
@@ -153,8 +148,9 @@ def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
     cycle.  Returns {"valid": True, "dof": nodes - edges, "components":
     per-component counts}; raises CycleDetected otherwise.
 
-    With tau given, warns when the inter-channel shift spacing is below
-    20/tau (pair ridges of neighboring channels then overlap spectrally).
+    With tau given, warns when two distinct pair_shift delta_q of the
+    placed pairs lie closer than 20/tau (their ridges then overlap
+    spectrally); a shift past the float range raises ValueError.
     """
     adj, edges = _graph(layout)
     components = _walk(adj, adj)
@@ -164,8 +160,9 @@ def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
     n_edges = len(edges)
     dof = n_nodes - n_edges
 
-    if tau is not None and len(layout.delta_r) > 1:
-        shifts = sorted(layout.delta_r)
+    shifts = [] if tau is None else sorted(
+        {layout.pair_shift(*slot).delta_q for slot in layout.placement})
+    if len(shifts) > 1:
         gap = min(b - a for a, b in zip(shifts, shifts[1:]))
         if gap < 20.0 / tau:
             warnings.warn(

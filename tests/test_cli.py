@@ -680,6 +680,20 @@ def _case(id_, command, body, prefix):
            "signal_grid": {"min": -1e308, "max": 1e308, "points": 8}},
           "config error: signal_grid: grid span max - min passes the float "
           "range"),
+    # each grid fits the float range, but min_s + min_i is -inf
+    _case("sum-axis-past-float-range", "single-channel",
+          {**NUMERIC, "delta": 1e308,
+           "signal_grid": {"min": -1e308, "max": 1e307, "points": 3},
+           "idler_grid": {"min": -1e308, "max": 1e307, "points": 3}},
+          "config error: grids: the sum-frequency axis of these grids "
+          "passes the float range"),
+    # the crosstalk check reads pair shifts past the float range
+    _case("staircase-shifts-past-float-range", "validate-layout",
+          {"staircase": {"r": 2, "m": 2, "bin_width": 1e308}, "tau": 1.0},
+          "config error: staircase: pair shift fields must be finite"),
+    _case("multi-channel-shifts-past-float-range", "multi-channel",
+          {"r": 2, "m": 2, "bin_width": 1e308, "tau": 1.0},
+          "config error: staircase: pair shift fields must be finite"),
     _case("multi-channel-odd-m", "multi-channel", {"r": 2, "m": 3},
           "config error: staircase: pairs per channel must be even, got 3"),
     _case("codes-n-not-power-of-two", "codes", {"code": {"n": 3}},

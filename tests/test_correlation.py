@@ -347,6 +347,19 @@ def test_level_multiplicities_are_exact_past_int64():
     assert levels == _level_summary_reference(code, 40)
 
 
+@pytest.mark.parametrize("block_sums", [1, 7, 64])
+def test_level_table_is_the_same_at_any_block_size(monkeypatch, block_sums):
+    # smaller blocks regroup the running table more often, down to one
+    # row of sums per block; n = 2, R = 40 takes the object counts
+    monkeypatch.setattr(_levels, "_BLOCK_SUMS", block_sums)
+    for (kind, kw), n, r in [
+            (("linear-h", {"h": 2.0}), 8, 4),
+            (("geometric", {"a": 1.3 + 0.2j, "r": 0.7 - 0.5j}), 4, 5),
+            (("linear-h", {"h": 2.0}), 2, 40)]:
+        code = alamouti_n(make_c(kind, n, **kw))
+        assert level_summary(code, r) == _level_summary_reference(code, r)
+
+
 def test_level_sums_past_the_float_range_are_inf_without_warning():
     # |G|^2 near 1.5e308: sums overflow to inf silently, as Python floats do
     code = np.diag([1.1e77, 1.12e77]).astype(complex)

@@ -20,7 +20,9 @@ def test_staircase_placement():
     assert lay.placement[(2, 1)] == (1, 0)
     assert lay.placement[(2, 4)] == (4, -3)
     assert len(lay.placement) == 8
-    assert lay.delta_r == (0.0, -100.0)  # one ridge per channel
+    # one ridge per channel
+    assert [{lay.pair_shift(r, m).delta_q for m in range(1, 5)}
+            for r in (1, 2)] == [{0.0}, {-100.0}]
 
 
 def test_staircase_channels_share_one_antidiagonal():
@@ -63,11 +65,16 @@ def test_validate_detects_four_cycle():
 
 
 def test_validate_warns_on_close_ridges():
-    # ridge gap is bin_width; gaps under 20/tau leave ridge crosstalk
-    with pytest.warns(ValidityWarning):
-        validate(staircase(2, 4), tau=0.1)
-    info = validate(staircase(2, 4), tau=1.0)
-    assert info["valid"]
+    # ridge gap is bin_width; gaps under 20/tau leave ridge crosstalk.  The
+    # same placement built by hand is checked the same way
+    stair = staircase(2, 4)
+    by_hand = ChannelLayout(r=2, m=4, placement=stair.placement)
+    for layout in (stair, by_hand):
+        with pytest.warns(ValidityWarning, match="inter-channel shift "
+                          "spacing 100 below 20/tau = 200"):
+            validate(layout, tau=0.1)
+        info = validate(layout, tau=1.0)
+        assert info["valid"]
 
 
 def test_placement_must_cover_all_channels():

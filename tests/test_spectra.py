@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import wofz
 
 from biphoton_coding.errors import UnderResolvedGrid
 from biphoton_coding.spectra import (
@@ -214,6 +213,8 @@ def line_integral(params, omega_s):
     A Gaussian convolved with a Lorentzian is a Faddeeva function:
     int f(ws, wi) dwi = pi conj(w(a ws + i a gamma3n/2)), a = tau/(2 sqrt 2).
     """
+    from scipy.special import wofz
+
     a = params.tau / (2.0 * math.sqrt(2.0))
     return math.pi * np.conj(wofz(a * (np.asarray(omega_s)
                                        + 1j * params.half_linewidth)))
