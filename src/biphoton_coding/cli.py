@@ -282,29 +282,55 @@ def _parse_code(sec):
 # output writers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, (complex, np.complexfloating)):
-        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-            raise ValueError(f"non-finite value {x}")
-        return f"{x.real:.12g}{x.imag:+.12g}j"
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x}")
-    return f"{float(x):.12g}"
+def _row_format(rows) -> str | None:
+    """The % format of every row of a table of Python numbers: %d for a
+    column of ints, %.12g for a column of floats; None when a column
+    holds both, and then each row takes the format of its own."""
+    cells = []
+    for j in range(len(rows[0])):
+        kinds = {type(row[j]) for row in rows}
+        if kinds not in ({int}, {float}):
+            return None
+        cells.append("%d" if int in kinds else "%.12g")
+    return ",".join(cells)
 
 
-# the renderers; bench/tracer.py wraps them by name, so _render calls them
-# through the module globals.  A non-finite number raises ValueError
+# the renderers; bench/tracer.py wraps them by name, so the names stay
 def _write_csv(meta: dict, comments, header, rows) -> str:
     """The text of a CSV artifact: meta and comment lines, then an
-    optional header and the rows."""
+    optional header and the rows, one % format for all of them.
+
+    `rows` is a 2-D float or complex array, or a list of equal-length
+    tuples of Python ints and floats.  A float reads %.12g (a complex
+    one %.12g%+.12gj) and an int %d, the text of f"{x:.12g}" and str(n):
+    CPython renders both through PyOS_double_to_string and the int repr.
+    Raises ValueError on a NaN or infinity.
+    """
     lines = [f"# {k} = {v}" for k, v in meta.items()]
     lines.extend(f"# {c}" for c in comments)
     if header:
         lines.append(",".join(header))
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    start = sum(map(len, lines)) + len(lines)   # where the rows begin
+    if isinstance(rows, np.ndarray):
+        cell, cols = "%.12g", rows.shape[1]
+        if np.iscomplexobj(rows):   # each row as interleaved (real, imag)
+            cell = "%.12g%+.12gj"
+            rows = np.stack((rows.real, rows.imag), -1)
+            rows = rows.reshape(len(rows), 2 * cols)
+        fmt = ",".join([cell] * cols)
+        # one row at a time: the whole array's tolist() would hold a
+        # Python float per number at once
+        lines.extend(fmt % tuple(row.tolist()) for row in rows)
+    elif len(rows):
+        fmt = _row_format(rows)
+        lines.extend(map(fmt.__mod__, rows) if fmt is not None else
+                     (_row_format((row,)) % row for row in rows))
+    text = "\n".join(lines) + "\n"
+    # a NaN or infinity renders as nan, inf or -inf, and no finite %.12g
+    # or %d text holds an "n"
+    if text.find("n", start) >= 0:
+        raise ValueError("non-finite value")
+    return text
 
 
 def _write_json(meta: dict, payload: dict) -> str:

@@ -240,8 +240,10 @@ def contrasts(values, r_channels: int = 1) -> dict:
 
 def contrasts_from_levels(levels, r_channels: int) -> dict:
     """Contrast metrics computed from a level_summary table."""
-    matched, values, _ = zip(*levels)
-    return _contrast_report(np.array(values), np.array(matched), r_channels)
+    n = len(levels)
+    matched = np.fromiter((row[0] for row in levels), np.int64, n)
+    values = np.fromiter((row[1] for row in levels), float, n)
+    return _contrast_report(values, matched, r_channels)
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,9 @@ def compare_dynamics(drive: DriveParams, grid_s: FrequencyGrid,
     integrated surface to far less than that.  Integrates to t_final
     (default: default_t_final) and reads D there and one time unit
     earlier; raises NotConverged when |D|^2 drifted by more than 1e-4 of
-    its peak over that last unit, and ValueError when t_final is too large
-    for that earlier time to differ from it.
+    its peak over that last unit (its message gives the upper-state
+    population |B|^2 still left to feed C and D), and ValueError when
+    t_final is too large for that earlier time to differ from it.
     """
     default = t_final is None
     if default:
@@ -325,7 +326,7 @@ def compare_dynamics(drive: DriveParams, grid_s: FrequencyGrid,
         whose = " (the drive's default)" if default else ""
         raise ValueError(f"t_final {t_final:.4g}{whose} is too large to "
                          "read D one time unit earlier")
-    _, d = integrate_eom(drive, grid_s, grid_i, [t_final - 1.0, t_final])
+    y, d = integrate_eom(drive, grid_s, grid_i, [t_final - 1.0, t_final])
     d_before, d_after = np.abs(d) ** 2
     peak = float(d_after.max())
     if peak == 0.0:
@@ -334,7 +335,9 @@ def compare_dynamics(drive: DriveParams, grid_s: FrequencyGrid,
     drift = float(np.max(np.abs(d_after - d_before))) / peak
     if drift > 1e-4:
         raise NotConverged(
-            f"|D|^2 still changing by {drift:.3e} of peak per unit time")
+            f"|D|^2 still changing by {drift:.3e} of peak per unit time; "
+            f"|B|^2 = {abs(y[-1, 2]) ** 2:.3e} is left in the upper state "
+            "at t_final")
 
     analytic = np.abs(dsi_analytic(
         drive, grid_s.omegas[:, None], grid_i.omegas[None, :])) ** 2

@@ -166,8 +166,8 @@ def validate(layout: ChannelLayout, tau: float | None = None) -> dict:
         gap = min(b - a for a, b in zip(shifts, shifts[1:]))
         if gap < 20.0 / tau:
             warnings.warn(
-                f"inter-channel shift spacing {gap:.4g} below 20/tau = "
-                f"{20.0 / tau:.4g}; channels will crosstalk", ValidityWarning)
+                f"pair-shift spacing {gap:.4g} below 20/tau = "
+                f"{20.0 / tau:.4g}; ridges will crosstalk", ValidityWarning)
 
     return {"valid": True, "dof": dof, "nodes": n_nodes, "edges": n_edges,
             "components": len(components)}

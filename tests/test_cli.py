@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton_coding import cli, correlation, spectra
 from biphoton_coding.cli import main
@@ -223,8 +225,8 @@ def test_validate_layout_staircase(tmp_path):
     assert rep["dimension"] == 16
 
 
-CROSSTALK = ("inter-channel shift spacing 10 below 20/tau = 40; "
-             "channels will crosstalk")
+CROSSTALK = ("pair-shift spacing 10 below 20/tau = 40; "
+             "ridges will crosstalk")
 
 
 @pytest.mark.parametrize("command, body, report", [
@@ -279,6 +281,18 @@ def test_dynamics_check_not_converged_exit_code(tmp_path):
         "signal_grid": {"min": -4.0, "max": 4.0, "points": 3},
         "idler_grid": {"min": -4.0, "max": 4.0, "points": 3}})
     assert main(["dynamics-check", cfg]) == 2  # numeric failure, not schema
+
+
+def test_dynamics_check_names_the_population_left_in_b(tmp_path, capsys):
+    # on two-photon resonance the pulse pair leaves real population in B,
+    # which the first-order model never drains, so D keeps growing
+    cfg = write_cfg(tmp_path, "dyn.json",
+                    {"drive": {"delta2": 1e-300}, **TINY_GRIDS})
+    assert main(["dynamics-check", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: |D|^2 still changing by ")
+    assert ("; |B|^2 = 1.596e-05 is left in the upper state at t_final"
+            in err)
 
 
 def test_dynamics_check_tiny_drive(tmp_path):
@@ -1099,3 +1113,103 @@ def test_only_the_ode_path_loads_scipy(tmp_path, command, body, calls):
     cfg = write_cfg(tmp_path, "run.json", {"label": "fresh", **body})
     argv = [command, cfg, "--out", str(tmp_path / "out")]
     _fresh_python(_RUN_IN_FRESH.format(argv=argv, calls=calls))
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer: one % format per row, the text of the per-number writer
+# ---------------------------------------------------------------------------
+
+def _fmt_reference(x) -> str:
+    """The per-number formatter the writer replaced: the oracle."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, (complex, np.complexfloating)):
+        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+            raise ValueError(f"non-finite value {x}")
+        return f"{x.real:.12g}{x.imag:+.12g}j"
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x}")
+    return f"{float(x):.12g}"
+
+
+def _write_csv_reference(meta, comments, header, rows) -> str:
+    lines = [f"# {k} = {v}" for k, v in meta.items()]
+    lines.extend(f"# {c}" for c in comments)
+    if header:
+        lines.append(",".join(header))
+    lines.extend(",".join(_fmt_reference(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+WRITER_META = {"artifact_version": 1, "tool": "t"}
+# the edges of the float format: signed zero, the smallest subnormal, a
+# subnormal, the largest finite float, and 12-digit rounding
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
+                -1.7976931348623157e308, 123456789012.5, 1.0 / 3.0]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_ints = st.integers(-2 ** 70, 2 ** 70)
+
+
+@st.composite
+def _csv_rows(draw):
+    """Rows of each artifact kind: a float array, a complex array, (int,
+    float, int) tuples, or tuples whose columns mix ints and floats."""
+    kind = draw(st.sampled_from(["real", "complex", "table", "mixed"]))
+    n, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if kind == "real":
+        cells = draw(st.lists(_floats, min_size=n * cols, max_size=n * cols))
+        return np.array(cells, dtype=float).reshape(n, cols)
+    if kind == "complex":
+        cells = draw(st.lists(st.builds(complex, _floats, _floats),
+                              min_size=n * cols, max_size=n * cols))
+        return np.array(cells, dtype=complex).reshape(n, cols)
+    row = (st.tuples(_ints, _floats, _ints) if kind == "table" else
+           st.lists(st.one_of(_ints, _floats), min_size=cols,
+                    max_size=cols).map(tuple))
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=_csv_rows(), header=st.sampled_from([None, ["a", "b"]]))
+def test_write_csv_matches_the_per_number_writer(rows, header):
+    assert (cli._write_csv(WRITER_META, ["note"], header, rows)
+            == _write_csv_reference(WRITER_META, ["note"], header, rows))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("rows", [
+    lambda x: np.array([[1.0, 2.0], [3.0, x]]),
+    lambda x: np.array([[1 + 1j, 2.0], [3.0, complex(4.0, x)]]),
+    lambda x: [(0, 1.5, 2), (1, x, 3)],
+], ids=["real-cell", "complex-imag", "float-column"])
+def test_write_csv_refuses_non_finite(rows, bad):
+    with pytest.raises(ValueError, match="non-finite value"):
+        cli._write_csv(WRITER_META, ["note"], ["a", "b"], rows(bad))
+
+
+# one literal text per artifact kind, so that any change of the written
+# bytes shows as a diff here
+@pytest.mark.parametrize("comments, header, rows, text", [
+    (["values = |f|^2"], None,
+     np.array([[0.1, -0.0, 5e-324],
+               [1.7976931348623157e308, -2.5e-310, 123456789012.5]]),
+     "# artifact_version = 1\n# tool = t\n# values = |f|^2\n"
+     "0.1,-0,4.94065645841e-324\n"
+     "1.79769313486e+308,-2.5e-310,123456789012\n"),
+    (["columns are codewords"], None,
+     np.array([[1 + 0j, complex(-0.0, -2.5)],
+               [complex(1e-320, 1e300), complex(1.0 / 3.0, -0.0)]]),
+     "# artifact_version = 1\n# tool = t\n# columns are codewords\n"
+     "1+0j,-0-2.5j\n"
+     "9.99988867183e-321+1e+300j,0.333333333333-0j\n"),
+    ([], ["matched_channels", "value", "multiplicity"],
+     [(2, 44.416620735, 2 ** 70), (0, 0.0, 1), (1, -1e-300, 10 ** 12)],
+     "# artifact_version = 1\n# tool = t\n"
+     "matched_channels,value,multiplicity\n"
+     "2,44.416620735,1180591620717411303424\n0,0,1\n"
+     "1,-1e-300,1000000000000\n"),
+], ids=["real", "complex", "table"])
+def test_write_csv_golden_text(comments, header, rows, text):
+    assert cli._write_csv(WRITER_META, comments, header, rows) == text

@@ -70,11 +70,22 @@ def test_validate_warns_on_close_ridges():
     stair = staircase(2, 4)
     by_hand = ChannelLayout(r=2, m=4, placement=stair.placement)
     for layout in (stair, by_hand):
-        with pytest.warns(ValidityWarning, match="inter-channel shift "
+        with pytest.warns(ValidityWarning, match="pair-shift "
                           "spacing 100 below 20/tau = 200"):
             validate(layout, tau=0.1)
         info = validate(layout, tau=1.0)
         assert info["valid"]
+
+
+def test_validate_warns_on_close_ridges_of_one_channel():
+    # two ridges of a single channel overlap as two channels' would, and
+    # the warning names ridges, not channels
+    one_channel = ChannelLayout(r=1, m=2,
+                                placement={(1, 1): (0, 0), (1, 2): (1, 1)})
+    with pytest.warns(ValidityWarning) as caught:
+        validate(one_channel, tau=0.05)
+    assert [str(w.message) for w in caught] == [
+        "pair-shift spacing 200 below 20/tau = 400; ridges will crosstalk"]
 
 
 def test_placement_must_cover_all_channels():
