@@ -282,36 +282,30 @@ def _parse_code(sec):
 # output writers
 # ---------------------------------------------------------------------------
 
-def _row_format(rows) -> str | None:
-    """The % format of every row of a table of Python numbers: %d for a
-    column of ints, %.12g for a column of floats; None when a column
-    holds both, and then each row takes the format of its own."""
-    cells = []
-    for j in range(len(rows[0])):
-        kinds = {type(row[j]) for row in rows}
-        if kinds not in ({int}, {float}):
-            return None
-        cells.append("%d" if int in kinds else "%.12g")
-    return ",".join(cells)
-
-
 # the renderers; bench/tracer.py wraps them by name, so the names stay
-def _write_csv(meta: dict, comments, header, rows) -> str:
-    """The text of a CSV artifact: meta and comment lines, then an
-    optional header and the rows, one % format for all of them.
+def _write_csv(meta: dict, comments, rows) -> str:
+    """The text of a CSV artifact: meta and comment lines, then the rows,
+    one % format for all of them.
 
-    `rows` is a 2-D float or complex array, or a list of equal-length
-    tuples of Python ints and floats.  A float reads %.12g (a complex
-    one %.12g%+.12gj) and an int %d, the text of f"{x:.12g}" and str(n):
-    CPython renders both through PyOS_double_to_string and the int repr.
-    Raises ValueError on a NaN or infinity.
+    `rows` is a record array, whose field names make the header line, or
+    a 2-D float or complex array, written without one.  A float reads
+    %.12g (a complex one %.12g%+.12gj) and any other record field %d, the
+    text of f"{x:.12g}" and str(n): CPython renders both through
+    PyOS_double_to_string and the int repr.  Raises ValueError on a NaN
+    or infinity.
     """
     lines = [f"# {k} = {v}" for k, v in meta.items()]
     lines.extend(f"# {c}" for c in comments)
-    if header:
-        lines.append(",".join(header))
+    names = rows.dtype.names
+    if names:
+        lines.append(",".join(names))
     start = sum(map(len, lines)) + len(lines)   # where the rows begin
-    if isinstance(rows, np.ndarray):
+    if names:
+        fmt = ",".join("%.12g" if rows.dtype[f].kind == "f" else "%d"
+                       for f in names)
+        lines.extend(map(fmt.__mod__,
+                         zip(*(rows[f].tolist() for f in names))))
+    else:
         cell, cols = "%.12g", rows.shape[1]
         if np.iscomplexobj(rows):   # each row as interleaved (real, imag)
             cell = "%.12g%+.12gj"
@@ -321,10 +315,6 @@ def _write_csv(meta: dict, comments, header, rows) -> str:
         # one row at a time: the whole array's tolist() would hold a
         # Python float per number at once
         lines.extend(fmt % tuple(row.tolist()) for row in rows)
-    elif len(rows):
-        fmt = _row_format(rows)
-        lines.extend(map(fmt.__mod__, rows) if fmt is not None else
-                     (_row_format((row,)) % row for row in rows))
     text = "\n".join(lines) + "\n"
     # a NaN or infinity renders as nan, inf or -inf, and no finite %.12g
     # or %d text holds an "n"
@@ -365,7 +355,7 @@ def _warned(fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # subcommands: each takes the config section left after main's keys and
 # returns (exit status, {artifact suffix: artifact}), in writing order.  A
-# CSV artifact is (comments, header, rows), a JSON artifact its payload.
+# CSV artifact is (comments, rows), a JSON artifact its payload.
 # ---------------------------------------------------------------------------
 
 def _cmd_jsa(sec):
@@ -389,7 +379,7 @@ def _cmd_jsa(sec):
         "surface.csv": ([_grid_comment("signal_grid", grid_s),
                          _grid_comment("idler_grid", grid_i),
                          "rows = signal detuning, columns = idler detuning, "
-                         "values = |f|^2"], None, surface),
+                         "values = |f|^2"], surface),
         "meta.json": {"n_pairs": spec.n_pairs,
                       "peak_value": float(surface[peak]),
                       "peak_signal_detuning": float(grid_s.omegas[peak[0]]),
@@ -409,8 +399,9 @@ def _cmd_schmidt(sec):
         d, caught = _warned(decompose, spec, grid_s, grid_i)
 
     return 0, {
-        "lambdas.csv": ([], ["index", "lambda"],
-                        [(k, float(lam)) for k, lam in enumerate(d.lambdas)]),
+        "lambdas.csv": ([], np.rec.fromarrays(
+            [np.arange(len(d.lambdas), dtype=np.int64), d.lambdas],
+            names="index,lambda")),
         "report.json": {"entropy": entropy(d), "norm": d.norm,
                         "n_modes": d.n_modes,
                         "lambda_sum": float(np.sum(d.lambdas)),
@@ -434,8 +425,8 @@ def _cmd_codes(sec):
     report = contrasts_from_levels(levels, 1)
 
     return 0, {
-        "code.csv": (["columns are codewords"], None, code),
-        "gram.csv": (["entry (i, j) = <codeword_i, codeword_j>"], None, g),
+        "code.csv": (["columns are codewords"], code),
+        "gram.csv": (["entry (i, j) = <codeword_i, codeword_j>"], g),
         "report.json": {"kind": kind, "n": n, "h": kw.get("h"),
                         "orthogonal_column_pairs": orthogonal_pairs,
                         "ideal_contrast": report}}
@@ -500,7 +491,7 @@ def _cmd_single_channel(sec):
 
     return 0, {
         "g2.csv": (comments + ["rows = encode index, columns = decode index"],
-                   None, matrix),
+                   matrix),
         "contrast.json": {"mode": mode, "n": len(code), "contrast": report},
     }
 
@@ -532,9 +523,9 @@ def _cmd_sweep(sec):
             return _numeric_g2(code, delta, params, delta, acceptance)[0]
 
     reports = [contrasts(matrix_at(v)) for v in values]
-    return 0, {"sweep.csv": (
-        [f"n = {n}"], [variable, "v", "c_od"],
-        [(v, r["v"], r["c_od"]) for v, r in zip(values, reports)])}
+    return 0, {"sweep.csv": ([f"n = {n}"], np.rec.fromarrays(
+        [values, [r["v"] for r in reports], [r["c_od"] for r in reports]],
+        names=[variable, "v", "c_od"]))}
 
 
 def _cmd_multi_channel(sec):
@@ -560,8 +551,7 @@ def _cmd_multi_channel(sec):
 
     artifacts = {
         "levels.csv": ([f"r = {r}, m = {m}, h = {h:.12g}, "
-                        f"normalization = {normalization}"],
-                       ["matched_channels", "value", "multiplicity"], levels),
+                        f"normalization = {normalization}"], levels),
         "contrast.json": {"r": r, "m": m, "dimension": d,
                           "normalization": normalization, "layout": info,
                           "n_levels": len(levels),
@@ -571,7 +561,7 @@ def _cmd_multi_channel(sec):
         matrix = g2_matrix_ideal_multi(code, r, prefactor, normalization)
         artifacts["g2.csv"] = (["rows = encode index, columns = decode "
                                 "index, mixed-radix digits give "
-                                "per-channel codewords"], None, matrix)
+                                "per-channel codewords"], matrix)
     return 0, artifacts
 
 

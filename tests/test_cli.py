@@ -1030,9 +1030,10 @@ def test_spelled_out_defaults_match_omitted_keys(tmp_path, command, omitted,
 
 # the tracer's hooks read the wrapped calls' arguments and results
 # (len(args[2]) and .nfev of the ODE solver, len(levels)); run them on one
-# traced pass of tiny configs so a changed return type fails here
+# traced pass of tiny configs so a changed return type fails here: a
+# level table whose len() is not its row count misreads n_levels
 _TRACED_PASS = """
-import sys
+import json, sys
 sys.path.insert(0, {bench!r})
 import tracer
 t = tracer.Tracer()
@@ -1041,7 +1042,9 @@ for argv in {argvs!r}:
     assert traced_main(argv) == 0, argv
 c = t.counters
 assert c['dynamics.nfev'] > 0 and c['dynamics.state_size'] == 3, c
-assert c['correlation.levels'] > 0, c
+with open({contrast!r}) as f:
+    n_levels = json.load(f)['n_levels']
+assert c['correlation.levels'] == n_levels, (c, n_levels)
 # the numeric single-channel run goes through the name the tracer wraps
 assert c['correlation.g2_cells'] > 0, c
 """
@@ -1055,7 +1058,9 @@ def test_benchmark_tracer_hooks_read_results(tmp_path):
         cfg = write_cfg(tmp_path, f"{command}.json", {"label": "t", **body})
         argvs.append([command, cfg, "--out", str(tmp_path / command)])
     bench = str(Path(__file__).resolve().parent.parent / "bench")
-    _fresh_python(_TRACED_PASS.format(bench=bench, argvs=argvs))
+    contrast = str(tmp_path / "multi-channel" / "t_contrast.json")
+    _fresh_python(_TRACED_PASS.format(bench=bench, argvs=argvs,
+                                      contrast=contrast))
 
 
 def _fresh_python(code):
@@ -1132,11 +1137,11 @@ def _fmt_reference(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_csv_reference(meta, comments, header, rows) -> str:
+def _write_csv_reference(meta, comments, rows) -> str:
     lines = [f"# {k} = {v}" for k, v in meta.items()]
     lines.extend(f"# {c}" for c in comments)
-    if header:
-        lines.append(",".join(header))
+    if rows.dtype.names:
+        lines.append(",".join(rows.dtype.names))
     lines.extend(",".join(_fmt_reference(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -1149,13 +1154,14 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
 _floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False))
 _ints = st.integers(-2 ** 70, 2 ** 70)
+_int64s = st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
 @st.composite
 def _csv_rows(draw):
-    """Rows of each artifact kind: a float array, a complex array, (int,
-    float, int) tuples, or tuples whose columns mix ints and floats."""
-    kind = draw(st.sampled_from(["real", "complex", "table", "mixed"]))
+    """Rows of each artifact kind: a float array, a complex array, or a
+    record of an int64, an object (exact int) and a float field."""
+    kind = draw(st.sampled_from(["real", "complex", "table"]))
     n, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     if kind == "real":
         cells = draw(st.lists(_floats, min_size=n * cols, max_size=n * cols))
@@ -1164,17 +1170,19 @@ def _csv_rows(draw):
         cells = draw(st.lists(st.builds(complex, _floats, _floats),
                               min_size=n * cols, max_size=n * cols))
         return np.array(cells, dtype=complex).reshape(n, cols)
-    row = (st.tuples(_ints, _floats, _ints) if kind == "table" else
-           st.lists(st.one_of(_ints, _floats), min_size=cols,
-                    max_size=cols).map(tuple))
-    return draw(st.lists(row, min_size=n, max_size=n))
+    k, count, value = (draw(st.lists(cells, min_size=n, max_size=n))
+                       for cells in (_int64s, _ints, _floats))
+    return np.rec.fromarrays([np.array(k, dtype=np.int64),
+                              np.array(count, dtype=object),
+                              np.array(value, dtype=float)],
+                             names="k,count,value")
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(rows=_csv_rows(), header=st.sampled_from([None, ["a", "b"]]))
-def test_write_csv_matches_the_per_number_writer(rows, header):
-    assert (cli._write_csv(WRITER_META, ["note"], header, rows)
-            == _write_csv_reference(WRITER_META, ["note"], header, rows))
+@given(rows=_csv_rows())
+def test_write_csv_matches_the_per_number_writer(rows):
+    assert (cli._write_csv(WRITER_META, ["note"], rows)
+            == _write_csv_reference(WRITER_META, ["note"], rows))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan],
@@ -1182,34 +1190,36 @@ def test_write_csv_matches_the_per_number_writer(rows, header):
 @pytest.mark.parametrize("rows", [
     lambda x: np.array([[1.0, 2.0], [3.0, x]]),
     lambda x: np.array([[1 + 1j, 2.0], [3.0, complex(4.0, x)]]),
-    lambda x: [(0, 1.5, 2), (1, x, 3)],
+    lambda x: np.rec.fromarrays([[0, 1], [1.5, x], [2, 3]], names="a,b,c"),
 ], ids=["real-cell", "complex-imag", "float-column"])
 def test_write_csv_refuses_non_finite(rows, bad):
     with pytest.raises(ValueError, match="non-finite value"):
-        cli._write_csv(WRITER_META, ["note"], ["a", "b"], rows(bad))
+        cli._write_csv(WRITER_META, ["note"], rows(bad))
 
 
 # one literal text per artifact kind, so that any change of the written
 # bytes shows as a diff here
-@pytest.mark.parametrize("comments, header, rows, text", [
-    (["values = |f|^2"], None,
+@pytest.mark.parametrize("comments, rows, text", [
+    (["values = |f|^2"],
      np.array([[0.1, -0.0, 5e-324],
                [1.7976931348623157e308, -2.5e-310, 123456789012.5]]),
      "# artifact_version = 1\n# tool = t\n# values = |f|^2\n"
      "0.1,-0,4.94065645841e-324\n"
      "1.79769313486e+308,-2.5e-310,123456789012\n"),
-    (["columns are codewords"], None,
+    (["columns are codewords"],
      np.array([[1 + 0j, complex(-0.0, -2.5)],
                [complex(1e-320, 1e300), complex(1.0 / 3.0, -0.0)]]),
      "# artifact_version = 1\n# tool = t\n# columns are codewords\n"
      "1+0j,-0-2.5j\n"
      "9.99988867183e-321+1e+300j,0.333333333333-0j\n"),
-    ([], ["matched_channels", "value", "multiplicity"],
-     [(2, 44.416620735, 2 ** 70), (0, 0.0, 1), (1, -1e-300, 10 ** 12)],
+    ([], np.rec.fromarrays([np.array([2, 0, 1]),
+                            np.array([44.416620735, 0.0, -1e-300]),
+                            np.array([2 ** 70, 1, 10 ** 12], dtype=object)],
+                           names="matched_channels,value,multiplicity"),
      "# artifact_version = 1\n# tool = t\n"
      "matched_channels,value,multiplicity\n"
      "2,44.416620735,1180591620717411303424\n0,0,1\n"
      "1,-1e-300,1000000000000\n"),
 ], ids=["real", "complex", "table"])
-def test_write_csv_golden_text(comments, header, rows, text):
-    assert cli._write_csv(WRITER_META, comments, header, rows) == text
+def test_write_csv_golden_text(comments, rows, text):
+    assert cli._write_csv(WRITER_META, comments, rows) == text

@@ -1,6 +1,7 @@
 """Correlation matrices: closed-form path, level summaries, numeric path."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -272,10 +273,13 @@ def test_level_summary_equals_dict_reference(vector, n_r, normalization,
     (kind, kw), (n, r) = vector, n_r
     code = alamouti_n(make_c(kind, n, **kw))
     levels = level_summary(code, r, prefactor, normalization)
-    assert levels == _level_summary_reference(code, r, prefactor,
-                                              normalization)
+    assert levels.tolist() == _level_summary_reference(code, r, prefactor,
+                                                       normalization)
     assert all(type(k) is int and type(v) is float and type(c) is int
-               for k, v, c in levels)
+               for k, v, c in levels.tolist())
+    # the field names are the levels.csv header
+    assert levels.dtype.names == ("matched_channels", "value",
+                                  "multiplicity")
 
 
 def test_level_rows_tied_by_scaling_follow_unscaled_value():
@@ -285,7 +289,9 @@ def test_level_rows_tied_by_scaling_follow_unscaled_value():
     levels = level_summary(code, 3, 1e-300)
     rows = Counter((k, v) for k, v, _ in levels)
     assert (len(levels), len(rows)) == (500, 38)
-    assert levels == _level_summary_reference(code, 3, 1e-300)
+    # 8**6 cells in all: int64 multiplicities
+    assert levels["multiplicity"].dtype == np.int64
+    assert levels.tolist() == _level_summary_reference(code, 3, 1e-300)
 
 
 # every size with a table under ~60k levels; n = 16 at R = 4 passes the
@@ -335,7 +341,7 @@ def test_level_keys_past_int64_match_dict_reference(monkeypatch):
     # fits above the value bits; a wider shift takes that path at R = 4
     monkeypatch.setattr(_levels, "_K_SHIFT", 61)
     code = alamouti_n(make_c("geometric", 4, a=1.3 + 0.2j, r=0.7 - 0.5j))
-    assert (level_summary(code, 6, 0.7)
+    assert (level_summary(code, 6, 0.7).tolist()
             == _level_summary_reference(code, 6, 0.7))
 
 
@@ -343,8 +349,9 @@ def test_level_multiplicities_are_exact_past_int64():
     # 4**40 cells in all: int64 multiplicities would wrap
     code = alamouti_n(make_c("linear-h", 2, h=2.0))
     levels = level_summary(code, 40)
+    assert levels["multiplicity"].dtype == object
     assert sum(count for _, _, count in levels) == 4 ** 40
-    assert levels == _level_summary_reference(code, 40)
+    assert levels.tolist() == _level_summary_reference(code, 40)
 
 
 @pytest.mark.parametrize("block_sums", [1, 7, 64])
@@ -357,14 +364,15 @@ def test_level_table_is_the_same_at_any_block_size(monkeypatch, block_sums):
             (("geometric", {"a": 1.3 + 0.2j, "r": 0.7 - 0.5j}), 4, 5),
             (("linear-h", {"h": 2.0}), 2, 40)]:
         code = alamouti_n(make_c(kind, n, **kw))
-        assert level_summary(code, r) == _level_summary_reference(code, r)
+        assert (level_summary(code, r).tolist()
+                == _level_summary_reference(code, r))
 
 
 def test_level_sums_past_the_float_range_are_inf_without_warning():
     # |G|^2 near 1.5e308: sums overflow to inf silently, as Python floats do
     code = np.diag([1.1e77, 1.12e77]).astype(complex)
     levels = level_summary(code, 3)
-    assert levels == _level_summary_reference(code, 3)
+    assert levels.tolist() == _level_summary_reference(code, 3)
     assert levels[0][1] == math.inf
 
 
@@ -822,6 +830,38 @@ def test_numeric_engine_refuses_ffts_past_the_budget():
     spec = MultiplexedSpectrum.comb(32, 100.0, P)
     with pytest.raises(GridTooLarge, match="g2 FFTs would take 845.8 MiB"):
         g2_numeric(spec, 100.0, gs, gi, code.T, matched_decode(code.T))
+
+
+def test_numeric_budget_bounds_what_the_kernel_holds(monkeypatch):
+    # _gated_power holds the masked idler marginals and their transforms at
+    # once: at n = 16, delta 100 it grows by 86.0 MiB under tracemalloc,
+    # within the 113.9 MiB of (signal masks + idler masks) x pairs x nfft
+    # that the budget counts, and past the 60.3 MiB of (idler masks + 1) x
+    # pairs x nfft.  At small n a fixed FFT overhead passes the count
+    # (0.63 against 0.41 MiB at n = 2), immaterial against 256 MiB.
+    counted, grown = [], []
+    check, kernel = correlation.require_grid_memory, correlation._gated_power
+
+    def count(n_values, what):
+        counted.append(16 * n_values)
+        return check(n_values, what)
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            out = kernel(*args)
+            grown.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(correlation, "require_grid_memory", count)
+    monkeypatch.setattr(correlation, "_gated_power", traced)
+    code = alamouti_n(make_c("linear-h", 16, h=1.0))
+    spec = MultiplexedSpectrum.comb(16, 100.0, P)
+    g2_numeric(spec, 100.0, *spectra.comb_grids(16, 100.0, P), code.T,
+               matched_decode(code.T))
+    assert 0 < grown[0] <= counted[0], (grown, counted)
 
 
 def test_numeric_engine_refuses_before_building_masks(monkeypatch):
