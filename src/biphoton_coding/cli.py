@@ -540,10 +540,11 @@ def _cmd_multi_channel(sec):
     sec.close()
 
     layout = _staircase(r, m, bin_width)
+    # an order past the memory budget is refused before the slow validate
+    code = _code("linear-h", m, h=h)
     with _config_errors("staircase"):   # a pair shift past the float range
         info, caught = _warned(validate, layout, tau=tau)
     d = dimension(layout)
-    code = _code("linear-h", m, h=h)
 
     with _config_errors("levels"):
         levels = level_summary(code, r, prefactor, normalization)

@@ -16,12 +16,15 @@ bins are wide compared with both the Gaussian mode width and the
 Lorentzian linewidth.
 
 Both paths return plain ndarrays indexed (encode index, decode index).
-A single channel is the R = 1 case of the M^R multi-channel code space.
-One contrast routine serves full matrices and level_summary tables alike:
+A single channel is the R = 1 case of the M^R multi-channel code space,
+whose ideal matrix and matched-channel counts are Kronecker sums over
+channels (Horn and Johnson, Topics in Matrix Analysis, sec. 4.4).  One
+contrast routine serves full matrices and level_summary tables alike:
 it reads only the extrema of each matched-channel class k = 0..R.
 
-Masks are linear in their weights, so a whole matrix is one batch: each
-masked marginal takes one zero-padded FFT and FFT(F_ij) = sum_p c_p
+Masks are linear in their weights, so a whole matrix is one batch: one
+pass over an axis's bins paints every weight row's mask, each masked
+marginal takes one zero-padded FFT and FFT(F_ij) = sum_p c_p
 FFT(M^s_i psi_p) FFT(M^i_j phi_p) is a contraction over pairs.  The
 all-ones reference cell (one extra row and column) fixes the scale, so
 the uncoded value matches 2 sqrt(pi) N / (N_s^2 N_i^2 tau) and both paths
@@ -136,6 +139,18 @@ def _lambda_norm(r: int, m: int, normalization: str) -> float:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
+def _kron_sum(a: np.ndarray, r: int) -> np.ndarray:
+    """a (+) ... (+) a, r copies: entry (i, j) sums a[i_k, j_k] over the
+    digits of np.unravel_index over (M,) * r, channel 1 first and added
+    first.  Each step fills a preallocated (n, M, n, M) array."""
+    out, m = a, len(a)
+    for _ in range(r - 1):
+        n = len(out)
+        out = np.add(out[:, None, :, None], a[None, :, None, :],
+                     out=np.empty((n, m, n, m), a.dtype)).reshape(n * m, -1)
+    return out
+
+
 def g2_matrix_ideal_multi(code: np.ndarray, r_channels: int,
                           prefactor: float = 1.0,
                           normalization: str = "global") -> np.ndarray:
@@ -144,16 +159,22 @@ def g2_matrix_ideal_multi(code: np.ndarray, r_channels: int,
     Every channel draws from the same order-M codebook; the digits of an
     index, np.unravel_index over (M,) * R with channel 1 first, give the
     per-channel choices.  Entry (i, j) is prefactor * lam * sum_r
-    |<col_{j_r}, col_{i_r}>|^2, lam the normalization of _lambda_norm.
+    |<col_{j_r}, col_{i_r}>|^2, lam the normalization of _lambda_norm: a
+    Kronecker sum, scaled in place.  Its d x d float64 values plus the
+    (d/M)^2 of the step before are checked against spectra.MAX_GRID_BYTES
+    before any array is built (GridTooLarge past it).
     """
     m = len(code)
     lam = _lambda_norm(r_channels, m, normalization)
     d = m ** r_channels
-    p = np.abs(gram(code)) ** 2   # p[j, i] = |<col_j, col_i>|^2
-    values = np.zeros((d, d))
-    for digits in np.unravel_index(np.arange(d), (m,) * r_channels):
-        values += p[digits[None, :], digits[:, None]]
-    return prefactor * lam * values
+    # float64 values, in the budget's 16-byte units
+    require_grid_memory((d * d + (d // m) ** 2 + 1) // 2,
+                        "the ideal g2 matrix")
+    # one channel's term, |<col_j, col_i>|^2 at [i, j]
+    values = _kron_sum(np.ascontiguousarray((np.abs(gram(code)) ** 2).T),
+                       r_channels)
+    values *= prefactor * lam
+    return values
 
 
 # level_summary's table bound: at M = 16 the table grows ~20x per channel
@@ -235,9 +256,7 @@ def contrasts(values, r_channels: int = 1) -> dict:
     if r_channels < 1 or m ** r_channels != d:
         raise ValueError(f"dimension {d} is not M**R for R = {r_channels}")
     # matched channels of cell (i, j), one byte per cell
-    matched = np.zeros((d, d), dtype=np.uint8)
-    for digits in np.unravel_index(np.arange(d), (m,) * r_channels):
-        matched += digits[:, None] == digits[None, :]
+    matched = _kron_sum(np.eye(m, dtype=np.uint8), r_channels)
     return _contrast_report(values, matched, r_channels)
 
 
@@ -265,21 +284,26 @@ def coding_bin_mask(centers, weights, bin_width: float,
     """Piecewise-constant coding mask: one hard bin of width bin_width per
     center, zero outside the bin union (nothing passes out of band).
 
-    A grid sample landing on a shared bin edge takes the average of the
+    weights is a vector or an array of rows, its last axis one weight per
+    center (ValueError otherwise); the masks keep its leading shape.  A
+    grid sample landing on a shared bin edge takes the average of the
     adjacent weights, which keeps masks mirror-symmetric on symmetric
     grids whose spacing divides bin_width/2.
     """
     centers = np.asarray(centers, dtype=float)
     _require_disjoint_bins(centers, bin_width)
     w = np.asarray(weights, dtype=complex)
-    mask = np.zeros(grid.points, dtype=complex)
+    if w.shape[-1:] != centers.shape:
+        raise ValueError(f"coding weights of shape {w.shape} need one "
+                         f"weight per center ({len(centers)})")
+    mask = np.zeros(w.shape[:-1] + (grid.points,), dtype=complex)
+    omegas = grid.omegas
     half = bin_width / 2.0
     eps = 0.25 * grid.spacing
-    for c, wt in zip(centers, w):
-        inside = (grid.omegas > c - half + eps) & (grid.omegas < c + half - eps)
-        mask[inside] += wt
+    for c, wt in zip(centers, np.moveaxis(w, -1, 0)[..., None]):
+        mask[..., (omegas > c - half + eps) & (omegas < c + half - eps)] += wt
         for edge in (c - half, c + half):
-            mask[np.abs(grid.omegas - edge) <= eps] += 0.5 * wt
+            mask[..., np.abs(omegas - edge) <= eps] += 0.5 * wt
     return mask
 
 
@@ -340,14 +364,6 @@ def _gated_power(amps, masks_s, masks_i, psi, phi, gate, spacing: float,
                                   idl))[:, :n_out]
             for a, m in zip(amps, masks_s))
     return spacing ** 3 * np.array([np.abs(f) ** 2 @ gate for f in rows])
-
-
-def _bin_masks(centers, weight_rows, bin_width: float,
-               grid: FrequencyGrid) -> np.ndarray:
-    """Coding masks of each weight row, then the all-ones reference mask."""
-    rows = [*weight_rows, np.ones(len(centers))]
-    return np.array([coding_bin_mask(centers, w, bin_width, grid)
-                     for w in rows])
 
 
 def _weight_rows(weights, n: int, what: str) -> np.ndarray:
@@ -428,8 +444,11 @@ def g2_numeric(spec: MultiplexedSpectrum, bin_width: float,
     phi, n_i = map(np.array, zip(*(marginal_idler_mode(pr, p, grid_i)
                                    for pr in spec.pairs)))
     gate = acceptance_gate(grid_out, spec, acceptance_scale)
-    masks_s = _bin_masks(sig, rows_s, bin_width, grid_s)
-    masks_i = _bin_masks(idl, rows_i, bin_width, grid_i)
+    # each axis's masks, then its all-ones reference mask
+    masks_s = coding_bin_mask(sig, [*rows_s, np.ones(len(sig))], bin_width,
+                              grid_s)
+    masks_i = coding_bin_mask(idl, [*rows_i, np.ones(len(idl))], bin_width,
+                              grid_i)
     lam_root = math.sqrt(1.0 / n) * np.array([pr.weight for pr in spec.pairs])
     power = _gated_power(lam_root * np.vstack([amps, np.ones(n)]), masks_s,
                          masks_i, psi, phi, gate, grid_s.spacing, nfft)

@@ -215,6 +215,23 @@ def test_multi_channel_rejects_unknown_normalization(tmp_path):
     assert main(["multi-channel", cfg]) == 1
 
 
+def test_multi_channel_refuses_the_code_before_validating(tmp_path, capsys,
+                                                          monkeypatch):
+    # validate is the slow step: at m = 2**22 it ran for about a minute
+    # before the order-m code matrix was refused past the memory budget
+    def unreachable(*args, **kwargs):
+        raise AssertionError("validated before the code was built")
+
+    monkeypatch.setattr(cli, "validate", unreachable)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "big.json",
+                    {"output_dir": str(out), "r": 1, "m": 8192})
+    assert main(["multi-channel", cfg]) == 1
+    _assert_one_line(capsys.readouterr().err,
+                     "config error: code: the order-8192 code matrix")
+    assert not out.exists()
+
+
 def test_validate_layout_staircase(tmp_path):
     cfg = write_cfg(tmp_path, "lay.json", {
         "output_dir": str(tmp_path), "label": "st",

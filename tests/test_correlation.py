@@ -233,6 +233,108 @@ def test_level_contrasts_match_matrix_contrasts(r, h):
         assert rep_l["c_non"] == pytest.approx(1.0 / (2 * r - 1), abs=1e-9)
 
 
+def _ideal_multi_digit_loop(code, r, prefactor=1.0, normalization="global"):
+    """g2_matrix_ideal_multi as a loop over channel digits: one fancy
+    index of |Gram|^2 per channel, channel 1 first."""
+    m = len(code)
+    lam = correlation._lambda_norm(r, m, normalization)
+    d = m ** r
+    p = np.abs(gram(code)) ** 2
+    values = np.zeros((d, d))
+    for digits in np.unravel_index(np.arange(d), (m,) * r):
+        values += p[digits[None, :], digits[:, None]]
+    return prefactor * lam * values
+
+
+def _matched_digit_loop(m, r):
+    """Matched channels of each cell of the M^R code space, digit by
+    digit, one byte per cell."""
+    d = m ** r
+    matched = np.zeros((d, d), dtype=np.uint8)
+    for digits in np.unravel_index(np.arange(d), (m,) * r):
+        matched += digits[:, None] == digits[None, :]
+    return matched
+
+
+def _assert_kron_sums_match_digit_loops(code, r, prefactor, normalization):
+    matrix = g2_matrix_ideal_multi(code, r, prefactor, normalization)
+    assert matrix.flags.c_contiguous
+    assert matrix.tobytes() == _ideal_multi_digit_loop(
+        code, r, prefactor, normalization).tobytes()
+    matched = _matched_digit_loop(len(code), r)
+    assert correlation._kron_sum(np.eye(len(code), dtype=np.uint8),
+                                 r).tobytes() == matched.tobytes()
+    assert contrasts(matrix, r) == correlation._contrast_report(matrix,
+                                                                matched, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector=_code_vectors(),
+       m_r=st.sampled_from([(m, r) for m in (2, 4, 8, 16)
+                            for r in range(1, 9) if m ** r <= 256]),
+       normalization=st.sampled_from(["global", "per_channel"]),
+       prefactor=st.floats(0.1, 10.0))
+def test_kron_sums_match_the_digit_loops_bit_for_bit(vector, m_r,
+                                                     normalization, prefactor):
+    """The ideal matrix and the matched counts of contrasts are Kronecker
+    sums that add the channels in the digit loop's order, so every byte
+    agrees with the loop."""
+    (kind, kw), (m, r) = vector, m_r
+    _assert_kron_sums_match_digit_loops(alamouti_n(make_c(kind, m, **kw)), r,
+                                        prefactor, normalization)
+
+
+def test_kron_sums_match_the_digit_loops_at_the_matrix_threshold():
+    # d = 4096, the largest matrix multi-channel writes
+    code = alamouti_n(make_c("geometric", 16, a=0.8 - 0.3j, r=0.9j + 0.2))
+    _assert_kron_sums_match_digit_loops(code, 3, 2.5, "per_channel")
+
+
+def test_ideal_matrix_refuses_past_the_budget_before_building(monkeypatch):
+    # R = 70, M = 2 used to end in numpy's "Maximum allowed dimension
+    # exceeded"; smaller code spaces past the budget simply allocated
+    code2 = alamouti_n(make_c("linear-h", 2, h=2.0))
+    with pytest.raises(GridTooLarge, match="ideal g2 matrix"):
+        g2_matrix_ideal_multi(code2, 70)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    # d = 2048 counts 32 + 8 MiB of float64, past a 16 MiB budget
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", 2 ** 24)
+    monkeypatch.setattr(correlation, "gram", unreachable)
+    with pytest.raises(GridTooLarge, match="ideal g2 matrix would take 40 MiB"):
+        g2_matrix_ideal_multi(code2, 11)
+
+
+@pytest.mark.parametrize("m, r", [(2, 10), (4, 5), (32, 2)])
+def test_ideal_matrix_budget_bounds_what_the_build_holds(monkeypatch, m, r):
+    # the count is the d x d result plus the (d/M)^2 step before it.  On
+    # top come numpy's two ufunc operand buffers of np.getbufsize() values,
+    # the M x M channel term and a few array headers, none of which grows
+    # with d (132.8-133.6 KB past the count at these d = 1024 code spaces)
+    counted = []
+    check = correlation.require_grid_memory
+
+    def count(n_values, what):
+        counted.append(16 * n_values)
+        return check(n_values, what)
+
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", 2 ** 24)
+    monkeypatch.setattr(correlation, "require_grid_memory", count)
+    code = alamouti_n(make_c("linear-h", m, h=2.0))
+    tracemalloc.start()
+    try:
+        g2_matrix_ideal_multi(code, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = m ** r
+    assert counted == [8 * (d * d + (d // m) ** 2)]
+    fixed = 2 * 8 * np.getbufsize() + 8 * m * m + 2 ** 12
+    assert 8 * d * d < peak <= counted[0] + fixed, (peak, counted)
+
+
 def _level_summary_reference(code, r_channels, prefactor=1.0,
                              normalization="global"):
     """level_summary as a dict convolved R times: each sum is keyed on
@@ -506,6 +608,16 @@ def test_bin_mask_tiling_and_edges():
     assert at[-1.5] == 0.0 and at[1.5] == 0.0  # hard zero out of band
     with pytest.raises(ValueError, match="overlap"):
         coding_bin_mask([0.0, 0.9], [1.0, 1.0], 1.0, grid)
+    # complex weight rows give one such mask per row, byte for byte
+    rows = np.array([[2.0 - 1.0j, 4.0j], [-1.5, 0.5 + 0.25j]])
+    masks = coding_bin_mask([-0.5, 0.5], rows, 1.0, grid)
+    assert masks.tobytes() == np.array(
+        [_bin_mask_per_center([-0.5, 0.5], w, 1.0, grid)
+         for w in rows]).tobytes()
+    k = {w: i for i, w in enumerate(at)}
+    np.testing.assert_array_equal(masks[:, k[0.0]],
+                                  0.5 * rows[:, 0] + 0.5 * rows[:, 1])
+    np.testing.assert_array_equal(masks[:, k[1.0]], 0.5 * rows[:, 1])
 
 
 def test_acceptance_gate_shape():
@@ -789,6 +901,62 @@ def test_bin_mask_is_linear_in_weights(data):
            + b * coding_bin_mask(centers, v, width, grid))
     scale = 1.0 + abs(a) * np.abs(u).max() + abs(b) * np.abs(v).max()
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * scale)
+
+
+def _bin_mask_per_center(centers, weights, bin_width, grid):
+    """One weight vector's mask, center by center, sampling grid.omegas
+    afresh for every comparison."""
+    mask = np.zeros(grid.points, dtype=complex)
+    half = bin_width / 2.0
+    eps = 0.25 * grid.spacing
+    for c, wt in zip(np.asarray(centers, dtype=float),
+                     np.asarray(weights, dtype=complex)):
+        inside = (grid.omegas > c - half + eps) & (grid.omegas < c + half - eps)
+        mask[inside] += wt
+        for edge in (c - half, c + half):
+            mask[np.abs(grid.omegas - edge) <= eps] += 0.5 * wt
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bin_masks_match_the_per_center_loop_bit_for_bit(data):
+    """A weight vector gives the per-center loop's mask and a 2-D array of
+    rows the stack of its rows' masks, byte for byte.  Abutting bins
+    (gap 0) put samples on shared edges, and every bin's outer edges
+    land on samples of the 0.125-spaced grid when its center does."""
+    n = data.draw(st.integers(1, 5))
+    width = data.draw(st.sampled_from([0.5, 0.75, 1.0, 1.3]))
+    gap = data.draw(st.sampled_from([0.0, 0.0, 0.5, 1.0]))
+    start = data.draw(st.sampled_from([-3.0, -2.875, -2.5])
+                      | st.floats(-3.0, 0.0))
+    centers = start + np.arange(n) * width * (1.0 + gap)
+    rows = data.draw(st.integers(1, 4))
+    weights = np.array(data.draw(st.lists(
+        st.lists(_complex, min_size=n, max_size=n),
+        min_size=rows, max_size=rows)))
+    grid = FrequencyGrid(-4.0, 6.0, 81)
+    masks = coding_bin_mask(centers, weights, width, grid)
+    assert masks.shape == (rows, 81)
+    oracle = np.array([_bin_mask_per_center(centers, w, width, grid)
+                       for w in weights])
+    assert masks.tobytes() == oracle.tobytes()
+    one_by_one = np.array([coding_bin_mask(centers, w, width, grid)
+                           for w in weights])
+    assert masks.tobytes() == one_by_one.tobytes()
+    assert coding_bin_mask(centers, weights[0], width, grid).tobytes() \
+        == oracle[0].tobytes()
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
+                                     np.ones((2, 2)), 1.0],
+                         ids=["short", "long", "short-rows", "scalar"])
+def test_bin_mask_refuses_weights_of_the_wrong_length(weights):
+    # a short vector used to drop the last bins and a long one to ignore
+    # its extra weights: [1, 2] on three centers left the third bin zero
+    grid = FrequencyGrid(-2.0, 2.0, 17)
+    with pytest.raises(ValueError, match="one weight per center"):
+        coding_bin_mask([-1.0, 0.0, 1.0], weights, 1.0, grid)
 
 
 def test_marginal_path_equals_schmidt_reconstruction_path():
