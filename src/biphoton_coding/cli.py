@@ -261,7 +261,9 @@ def _code(kind, n, **kw):
 
 
 def _staircase(r, m, bin_width):
-    with _config_errors("staircase"):
+    """staircase(r, m, bin_width); an odd m, a code space past int64 or a
+    pair count past the memory budget is a config error."""
+    with _config_errors("staircase", (ValueError, GridTooLarge)):
         return staircase(r, m, bin_width)
 
 

@@ -19,9 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CycleDetected, ValidityWarning
-from .spectra import PairShift
+from .spectra import PairShift, require_grid_memory
 
 _INT_LIMIT = 2 ** 63 - 1
+# bytes that one pair holds in a staircase and its validate: the
+# placement entry, two adjacency entries, the edge and the walk record.
+# The tracemalloc peak read at most 1,383 B a pair (r = 1, 682 pairs up;
+# 983 B at r = 2, less at larger r)
+_PAIR_BYTES = 1536
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,16 @@ def staircase(r: int, m: int, bin_width: float = 100.0) -> ChannelLayout:
     blocks chain through one shared idler bin.  The result is a spanning
     forest (a single tree for even R), so factorized decoding works with
     exactly one redundant degree of freedom per connected component.
+
+    Raises GridTooLarge before the first pair is placed when the R*M pairs
+    at 1,536 B each, what the layout and its validate hold, pass
+    MAX_GRID_BYTES: the 256 MiB budget admits 174,762 pairs.
     """
     if m % 2 != 0:
         raise ValueError(f"pairs per channel must be even, got {m}")
     _require_dimension(r, m)
+    require_grid_memory(r * m * _PAIR_BYTES // 16,
+                        f"the {r * m}-pair staircase")
     placement = {}
     for c in range(1, r + 1):
         block = (c + 1) // 2

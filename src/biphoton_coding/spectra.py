@@ -221,15 +221,17 @@ def jsa_multiplexed(spec: MultiplexedSpectrum, domega_s, domega_i):
     shape = np.broadcast(ds, di).shape
     require_grid_memory(math.prod(shape), "the joint spectral amplitude")
     out = np.zeros(shape, dtype=complex)
-    ridges = {}     # pairs on one ridge (same delta_q) share its samples
+    # consecutive pairs on one ridge (same delta_q) share its samples; only
+    # the current ridge is held, so the peak does not grow with the ridges
+    ridge = delta_q = None
     # an overflowing sample becomes inf or nan here and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for pair in spec.pairs:
-            if pair.delta_q not in ridges:
-                ridges[pair.delta_q] = gaussian_envelope(p, ds + di,
-                                                         pair.delta_q)
-            out += pair.weight * ridges[pair.delta_q] \
-                * lorentzian_factor(p, di, pair.delta_p)
+            if pair.delta_q != delta_q:
+                ridge = None   # the old ridge goes before the new exp
+                delta_q = pair.delta_q
+                ridge = gaussian_envelope(p, ds + di, delta_q)
+            out += pair.weight * ridge * lorentzian_factor(p, di, pair.delta_p)
         out = p.coupling_prefactor * out
     if not np.all(np.isfinite(out)):
         raise ValueError("the sampled amplitude is not finite")

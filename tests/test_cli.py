@@ -348,13 +348,13 @@ def _refuse_constant(name):
 
 
 def test_schmidt_command(tmp_path, monkeypatch):
-    # every config is one real ridge: its weights come from the symmetric
-    # eigensolver of a Gram matrix, and no SVD runs
+    # every config's weights come from the Hermitian eigensolver of a Gram
+    # matrix, on one real ridge and on two alike, and no SVD runs
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
     def spy(gram):
-        solved.append(gram.shape)
+        solved.append((gram.shape, gram.dtype.kind))
         return eigvalsh(gram)
 
     def no_svd(*args, **kwargs):
@@ -404,8 +404,22 @@ def test_schmidt_command(tmp_path, monkeypatch):
     assert main(["schmidt", cfg]) == 0
     rep = json.loads((tmp_path / "small_report.json").read_text())
     assert rep["n_modes"] == 21
-    # the Gram matrix of the shorter grid each time
-    assert solved == [(601, 601), (401, 401), (21, 21)]
+
+    # two ridges: the complex amplitude is sampled, and its weights are
+    # the squared singular values all the same
+    cfg = write_cfg(tmp_path, "two.json", {
+        "output_dir": str(tmp_path), "label": "two",
+        "pairs": [{"weight": [0.6, 0.8], "delta_p": -20.0},
+                  {"delta_p": 20.0, "delta_q": 30.0}],
+        "signal_grid": {"min": -60.0, "max": 60.0, "points": 161},
+        "idler_grid": {"min": -60.0, "max": 60.0, "points": 121}})
+    assert main(["schmidt", cfg]) == 0
+    rep = json.loads((tmp_path / "two_report.json").read_text())
+    assert rep["lambda_sum"] == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 < rep["lambdas_top"][1] < rep["lambdas_top"][0] < 1.0
+    # the Gram matrix of the shorter grid each time, complex for two ridges
+    assert solved == [((601, 601), "f"), ((401, 401), "f"), ((21, 21), "f"),
+                      ((121, 121), "c")]
 
 
 @pytest.mark.parametrize("weight", [1e160, 1e200])
@@ -727,6 +741,14 @@ def _case(id_, command, body, prefix):
           "config error: staircase: pair shift fields must be finite"),
     _case("multi-channel-odd-m", "multi-channel", {"r": 2, "m": 3},
           "config error: staircase: pairs per channel must be even, got 3"),
+    # 1,024 pairs at 1,536 B each pass the lowered 256 KiB budget: refused
+    # before the first pair is placed
+    _case("validate-layout-staircase-budget", "validate-layout",
+          {"staircase": {"r": 1, "m": 1024}},
+          "config error: staircase: the 1024-pair staircase would take"),
+    _case("multi-channel-staircase-budget", "multi-channel",
+          {"r": 1, "m": 1024},
+          "config error: staircase: the 1024-pair staircase would take"),
     _case("codes-n-not-power-of-two", "codes", {"code": {"n": 3}},
           "config error: code: order 3 is not a power of two"),
     _case("code-kind", "codes", {"code": {"kind": "hadamard", "n": 4}},
@@ -986,6 +1008,11 @@ def test_bad_input_exits_1_at_float_range_delta(tmp_path, command, body,
           {"drive": {"omega_a_tilde": 1e6}, **SCHMIDT_GRIDS},
           "config error: grids: the Magnus scan of this drive (50,826,700 "
           "steps) passes the 2,097,152-step bound"),
+    # 2**40 pairs would be placed one by one, past any memory
+    _case("staircase-m-2**40", "validate-layout",
+          {"staircase": {"r": 1, "m": 2 ** 40}},
+          "config error: staircase: the 1099511627776-pair staircase would "
+          "take 1.611e+09 MiB, past the 256 MiB budget"),
 ])
 def test_bad_input_exits_1_at_the_real_bounds(tmp_path, command, body,
                                               prefix):

@@ -1,5 +1,6 @@
 """Pair placement layouts, decodability, and factorized decode weights."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_coding.errors import CycleDetected, ValidityWarning
+from biphoton_coding import spectra
+from biphoton_coding.errors import CycleDetected, GridTooLarge, ValidityWarning
 from biphoton_coding.layout import ChannelLayout, dimension, factor_decode, staircase, validate
 
 FOUR_CYCLE = {(1, 1): (1, 1), (1, 2): (2, 2), (2, 1): (1, 2), (2, 2): (2, 1)}
@@ -35,6 +37,36 @@ def test_staircase_channels_share_one_antidiagonal():
 def test_staircase_rejects_odd_m():
     with pytest.raises(ValueError, match="pairs per channel must be even, got 3"):
         staircase(2, 3)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_staircase_budget_bounds_what_the_layout_holds(monkeypatch, r):
+    """At 1,536 B a pair a 1 MiB budget admits 682 pairs.  The smallest
+    even m past it is refused before any pair is placed, and the largest
+    one admitted holds no more than its count through validate: the
+    tracemalloc peak read 1,329-1,383 B a pair at r = 1 and 682 B at
+    r = 2."""
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", 2 ** 20)
+    m = 682 // r // 2 * 2
+    with pytest.raises(GridTooLarge,
+                       match=f"the {r * (m + 2)}-pair staircase would take"):
+        staircase(r, m + 2)
+    tracemalloc.start()
+    try:
+        validate(staircase(r, m), tau=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= r * m * 1536, peak / (r * m)
+
+
+def test_staircase_refuses_odd_m_and_huge_spaces_before_the_budget(
+        monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", 16)
+    with pytest.raises(ValueError, match="pairs per channel must be even"):
+        staircase(1, 2 ** 40 + 1)
+    with pytest.raises(ValueError, match=r"2\*\*64 exceeds"):
+        staircase(64, 2)
 
 
 def test_pair_shift_arithmetic():

@@ -1,6 +1,7 @@
 """Schmidt decomposition on quadrature-weighted sample matrices."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biphoton_coding import schmidt
+from biphoton_coding import schmidt, spectra
 from biphoton_coding.errors import DegenerateSpectrum, UnderResolvedGrid
 from biphoton_coding.schmidt import decompose, entropy
 from biphoton_coding.spectra import (
@@ -180,9 +181,9 @@ def test_one_ridge_real_svd_matches_complex_svd(pairs, delta_q, coupling, tau,
                                                 points):
     """Pairs on one real ridge are decomposed from the real
     W_s^1/2 G W_i^1/2 |h| without sampling the complex amplitude.  The
-    oracle is the complex SVD of the same pairs' sample matrix.  Both
-    solvers are backward stable, so weights and norm agree to a few n eps
-    (n <= 240): 1e-13 bounds them."""
+    oracle is the values-only complex SVD of the same pairs' weighted
+    sample matrix.  Both are backward stable, so weights and norm agree
+    to a few n eps (n <= 240): 1e-13 bounds them."""
     spec = MultiplexedSpectrum(
         params=PhysicalParams(tau=tau, coupling_prefactor=polar(*coupling)),
         pairs=tuple(PairShift(weight=polar(m, ph), delta_p=dp, delta_q=delta_q)
@@ -192,12 +193,15 @@ def test_one_ridge_real_svd_matches_complex_svd(pairs, delta_q, coupling, tau,
     with mock.patch.object(schmidt, "jsa_multiplexed",
                            side_effect=AssertionError("complex JSA sampled")):
         d = decompose(spec, grid, grid)
-    oracle = decompose(f, grid, grid)
-    np.testing.assert_allclose(d.lambdas, oracle.lambdas, rtol=0, atol=1e-13)
-    assert d.norm == pytest.approx(oracle.norm, rel=1e-13)
+    root = np.sqrt(grid.weights)
+    sigma = np.linalg.svd(root[:, None] * f * root[None, :], compute_uv=False)
+    want = (sigma / sigma[0]) ** 2
+    np.testing.assert_allclose(d.lambdas, want / np.sum(want), rtol=0,
+                               atol=1e-13)
+    assert d.norm == pytest.approx(math.hypot(*sigma), rel=1e-13)
 
 
-def test_two_ridges_or_complex_delta_q_take_the_complex_svd():
+def test_two_ridges_or_complex_delta_q_decompose_their_sample_matrix():
     """Pairs on two ridges, or on a complex one, are sampled as the complex
     amplitude: the decomposition is that of its sample matrix, bit for bit."""
     params = PhysicalParams(tau=0.5)
@@ -214,15 +218,21 @@ def test_two_ridges_or_complex_delta_q_take_the_complex_svd():
         assert d.norm == oracle.norm
 
 
-def one_ridge_spectrum(pairs, delta_q, coupling, tau):
+def one_ridge_spectrum(pairs, delta_q, coupling, tau, ridge="one real"):
+    """Pairs on the real ridge delta_q; with ridge "two", one more pair on
+    a second ridge 25 away, and with "complex", on delta_q + 1j."""
+    if ridge == "complex":
+        delta_q = complex(delta_q, 1.0)
+    extra = (PairShift(weight=0.8 - 0.6j, delta_q=delta_q + 25.0),) \
+        if ridge == "two" else ()
     return MultiplexedSpectrum(
         params=PhysicalParams(tau=tau, coupling_prefactor=polar(*coupling)),
         pairs=tuple(PairShift(weight=polar(m, ph), delta_p=dp, delta_q=delta_q)
-                    for m, ph, dp in pairs))
+                    for m, ph, dp in pairs) + extra)
 
 
 @pytest.mark.parametrize("signal_longer", [False, True])
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(pairs=st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2 * math.pi),
                                 st.floats(-60.0, 60.0)),
                       min_size=1, max_size=4),
@@ -230,17 +240,20 @@ def one_ridge_spectrum(pairs, delta_q, coupling, tau):
        coupling=st.tuples(st.floats(0.01, 100.0), st.floats(0.0, 2 * math.pi)),
        tau=st.floats(0.3, 2.0),
        sizes=st.lists(st.integers(2, 250).filter(lambda n: n % 64),
-                      min_size=2, max_size=2, unique=True).map(sorted))
+                      min_size=2, max_size=2, unique=True).map(sorted),
+       ridge=st.sampled_from(["one real", "two", "complex"]))
 def test_gram_weights_match_svd_of_the_same_r(signal_longer, pairs, delta_q,
-                                              coupling, tau, sizes):
-    """The one-ridge weights are eigenvalues of the Gram matrix of R's
-    shorter side; the oracle is the values-only SVD of the same R, on
+                                              coupling, tau, sizes, ridge):
+    """The weights are eigenvalues of the Gram matrix of the shorter side
+    of R (one real ridge) or of the complex A (two ridges or a complex
+    delta_q); the oracle is the values-only SVD of the same matrix, on
     non-square grids of either orientation whose sizes are not multiples
     of the 64-row sampling block.
 
-    Forming G = R R^T in floating point adds E with
-    |E| <= n eps |R| |R|^T entrywise, n the longer side (the inner
-    dimension), so ||E||_2 <= n eps ||R||_F^2; eigvalsh is backward stable
+    Writing R for either, forming G = R R^H in floating point adds E with
+    |E| <= c n eps |R| |R|^T entrywise (c = 1 for a real R, a small
+    constant for complex products), n the longer side (the inner
+    dimension), so ||E||_2 <= c n eps ||R||_F^2; eigvalsh is backward stable
     and adds c k eps ||G||_2, k the shorter side.  By Weyl each eigenvalue
     moves by at most the norm of the perturbation, and after division by
     trace G = ||R||_F^2 >= ||G||_2 each weight moves by (n + c k) eps at
@@ -248,7 +261,7 @@ def test_gram_weights_match_svd_of_the_same_r(signal_longer, pairs, delta_q,
     relative error likewise."""
     short, long = sizes
     n_s, n_i = (long, short) if signal_longer else (short, long)
-    spec = one_ridge_spectrum(pairs, delta_q, coupling, tau)
+    spec = one_ridge_spectrum(pairs, delta_q, coupling, tau, ridge)
     gs, gi = coarsest_grid(spec.params, n_s), coarsest_grid(spec.params, n_i)
     sigma = np.linalg.svd(schmidt._weighted_samples(spec, gs, gi),
                           compute_uv=False)
@@ -286,3 +299,38 @@ def test_blocked_ridge_equals_the_whole_matrix_expression(rows):
     want *= np.sqrt(gi.weights)[None, :] * np.abs(h)
     np.testing.assert_array_equal(schmidt._weighted_samples(spec, gs, gi),
                                   want)
+
+    # two ridges: the complex A, block by block, equals the weighted
+    # samples of the whole grid
+    two = MultiplexedSpectrum(params=p, pairs=spec.pairs + (
+        PairShift(weight=0.5j, delta_p=5.0, delta_q=-12.0),))
+    f = jsa_multiplexed(two, gs.omegas[:, None], gi.omegas[None, :])
+    want = np.sqrt(gs.weights)[:, None] * f * np.sqrt(gi.weights)[None, :]
+    got = schmidt._weighted_samples(two, gs, gi)
+    assert got.dtype == complex
+    assert got.tobytes() == want.tobytes()
+
+
+def test_many_ridges_hold_three_amplitudes_at_most(monkeypatch):
+    """Eight ridges at a budget of exactly one complex 192 x 192 amplitude
+    A: the blocked sampling holds A and one block's temporaries, the Gram
+    step A, its conjugate and G (also A, the grid being square), so the
+    tracemalloc peak stays within 3 A plus 64 KiB for the grid axes, the
+    quadrature weights and the eigenvalues.  Sampling the whole grid at
+    once held the amplitude, its exp buffer and one Gaussian per ridge:
+    about 11 A."""
+    n = 192
+    a_bytes = 16 * n * n
+    monkeypatch.setattr(spectra, "MAX_GRID_BYTES", a_bytes)
+    params = PhysicalParams(tau=0.5)
+    spec = MultiplexedSpectrum(params=params, pairs=tuple(
+        PairShift(weight=1.0 + 0.1j * k, delta_p=-40.0 + 10.0 * k,
+                  delta_q=-40.0 + 11.0 * k) for k in range(8)))
+    grid = FrequencyGrid(-95.0, 95.0, n)
+    tracemalloc.start()
+    try:
+        decompose(spec, grid, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * a_bytes + 64 * 1024, peak / a_bytes
